@@ -10,7 +10,9 @@ indivisible when its entries have gcd 1.
 `enumerate_admissible` runs the generic hyperplane-intersection algorithm;
 `closed_form_admissible` returns the literal per-family lists.  The two
 must agree as sets, which the test suite verifies across the supported
-desk-scale ranges.
+desk-scale ranges.  Kernel lines and root-span ranks come from
+`exactmath.row_reduce`, the package's one Gauss-Jordan routine, and kernel
+generators are scaled by `exactmath.primitive`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .exactmath import RatVec
+from .exactmath import RatVec, primitive, row_reduce
 from .rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
 
 SUBSET_CAP = 10**5
@@ -78,60 +80,23 @@ def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
     """A primitive integer generator of the kernel of the row system, or
     None when the kernel is not a line."""
     mat = [list(r.entries) for r in rows]
-    ncols = dim
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != ncols - 1:
+    pivots = row_reduce(mat, [], range(dim))
+    if len(pivots) != dim - 1:
         return None
-    free_col = next(c for c in range(ncols) if c not in pivots)
-    vec = [Fraction(0)] * ncols
+    pivot_cols = {col for _, col in pivots}
+    free_col = next(c for c in range(dim) if c not in pivot_cols)
+    vec = [Fraction(0)] * dim
     vec[free_col] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        vec[col] = -mat[row_idx][free_col]
-    denom_lcm = 1
-    for x in vec:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [x * denom_lcm for x in vec]
-    g_all = 0
-    for x in ints:
-        g_all = gcd(g_all, abs(x.numerator))
-    return RatVec([x / g_all for x in ints])
+    for i, col in pivots:
+        vec[col] = -mat[i][free_col]
+    return RatVec(primitive(vec))
 
 
 def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
     """Rank of { b in noncompact_pos : <lam, b> = 0 } (plain matrix rank;
     the roots already lie in the torus-rank subspace for su(p, q))."""
-    rows = [b for b in g.noncompact_pos if pairing(lam, b) == 0]
-    if not rows:
-        return 0
-    mat = [list(r.entries) for r in rows]
-    rank = 0
-    for col in range(g.dim):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+    mat = [list(b.entries) for b in g.noncompact_pos if pairing(lam, b) == 0]
+    return len(row_reduce(mat, [], range(g.dim)))
 
 
 def is_admissible(g: GroupData, lam: RatVec) -> bool:

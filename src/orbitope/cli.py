@@ -23,9 +23,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import goldens  # noqa: F401  (re-exported for `python -m` users)
 from .admissible import enumerate_admissible, sorted_admissible
-from .exactmath import Fraction as _F  # noqa: F401
 from .exactmath import HPolyhedron, RatVec, rat_str
 from .horn import enum_T
 from .polytope import (

@@ -13,6 +13,13 @@ substitution beforehand), Fourier-Motzkin elimination (used as an
 independent feasibility oracle and to project parametrized cones), and the
 derived predicates `implies`, `remove_redundant` and `poly_equal`.
 
+All exact elimination lives here.  `row_reduce` is the single Gauss-Jordan
+routine: the LP's equality substitution, `eliminate_variables` and the
+admissible-cocharacter kernels and ranks (admissible.py) all call it.
+`_fm_step` is the single Fourier-Motzkin step, shared by
+`fm_feasible_with_witness` and `eliminate_variables`; `primitive` is the
+single scaling to coprime integers.
+
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
 
@@ -44,6 +51,26 @@ def rat_str(x: Fraction) -> str:
     """Serialize a Fraction as 'p' or 'p/q' (q > 1)."""
     x = rat(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def primitive(values: Sequence[Fraction]) -> list:
+    """Scale Fractions by one positive rational to coprime integers.
+
+    All-zero input is returned unchanged.  Integral input skips the
+    multiply and coprime input skips the divide.
+    """
+    values = list(values)
+    denom_lcm = 1
+    for a in values:
+        d = a.denominator
+        if d != 1:
+            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    if denom_lcm != 1:
+        values = [a * denom_lcm for a in values]
+    g = gcd(*(a.numerator for a in values))
+    if g > 1:
+        values = [a / g for a in values]
+    return values
 
 
 class RatVec:
@@ -159,18 +186,7 @@ class AffineIneq:
             # 0 <= b : trivial when b >= 0, else the infeasible marker.
             b = Fraction(0) if self.bound >= 0 else Fraction(-1)
             return AffineIneq(RatVec([0] * self.dim), b, LE)
-        denom_lcm = 1
-        for a in list(self.normal) + [self.bound]:
-            denom_lcm = denom_lcm * a.denominator // gcd(denom_lcm, a.denominator)
-        scaled = [a * denom_lcm for a in self.normal]
-        b = self.bound * denom_lcm
-        g = 0
-        for a in scaled:
-            g = gcd(g, abs(a.numerator))
-        g = gcd(g, abs(b.numerator))
-        if g > 1:
-            scaled = [a / g for a in scaled]
-            b = b / g
+        *scaled, b = primitive([*self.normal, self.bound])
         if self.kind == EQ:
             lead = next(a for a in scaled if a != 0)
             if lead < 0:
@@ -246,9 +262,6 @@ class HPolyhedron:
     def whole_space(dim: int) -> "HPolyhedron":
         return HPolyhedron(dim, [])
 
-    def with_rows(self, extra: Iterable[AffineIneq]) -> "HPolyhedron":
-        return HPolyhedron(self.dim, list(self.ineqs) + list(extra))
-
     def contains(self, x: RatVec) -> bool:
         if x.dim != self.dim:
             raise DimensionError(f"point dim {x.dim} vs system dim {self.dim}")
@@ -301,65 +314,74 @@ class HPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# Equality substitution
+# Gauss-Jordan elimination and equality substitution
 # ---------------------------------------------------------------------------
 
 
-def _substitute_equalities(sys: HPolyhedron):
-    """Gaussian-eliminate the equality rows of `sys`.
+def row_reduce(rows: list, others: list, order) -> list:
+    """Gauss-Jordan elimination in place; returns the (row index, column)
+    pivots in the order they were taken.
 
-    Returns (consistent, le_rows, recover) where `le_rows` is a list of
-    (coeff list over free variables, bound) inequality pairs and
-    `recover(y)` maps a free-variable assignment back to full coordinates.
-    If the equalities are inconsistent, consistent is False.
+    Each row of `rows` in turn pivots on its first nonzero column in
+    `order`: it is scaled to a unit pivot and that column is cleared from
+    every other row of `rows` and of `others`.  Rows zero on `order` take no
+    pivot and stay unchanged.  Columns outside `order` (an appended bound,
+    say) are carried along.  All rows are lists of equal length.
+    """
+    order = list(order)
+    pivots = []
+    for i, row in enumerate(rows):
+        col = next((j for j in order if row[j] != 0), None)
+        if col is None:
+            continue
+        piv = row[col]
+        if piv != 1:
+            row = rows[i] = [c / piv for c in row]
+        for block in (rows, others):
+            for k, other in enumerate(block):
+                f = other[col]
+                if f != 0 and other is not row:
+                    block[k] = [a - f * c for a, c in zip(other, row)]
+        pivots.append((i, col))
+    return pivots
+
+
+def _substitute_equalities(sys: HPolyhedron, objective: Optional[Sequence] = None):
+    """Eliminate the equality rows of `sys` by Gauss-Jordan substitution.
+
+    Returns None when the equalities are inconsistent, else
+    (le_rows, nfree, recover, obj_free): `le_rows` are the inequality rows
+    [coefficients over the free variables..., bound], `recover(y)` maps a
+    free-variable assignment back to full coordinates and `obj_free` is
+    `objective` restricted to the free variables through that map (None
+    without an objective).
     """
     dim = sys.dim
-    eq_rows = [([*(r.normal)], r.bound) for r in sys.ineqs if r.kind == EQ]
-    le_rows = [([*(r.normal)], r.bound) for r in sys.ineqs if r.kind == LE]
-
-    pivots = []  # (row, col) in reduced order
-    for row_i in range(len(eq_rows)):
-        coeffs, b = eq_rows[row_i]
-        col = next((j for j in range(dim) if coeffs[j] != 0), None)
-        if col is None:
-            if b != 0:
-                return False, [], None
-            continue
-        piv = coeffs[col]
-        coeffs = [c / piv for c in coeffs]
-        b = b / piv
-        eq_rows[row_i] = (coeffs, b)
-        for other_i in range(len(eq_rows)):
-            if other_i == row_i:
-                continue
-            ocoeffs, ob = eq_rows[other_i]
-            f = ocoeffs[col]
-            if f != 0:
-                eq_rows[other_i] = ([oc - f * c for oc, c in zip(ocoeffs, coeffs)], ob - f * b)
-        for k in range(len(le_rows)):
-            lcoeffs, lb = le_rows[k]
-            f = lcoeffs[col]
-            if f != 0:
-                le_rows[k] = ([lc - f * c for lc, c in zip(lcoeffs, coeffs)], lb - f * b)
-        pivots.append((row_i, col))
-
+    eq_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == EQ]
+    le_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == LE]
+    if objective is not None:
+        le_rows.append([*objective, Fraction(0)])
+    pivots = row_reduce(eq_rows, le_rows, range(dim))
+    pivot_rows = {i for i, _ in pivots}
+    if any(row[-1] != 0 for i, row in enumerate(eq_rows) if i not in pivot_rows):
+        return None
     pivot_cols = {col for _, col in pivots}
     free_cols = [j for j in range(dim) if j not in pivot_cols]
-    reduced = [([coeffs[j] for j in free_cols], b) for (coeffs, b) in le_rows]
-
-    pivot_data = [(col, eq_rows[row_i][0], eq_rows[row_i][1]) for row_i, col in pivots]
+    reduced = [[row[j] for j in free_cols] + [row[-1]] for row in le_rows]
+    obj_free = reduced.pop()[:-1] if objective is not None else None
+    pivot_data = [(col, eq_rows[i]) for i, col in pivots]
 
     def recover(y: Sequence[Fraction]) -> RatVec:
         full = [Fraction(0)] * dim
         for j, col in enumerate(free_cols):
-            full[col] = rat(y[j]) if j < len(y) else Fraction(0)
-        for col, coeffs, b in pivot_data:
-            full[col] = b - sum(
-                (coeffs[j] * full[j] for j in range(dim) if j != col), Fraction(0)
+            full[col] = rat(y[j])
+        for col, row in pivot_data:
+            full[col] = row[-1] - sum(
+                (row[j] * full[j] for j in free_cols), Fraction(0)
             )
         return RatVec(full)
 
-    return True, (reduced, len(free_cols)), recover
+    return reduced, len(free_cols), recover, obj_free
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +397,14 @@ OPTIMAL = "optimal"
 def _simplex_le(rows, nvars: int, objective):
     """Maximize <objective, x> over {rows: <a,x> <= b} with x free.
 
-    rows: list of (coeff list, bound).  Returns (status, value, x) with
+    rows: lists [coefficients..., bound].  Returns (status, value, x) with
     status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for UNBOUNDED the witness x
     is a feasible point.  Free variables are split x = u - v internally.
     Bland's rule everywhere, so termination is guaranteed.
     """
     m = len(rows)
     if nvars == 0:
-        ok = all(b >= 0 for _, b in rows)
+        ok = all(row[-1] >= 0 for row in rows)
         return (OPTIMAL, Fraction(0), []) if ok else (INFEASIBLE, None, None)
     if m == 0:
         if all(c == 0 for c in objective):
@@ -394,7 +416,8 @@ def _simplex_le(rows, nvars: int, objective):
     tableau = []
     basis = []
     art_cols = []
-    for i, (coeffs, b) in enumerate(rows):
+    for i, coeffs in enumerate(rows):
+        b = coeffs[-1]
         row = [Fraction(0)] * n_struct
         for j in range(nvars):
             row[j] = coeffs[j]
@@ -524,41 +547,31 @@ def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
 
     Returns (status, value, witness RatVec or None).
     """
-    consistent, reduced, recover = _substitute_equalities(sys)
-    if not consistent:
+    obj = objective
+    if obj is not None and not isinstance(obj, RatVec):
+        obj = RatVec(obj)
+    reduced = _substitute_equalities(sys, obj)
+    if reduced is None:
         return INFEASIBLE, None, None
-    rows, nfree = reduced
+    rows, nfree, recover, obj_free = reduced
     # Drop trivially-true reduced rows, detect trivially-false ones.
     clean = []
-    for coeffs, b in rows:
-        if all(c == 0 for c in coeffs):
-            if b < 0:
+    for row in rows:
+        if all(c == 0 for c in row[:-1]):
+            if row[-1] < 0:
                 return INFEASIBLE, None, None
             continue
-        clean.append((coeffs, b))
-    if objective is None:
+        clean.append(row)
+    if obj is None:
         obj_free = [Fraction(0)] * nfree
-    else:
-        # Objective in full coordinates: restrict to free variables through
-        # the substitution x = recover(y); the map is affine, so evaluate
-        # on unit directions.
-        obj = RatVec(objective) if not isinstance(objective, RatVec) else objective
-        base = recover([Fraction(0)] * nfree)
-        const = obj.dot(base)
-        obj_free = []
-        for j in range(nfree):
-            unit = [Fraction(0)] * nfree
-            unit[j] = Fraction(1)
-            obj_free.append(obj.dot(recover(unit)) - const)
     status, val, y = _simplex_le(clean, nfree, obj_free)
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
     witness = recover(y if y is not None else [Fraction(0)] * nfree)
-    if objective is None:
+    if obj is None:
         return FEASIBLE, None, witness
     if status == UNBOUNDED:
         return UNBOUNDED, None, witness
-    obj = RatVec(objective) if not isinstance(objective, RatVec) else objective
     return OPTIMAL, obj.dot(witness), witness
 
 
@@ -647,44 +660,23 @@ def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fm_eliminate_last(rows):
-    """One Fourier-Motzkin step removing the last variable of `rows`.
-
-    rows: list of (coeffs, bound) over k variables; result over k-1.
-    """
-    pos, neg, zero = [], [], []
-    for coeffs, b in rows:
-        a = coeffs[-1]
-        if a > 0:
-            pos.append(([c / a for c in coeffs[:-1]], b / a))
-        elif a < 0:
-            neg.append(([c / -a for c in coeffs[:-1]], b / -a))
-        else:
-            zero.append((coeffs[:-1], b))
-    out = list(zero)
-    for pc, pb in pos:
-        for nc, nb in neg:
-            out.append(([p + n for p, n in zip(pc, nc)], pb + nb))
-    return out
-
-
 def fm_feasible_with_witness(sys: HPolyhedron):
     """Fourier-Motzkin feasibility with back-substituted witness.
 
     Independent of the simplex path; intended as a testing oracle for small
     dimensions.  Returns (feasible, witness RatVec or None).
     """
-    consistent, reduced, recover = _substitute_equalities(sys)
-    if not consistent:
+    reduced = _substitute_equalities(sys)
+    if reduced is None:
         return False, None
-    rows, nfree = reduced
+    rows, nfree, recover, _ = reduced
     stages = []
     cur = rows
-    for _ in range(nfree):
+    for last in range(nfree - 1, -1, -1):
         stages.append(cur)
-        cur = _fm_eliminate_last(cur)
-    for coeffs, b in cur:
-        if b < 0:
+        cur = [row[:last] + row[last + 1 :] for row in _fm_step(cur, last)]
+    for row in cur:
+        if row[-1] < 0:
             return False, None
     # Back-substitute a witness; assigned[i] holds the value of variable i.
     # Variable k was eliminated at step nfree-1-k, so its bounds live in
@@ -693,12 +685,12 @@ def fm_feasible_with_witness(sys: HPolyhedron):
     for k in range(nfree):
         stage = stages[nfree - 1 - k]  # rows over variables 0..k
         lo, hi = None, None
-        for coeffs, b in stage:
-            a = coeffs[k]
+        for row in stage:
+            a = row[k]
             if a == 0:
                 continue
-            rest = sum((coeffs[j] * assigned[j] for j in range(k)), Fraction(0))
-            bound = (b - rest) / a
+            rest = sum((row[j] * assigned[j] for j in range(k)), Fraction(0))
+            bound = (row[-1] - rest) / a
             if a > 0:
                 hi = bound if hi is None or bound < hi else hi
             else:
@@ -723,8 +715,8 @@ def fm_feasible(sys: HPolyhedron) -> bool:
 def eliminate_variables(sys: HPolyhedron, keep: int) -> HPolyhedron:
     """Project a system onto its first `keep` coordinates.
 
-    Equalities are used to substitute away eliminated variables where
-    possible (pivoting on eliminated columns first); the remaining
+    Equalities substitute away eliminated variables where possible
+    (`row_reduce` pivoting on eliminated columns, last first); the remaining
     eliminated variables go through Fourier-Motzkin with light redundancy
     pruning between steps.  Result rows are over the first `keep` variables.
     """
@@ -733,86 +725,63 @@ def eliminate_variables(sys: HPolyhedron, keep: int) -> HPolyhedron:
         raise DimensionError("keep out of range")
     if keep == dim:
         return sys
-    eq_rows = [([*(r.normal)], r.bound) for r in sys.ineqs if r.kind == EQ]
-    le_rows = [([*(r.normal)], r.bound) for r in sys.ineqs if r.kind == LE]
-
-    kept_eqs = []
-    for _ in range(len(eq_rows)):
-        # Pick an unprocessed equality with a nonzero eliminated column.
-        pick = None
-        for idx, (coeffs, b) in enumerate(eq_rows):
-            col = next((j for j in range(dim - 1, keep - 1, -1) if coeffs[j] != 0), None)
-            if col is not None:
-                pick = (idx, col)
-                break
-        if pick is None:
-            break
-        idx, col = pick
-        coeffs, b = eq_rows.pop(idx)
-        piv = coeffs[col]
-        coeffs = [c / piv for c in coeffs]
-        b = b / piv
-        for rows in (eq_rows, le_rows):
-            for k in range(len(rows)):
-                rc, rb = rows[k]
-                f = rc[col]
-                if f != 0:
-                    rows[k] = ([a - f * c for a, c in zip(rc, coeffs)], rb - f * b)
-    # Leftover equalities touch only kept variables (or are degenerate).
-    for coeffs, b in eq_rows:
-        if any(coeffs[j] != 0 for j in range(keep, dim)):
-            raise AssertionError("substitution left an eliminated column")
-        kept_eqs.append((coeffs[:keep], b))
+    eq_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == EQ]
+    rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == LE]
+    pivots = row_reduce(eq_rows, rows, range(dim - 1, keep - 1, -1))
+    # Equalities that took no pivot touch only kept variables.
+    pivot_rows = {i for i, _ in pivots}
+    kept_eqs = [row for i, row in enumerate(eq_rows) if i not in pivot_rows]
 
     # Fourier-Motzkin on remaining eliminated columns of the <= rows.
-    rows = [(coeffs[:], b) for coeffs, b in le_rows]
     for col in range(dim - 1, keep - 1, -1):
-        rows = [(c[:col] + c[col + 1 :], b) for c, b in _fm_step(rows, col)]
-        rows = _prune_rows(rows, keep_cols=len(rows[0][0]) if rows else col)
+        rows = [row[:col] + row[col + 1 :] for row in _fm_step(rows, col)]
+        rows = _prune_rows(rows, col)
 
-    out = [ineq_eq(c, b) for c, b in kept_eqs]
-    out += [ineq_le(c, b) for c, b in rows]
+    out = [ineq_eq(row[:keep], row[-1]) for row in kept_eqs]
+    out += [ineq_le(row[:-1], row[-1]) for row in rows]
     return HPolyhedron(keep, out)
 
 
 def _fm_step(rows, col: int):
-    """Fourier-Motzkin combine on column `col`, keeping that column zeroed."""
+    """One Fourier-Motzkin step on column `col` of rows [coefficients...,
+    bound]: rows zero there pass through, then every positive/negative pair
+    is scaled to +-1 and summed.  The column stays, zeroed."""
     pos, neg, zero = [], [], []
-    for coeffs, b in rows:
-        a = coeffs[col]
+    for row in rows:
+        a = row[col]
         if a > 0:
-            pos.append(([c / a for c in coeffs], b / a))
+            pos.append([c / a for c in row])
         elif a < 0:
-            neg.append(([c / -a for c in coeffs], b / -a))
+            neg.append([c / -a for c in row])
         else:
-            zero.append((coeffs, b))
+            zero.append(row)
     out = list(zero)
-    for pc, pb in pos:
-        for nc, nb in neg:
-            merged = [p + n for p, n in zip(pc, nc)]
+    for p in pos:
+        for n in neg:
+            merged = [x + y for x, y in zip(p, n)]
             merged[col] = Fraction(0)
-            out.append((merged, pb + nb))
+            out.append(merged)
     return out
 
 
-def _prune_rows(rows, keep_cols: int):
+def _prune_rows(rows, nvars: int):
     """Cheap syntactic pruning after an elimination step: canonicalize,
     deduplicate and drop rows dominated by an identical-normal row."""
     best = {}
     order = []
-    for coeffs, b in rows:
-        if all(c == 0 for c in coeffs):
-            if b < 0:
-                return [([Fraction(0)] * keep_cols, Fraction(-1))]
+    for row in rows:
+        if all(c == 0 for c in row[:-1]):
+            if row[-1] < 0:
+                return [[Fraction(0)] * nvars + [Fraction(-1)]]
             continue
-        row = ineq_le(coeffs, b).canonical()
-        key = row.normal.entries
+        canon = ineq_le(row[:-1], row[-1]).canonical()
+        key = canon.normal.entries
         if key not in best:
-            best[key] = row.bound
+            best[key] = canon.bound
             order.append(key)
-        elif row.bound < best[key]:
-            best[key] = row.bound
-    return [([*k], best[k]) for k in order]
+        elif canon.bound < best[key]:
+            best[key] = canon.bound
+    return [[*k, best[k]] for k in order]
 
 
 def cone_hull(generators: Sequence[RatVec], dim: int) -> HPolyhedron:

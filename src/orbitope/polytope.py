@@ -23,10 +23,10 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from . import horn
-from .admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
+from .admissible import enumerate_admissible, sorted_admissible
 from .exactmath import (
     EQ,
     LE,
@@ -40,8 +40,6 @@ from .exactmath import (
     ineq_le,
     lp_feasible,
     lp_witness,
-    poly_equal,
-    rat,
     rat_str,
     remove_redundant,
 )
@@ -56,7 +54,7 @@ from .rootdata import (
     in_hol_chamber,
     pairing,
 )
-from .wellcover import WCPair, enumerate_m0, enumerate_m0_dominant
+from .wellcover import enumerate_m0, enumerate_m0_dominant
 
 
 class DomainError(ValueError):
@@ -413,7 +411,10 @@ def threads_from_env() -> int:
 
 def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
     """Compare assembled membership against the Horn oracle on the grid
-    Lambda + [-radius, radius]^dim refined to half-integers."""
+    Lambda + [-radius, radius]^dim refined to half-integers.  Radius 0
+    checks Lambda alone; a negative radius is a DomainError."""
+    if radius < 0:
+        raise DomainError(f"cross-check radius must be >= 0, got {radius}")
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     pol = assemble(g, Lambda)
     jobs = [(pol.system, g, Lambda, mu) for mu in _grid_candidates(g, Lambda, radius)]

@@ -26,17 +26,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .exactmath import (
     AffineIneq,
     DimensionError,
     HPolyhedron,
     RatVec,
-    eliminate_variables,
+    cone_hull,
     ineq_eq,
     ineq_ge,
-    remove_redundant,
 )
 from .weyl import WeylDescriptor
 
@@ -44,6 +42,10 @@ SP = "sp"
 SU = "su"
 SO_STAR = "so_star"
 SO = "so"
+
+
+# Parameter keys of each family, in GroupFamily.params order.
+_PARAM_KEYS = {SP: ("n",), SU: ("p", "q"), SO_STAR: ("n",), SO: ("p",)}
 
 
 class UnsupportedFamilyError(ValueError):
@@ -77,26 +79,33 @@ class GroupFamily:
     @staticmethod
     def parse(text: str) -> "GroupFamily":
         """Parse CLI strings like 'sp:n=2', 'su:p=2,q=2', 'so_star:n=3',
-        'so:p=5'.  For su the key n is accepted as an alias of p."""
+        'so:p=5'.  For su the key n is accepted as an alias of p.  Unknown
+        or repeated keys are rejected."""
+        tag, _, argstr = text.partition(":")
+        keys = _PARAM_KEYS.get(tag)
         try:
-            tag, _, argstr = text.partition(":")
+            if keys is None:
+                raise ValueError(f"unknown family tag {tag!r}")
             kv = {}
-            if argstr:
-                for part in argstr.split(","):
-                    key, _, val = part.partition("=")
-                    kv[key.strip()] = int(val)
-            if tag == SP:
-                return GroupFamily(SP, (kv["n"],))
-            if tag == SU:
-                p = kv.get("p", kv.get("n"))
-                return GroupFamily(SU, (p, kv["q"]))
-            if tag == SO_STAR:
-                return GroupFamily(SO_STAR, (kv["n"],))
-            if tag == SO:
-                return GroupFamily(SO, (kv["p"],))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"cannot parse group spec {text!r}") from exc
-        raise ValueError(f"cannot parse group spec {text!r}")
+            for part in argstr.split(",") if argstr else ():
+                key, _, val = part.partition("=")
+                key = key.strip()
+                if key in kv:
+                    raise ValueError(f"key {key!r} given twice")
+                kv[key] = int(val)
+            if tag == SU and "n" in kv:
+                if "p" in kv:
+                    raise ValueError("su takes p or its alias n, not both")
+                kv["p"] = kv.pop("n")
+            for key in kv:
+                if key not in keys:
+                    raise ValueError(f"{tag} takes no key {key!r}")
+            for key in keys:
+                if key not in kv:
+                    raise ValueError(f"{tag} needs key {key!r}")
+            return GroupFamily(tag, tuple(kv[key] for key in keys))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse group spec {text!r}: {exc}") from exc
 
     def spec_string(self) -> str:
         if self.tag == SP:
@@ -143,7 +152,7 @@ def _unit(dim: int, *idx_sign) -> RatVec:
     return RatVec(v)
 
 
-def _dominance_rows(dim: int, simple_roots) -> list[AffineIneq]:
+def _dominance_rows(simple_roots) -> list[AffineIneq]:
     return [ineq_ge(list(alpha), 0) for alpha in simple_roots]
 
 
@@ -159,7 +168,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
         ]
         schmid = [_unit(dim, (i, 2)) for i in range(n)]
         simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-        chamber = HPolyhedron(dim, _dominance_rows(dim, simple)) if n > 1 else HPolyhedron.whole_space(1)
+        chamber = HPolyhedron(dim, _dominance_rows(simple)) if n > 1 else HPolyhedron.whole_space(1)
         weyl = WeylDescriptor((n,))
         return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
                        trace_zero=False, unitary_coords=False, schubert_carrier=True)
@@ -176,7 +185,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
             ]
             schmid = [noncompact[0]]
             simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-            chamber = HPolyhedron(dim, _dominance_rows(dim, simple)) if n > 1 else HPolyhedron.whole_space(1)
+            chamber = HPolyhedron(dim, _dominance_rows(simple)) if n > 1 else HPolyhedron.whole_space(1)
             weyl = WeylDescriptor((n,))
             return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
                            trace_zero=False, unitary_coords=True, schubert_carrier=True)
@@ -192,7 +201,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
         schmid = [_unit(dim, (i, 1), (p + q - 1 - i, -1)) for i in range(q)]
         simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(p - 1)]
         simple += [_unit(dim, (p + i, 1), (p + i + 1, -1)) for i in range(q - 1)]
-        rows = _dominance_rows(dim, simple)
+        rows = _dominance_rows(simple)
         rows.append(ineq_eq([1] * dim, 0))
         chamber = HPolyhedron(dim, rows)
         weyl = WeylDescriptor((p, q))
@@ -208,7 +217,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
         ]
         schmid = [_unit(dim, (2 * j, 1), (2 * j + 1, 1)) for j in range(n // 2)]
         simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-        chamber = HPolyhedron(dim, _dominance_rows(dim, simple))
+        chamber = HPolyhedron(dim, _dominance_rows(simple))
         weyl = WeylDescriptor((n,))
         return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
                        trace_zero=False, unitary_coords=False, schubert_carrier=True)
@@ -231,7 +240,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
         simple += [_unit(dim, (m - 1, 1))]
     elif m >= 2:
         simple += [_unit(dim, (m - 2, 1), (m - 1, 1))]
-    chamber = HPolyhedron(dim, _dominance_rows(dim, simple)) if simple else HPolyhedron.whole_space(dim)
+    chamber = HPolyhedron(dim, _dominance_rows(simple)) if simple else HPolyhedron.whole_space(dim)
     # Permutation proxy only: the true Weyl group also flips signs (type
     # B/D); the trailing degree-1 factor pins the SO(2) coordinate.
     weyl = WeylDescriptor((m, 1), sign_action=True)
@@ -266,13 +275,6 @@ def pairing(a: RatVec, b: RatVec) -> Fraction:
     return a.dot(b)
 
 
-def is_dominant(g: GroupData, v: RatVec) -> bool:
-    """Membership of the closed Weyl chamber (with trace-zero for su pq)."""
-    if v.dim != g.dim:
-        raise DimensionError(f"vector dim {v.dim} vs group dim {g.dim}")
-    return g.chamber.contains(v)
-
-
 def in_hol_chamber(g: GroupData, v: RatVec) -> bool:
     """Dominant and strictly positive against every noncompact positive root."""
     if v.dim != g.dim:
@@ -282,40 +284,16 @@ def in_hol_chamber(g: GroupData, v: RatVec) -> bool:
     return all(pairing(beta, v) > 0 for beta in g.noncompact_pos)
 
 
-def hol_chamber_strict_rows(g: GroupData) -> list[AffineIneq]:
-    """The strict rows (beta, xi) > 0 of the holomorphic chamber, returned
-    as non-strict AffineIneq; callers own the strict interpretation."""
-    return [ineq_ge(list(beta), 0) for beta in g.noncompact_pos]
-
-
 def schmid_cone(g: GroupData) -> HPolyhedron:
     """H-representation of { sum m_i g_i : m_1 >= ... >= m_r >= 0 }.
 
-    Computed by eliminating the chain coefficients; degenerate r = 0 gives
-    the origin.
+    That set is the cone spanned by the partial sums g_1, g_1 + g_2, ...;
+    degenerate r = 0 gives the origin.
     """
-    r = len(g.schmid)
-    dim = g.dim
-    if r == 0:
-        return HPolyhedron(dim, [ineq_eq([1 if j == i else 0 for j in range(dim)], 0)
-                                 for i in range(dim)])
-    ext = dim + r
-    rows = []
-    for j in range(dim):
-        coeffs = [Fraction(0)] * ext
-        coeffs[j] = Fraction(1)
-        for i, gamma in enumerate(g.schmid):
-            coeffs[dim + i] = -gamma[j]
-        rows.append(ineq_eq(coeffs, 0))
-    for i in range(r - 1):
-        coeffs = [Fraction(0)] * ext
-        coeffs[dim + i] = Fraction(-1)
-        coeffs[dim + i + 1] = Fraction(1)
-        rows.append(AffineIneq(RatVec(coeffs), Fraction(0)))
-    last = [Fraction(0)] * ext
-    last[dim + r - 1] = Fraction(-1)
-    rows.append(AffineIneq(RatVec(last), Fraction(0)))
-    return remove_redundant(eliminate_variables(HPolyhedron(ext, rows), dim))
+    sums = []
+    for gamma in g.schmid:
+        sums.append(sums[-1] + gamma if sums else gamma)
+    return cone_hull(sums, g.dim)
 
 
 def dual_weight(g: GroupData, lam: RatVec) -> RatVec:

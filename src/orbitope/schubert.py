@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactmath import RatVec, rat
 from .weyl import ParabolicData, Perm, WeylDescriptor, WeylElt
@@ -298,9 +298,6 @@ class SchubertRing:
     def basis_class(self, w: WeylElt) -> CohClass:
         return CohClass({w: 1})
 
-    def point_class(self) -> CohClass:
-        return CohClass({self.group.longest(): 1})
-
     def _blocks(self, mu: RatVec):
         if mu.dim != self.group.dim:
             raise ValueError("weight dimension does not match ring")
@@ -383,14 +380,6 @@ class SchubertRing:
                     else:
                         out.pop(nw, None)
         return CohClass(out)
-
-    def cup_many(self, classes: Iterable[CohClass]) -> CohClass:
-        acc = self.one()
-        for c in classes:
-            acc = self.cup(acc, c)
-            if acc.is_zero():
-                return acc
-        return acc
 
     # -- Poincare duality on a parabolic quotient ---------------------------
     def duality_check(self, w: WeylElt, w_prime: WeylElt, pd: ParabolicData) -> bool:

@@ -25,7 +25,7 @@ l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .admissible import OneParamSubgroup, is_dominant_ops
 from .exactmath import RatVec

@@ -232,10 +232,6 @@ class WeylDescriptor:
         perms[factor] = Perm.simple(self.degrees[factor], i)
         return WeylElt(perms)
 
-    def simple_reflections(self):
-        """All (factor, i) simple reflection labels."""
-        return [(f, i) for f, d in enumerate(self.degrees) for i in range(1, d)]
-
     def from_words(self, words: Sequence[Sequence[int]]) -> WeylElt:
         return WeylElt(Perm.from_word(d, w) for d, w in zip(self.degrees, words))
 

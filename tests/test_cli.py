@@ -121,8 +121,14 @@ class TestExitCodes:
                            "--lambda", "2,1,0")
         assert code == 1
 
+    def test_negative_radius(self, capsys):
+        code, out, err = run(capsys, "check", "--group", "sp:n=2",
+                             "--lambda", "3,1", "--radius", "-1")
+        assert code == 1 and out == "" and "radius" in err
+
     def test_usage_error(self, capsys):
         assert run(capsys, "ineqs", "--group", "bogus", "--lambda", "1")[0] == 2
+        assert run(capsys, "adm", "--group", "sp:n=2,foo=3")[:2] == (2, "")
         assert run(capsys, "nonsense")[0] == 2
 
     def test_out_file(self, tmp_path, capsys):

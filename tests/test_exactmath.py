@@ -26,8 +26,10 @@ from orbitope.exactmath import (
     lp_max,
     lp_witness,
     poly_equal,
+    primitive,
     rat_str,
     remove_redundant,
+    row_reduce,
 )
 
 
@@ -128,6 +130,56 @@ class TestLP:
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
             HPolyhedron(2, [ineq_le([1], 0)])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_objective_reduction_matches_split_equalities(self, data):
+        # lp_max reduces the objective along with the equality substitution;
+        # each equality written as two opposite <= rows skips substitution,
+        # so both forms must reach the same status and optimum.
+        dim = data.draw(st.integers(1, 4))
+        nrows = data.draw(st.integers(1, 7))
+        rows = []
+        for i in range(nrows):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            bound = data.draw(st.integers(-4, 4))
+            kind = EQ if i == 0 else data.draw(st.sampled_from([LE, LE, EQ]))
+            rows.append(AffineIneq(RatVec(coeffs), bound, kind))
+        objective = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        split = []
+        for r in rows:
+            if r.kind == EQ:
+                split += [AffineIneq(r.normal, r.bound), AffineIneq(-r.normal, -r.bound)]
+            else:
+                split.append(r)
+        s = HPolyhedron(dim, rows)
+        status, val, witness = lp_max(s, objective)
+        assert (status, val) == lp_max(HPolyhedron(dim, split), objective)[:2]
+        if status != "infeasible":
+            assert s.contains(witness)
+
+
+class TestElimination:
+    def test_row_reduce_pivot_rule(self):
+        # Rows pivot in turn on their first nonzero column of `order`; the
+        # bound column outside `order` is carried along, `others` reduced.
+        rows = [[F(0), F(2), F(2), F(4)], [F(1), F(1), F(0), F(1)], [F(1), F(0), F(-1), F(-1)]]
+        others = [[F(1), F(1), F(1), F(0)]]
+        pivots = row_reduce(rows, others, range(3))
+        assert pivots == [(0, 1), (1, 0)]
+        assert rows == [[0, 1, 1, 2], [1, 0, -1, -1], [0, 0, 0, 0]]
+        assert others == [[0, 0, 1, -1]]
+
+    def test_row_reduce_respects_order(self):
+        rows = [[F(1), F(2), F(3)]]
+        assert row_reduce(rows, [], [1, 0]) == [(0, 1)]
+        assert rows == [[F(1, 2), 1, F(3, 2)]]
+
+    def test_primitive(self):
+        assert primitive([F(1, 2), F(-1, 3), F(0)]) == [3, -2, 0]
+        assert primitive([F(4), F(-6)]) == [2, -3]
+        assert primitive([F(0), F(0)]) == [0, 0]
+        assert all(isinstance(a, F) for a in primitive([F(2, 3), F(4)]))
 
 
 class TestRedundancy:

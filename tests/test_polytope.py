@@ -185,6 +185,14 @@ class TestCrossCheck:
             assert rep.ok, rep.disagreements[:3]
             assert rep.points_checked > 0
 
+    def test_radius_zero_checks_lambda_only(self):
+        rep = cross_check(g_of("sp:n=2"), [3, 1], 0)
+        assert rep.ok and rep.points_checked == 1
+
+    def test_negative_radius_is_domain_error(self):
+        with pytest.raises(DomainError):
+            cross_check(g_of("sp:n=2"), [3, 1], -1)
+
     def test_parallel_matches_sequential(self, monkeypatch):
         g = g_of("sp:n=2")
         rep1 = cross_check(g, [3, 1], 2)

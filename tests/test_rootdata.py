@@ -29,7 +29,10 @@ class TestFamilyParsing:
         assert GroupFamily.parse("su:n=2,q=1") == GroupFamily.parse("su:p=2,q=1")
 
     def test_invalid(self):
-        for bad in ("sp:n=0", "su:p=1,q=2", "so_star:n=2", "so:p=2", "xx:n=1", "sp"):
+        for bad in ("sp:n=0", "su:p=1,q=2", "so_star:n=2", "so:p=2", "xx:n=1", "sp",
+                    # unknown, repeated or aliased-twice keys
+                    "sp:n=2,foo=3", "su:p=3,q=2,n=7", "su:n=3,p=3,q=2", "sp:n=2,n=2",
+                    "su:p=3,q=2,q=1", "so:p=5,q=2", "so_star:n=4,p=1", "su:p=3"):
             with pytest.raises(ValueError):
                 GroupFamily.parse(bad)
 
