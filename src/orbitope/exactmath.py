@@ -1,24 +1,31 @@
 """Exact rational vectors, affine inequality systems and linear programming.
 
-Everything here is computed over Fraction; there is no floating point
-anywhere.  The three public data types are
+Values are exact rationals; there is no floating point anywhere.  The
+three public data types hold Fractions:
 
   RatVec       -- an immutable vector of Fractions,
   AffineIneq   -- one constraint <a, x> <= b  or  <a, x> = b,
   HPolyhedron  -- a finite system of such constraints in a fixed dimension.
 
 On top of these the module provides an exact feasibility / optimization
-solver (a dense rational simplex with Bland's rule, equalities removed by
+solver (a dense simplex with Bland's rule, equalities removed by
 substitution beforehand), Fourier-Motzkin elimination (used as an
 independent feasibility oracle and to project parametrized cones), and the
 derived predicates `implies`, `remove_redundant` and `poly_equal`.
 
-All exact elimination lives here.  `row_reduce` is the single Gauss-Jordan
-routine: the LP's equality substitution, `eliminate_variables` and the
-admissible-cocharacter kernels and ranks (admissible.py) all call it.
-`_fm_step` is the single Fourier-Motzkin step, shared by
-`fm_feasible_with_witness` and `eliminate_variables`; `primitive` is the
-single scaling to coprime integers.
+All exact elimination lives here, and all pivoting goes through one
+fraction-free kernel, `_pivot`.  It keeps each row as Python ints over one
+positive row denominator (the rational row is ints / den), pivots by the
+integer combination piv*row - f*prow and divides out the gcd, in the manner
+of Bareiss's integer-preserving elimination and the integer pivoting of
+lrs.  The rationals it represents are exactly those of Gauss-Jordan over
+Fraction, so Bland's rule takes the same pivots and every witness is the
+same.  Its two users are the simplex tableau (`_simplex_le`) and
+`row_reduce`, the single Gauss-Jordan routine, which the LP's equality
+substitution, `eliminate_variables` and the admissible-cocharacter kernels
+and ranks (admissible.py) call.  `_fm_step` is the single Fourier-Motzkin
+step, shared by `fm_feasible_with_witness` and `eliminate_variables`;
+`primitive` is the single scaling to coprime integers.
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -53,24 +60,42 @@ def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def primitive(values: Sequence[Fraction]) -> list:
-    """Scale Fractions by one positive rational to coprime integers.
-
-    All-zero input is returned unchanged.  Integral input skips the
-    multiply and coprime input skips the divide.
-    """
-    values = list(values)
-    denom_lcm = 1
+def _int_row(values) -> tuple:
+    """Rationals (ints or Fractions) as (integers, positive denominator):
+    the denominator is the lcm of theirs, so the two share no factor."""
+    den = 1
     for a in values:
         d = a.denominator
         if d != 1:
-            denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    if denom_lcm != 1:
-        values = [a * denom_lcm for a in values]
-    g = gcd(*(a.numerator for a in values))
-    if g > 1:
-        values = [a / g for a in values]
-    return values
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [a.numerator for a in values], 1
+    return [a.numerator * (den // a.denominator) for a in values], den
+
+
+# The Fractions -64..64, shared so that the rows kept in answers do not
+# each hold their own copies of small integers.
+_SMALL_MAX = 64
+_SMALL = tuple(Fraction(k) for k in range(-_SMALL_MAX, _SMALL_MAX + 1))
+
+
+def _fraction(n: int) -> Fraction:
+    """Fraction(n), as a shared object when n is small."""
+    return _SMALL[n + _SMALL_MAX] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
+
+
+def primitive(values: list) -> list:
+    """Scale a list of Fractions by one positive rational to coprime
+    integers (as Fractions).
+
+    All-zero input, and input that is already coprime integers, comes back
+    as the same list object.  Small results are shared Fraction objects.
+    """
+    ints, den = _int_row(values)
+    g = gcd(*ints)
+    if den == 1 and g <= 1:
+        return values
+    return [_fraction(a // g) for a in ints]
 
 
 class RatVec:
@@ -125,8 +150,17 @@ class RatVec:
         return RatVec(c * a for a in self.entries)
 
     def dot(self, other: "RatVec") -> Fraction:
+        """Exact scalar product, summed as one integer fraction num/den."""
         self._check(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
+        num, den = 0, 1
+        for a, b in zip(self.entries, other.entries):
+            d = a.denominator * b.denominator
+            if d == 1:
+                num += a.numerator * b.numerator * den
+            else:
+                num = num * d + a.numerator * b.numerator * den
+                den *= d
+        return _fraction(num) if den == 1 else Fraction(num, den)
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -148,7 +182,7 @@ class DimensionError(ValueError):
     """Raised when vectors or constraints of unequal dimension are mixed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineIneq:
     """One affine constraint <normal, x> (<=|=) bound.
 
@@ -176,7 +210,8 @@ class AffineIneq:
 
         Invariant under scaling by any positive rational; equalities are
         also invariant under scaling by -1, resolved by making the leading
-        nonzero coefficient positive.
+        nonzero coefficient positive.  A row already in canonical form is
+        returned as itself.
         """
         if self.normal.is_zero():
             if self.kind == EQ:
@@ -186,13 +221,14 @@ class AffineIneq:
             # 0 <= b : trivial when b >= 0, else the infeasible marker.
             b = Fraction(0) if self.bound >= 0 else Fraction(-1)
             return AffineIneq(RatVec([0] * self.dim), b, LE)
-        *scaled, b = primitive([*self.normal, self.bound])
-        if self.kind == EQ:
-            lead = next(a for a in scaled if a != 0)
-            if lead < 0:
-                scaled = [-a for a in scaled]
-                b = -b
-        return AffineIneq(RatVec(scaled), b, self.kind)
+        values = [*self.normal, self.bound]
+        scaled = primitive(values)
+        if self.kind == EQ and next(a for a in scaled if a != 0) < 0:
+            scaled = [-a for a in scaled]
+        if scaled is values:
+            return self
+        *normal, b = scaled
+        return AffineIneq(RatVec(normal), b, self.kind)
 
     def is_trivial(self) -> bool:
         """0 <= b with b >= 0 or 0 = 0."""
@@ -314,8 +350,50 @@ class HPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan elimination and equality substitution
+# The integer pivot kernel, Gauss-Jordan elimination and equality substitution
 # ---------------------------------------------------------------------------
+
+
+def _reduce(ints: list, den: int) -> tuple:
+    """Divide an integer row and its denominator by their gcd, accumulated
+    entry by entry and abandoned as soon as it reaches 1."""
+    if den == 1:
+        return ints, 1
+    g = den
+    for a in ints:
+        if a:
+            g = gcd(g, a)
+            if g == 1:
+                return ints, den
+    return [a // g for a in ints], den // g
+
+
+def _eliminate(row: list, den: int, prow: list, col: int) -> tuple:
+    """Clear column `col` of the rational row row/den with the pivot row
+    prow (prow[col] > 0): the integer combination piv*row - f*prow over
+    den*piv, reduced."""
+    piv = prow[col]
+    f = row[col]
+    if piv == 1:
+        return _reduce([a - f * p for a, p in zip(row, prow)], den)
+    return _reduce([piv * a - f * p for a, p in zip(row, prow)], den * piv)
+
+
+def _pivot(rows: list, dens: list, i: int, col: int) -> None:
+    """The one pivot kernel.  Row k stands for the rational row
+    rows[k] / dens[k] (dens[k] > 0).  Scale row i to 1 in column `col`,
+    then clear `col` from every other row.  The represented rationals are
+    exactly those of Gauss-Jordan over Fraction."""
+    prow = rows[i]
+    piv = prow[col]
+    if piv < 0:
+        prow = [-a for a in prow]
+        piv = -piv
+    prow, piv = _reduce(prow, piv)
+    rows[i], dens[i] = prow, piv
+    for k, row in enumerate(rows):
+        if row[col] and k != i:
+            rows[k], dens[k] = _eliminate(row, dens[k], prow, col)
 
 
 def row_reduce(rows: list, others: list, order) -> list:
@@ -325,24 +403,29 @@ def row_reduce(rows: list, others: list, order) -> list:
     Each row of `rows` in turn pivots on its first nonzero column in
     `order`: it is scaled to a unit pivot and that column is cleared from
     every other row of `rows` and of `others`.  Rows zero on `order` take no
-    pivot and stay unchanged.  Columns outside `order` (an appended bound,
-    say) are carried along.  All rows are lists of equal length.
+    pivot and keep their values.  Columns outside `order` (an appended
+    bound, say) are carried along.  All rows are lists of equal length of
+    ints or Fractions; on return they hold Fractions.  The work is done by
+    `_pivot` on integer rows.
     """
     order = list(order)
+    ints, dens = [], []
+    for row in (*rows, *others):
+        a, d = _int_row(row)
+        ints.append(a)
+        dens.append(d)
     pivots = []
-    for i, row in enumerate(rows):
+    for i in range(len(rows)):
+        row = ints[i]
         col = next((j for j in order if row[j] != 0), None)
-        if col is None:
-            continue
-        piv = row[col]
-        if piv != 1:
-            row = rows[i] = [c / piv for c in row]
-        for block in (rows, others):
-            for k, other in enumerate(block):
-                f = other[col]
-                if f != 0 and other is not row:
-                    block[k] = [a - f * c for a, c in zip(other, row)]
-        pivots.append((i, col))
+        if col is not None:
+            _pivot(ints, dens, i, col)
+            pivots.append((i, col))
+    out = [
+        [Fraction(a) for a in row] if d == 1 else [Fraction(a, d) for a in row]
+        for row, d in zip(ints, dens)
+    ]
+    rows[:], others[:] = out[: len(rows)], out[len(rows) :]
     return pivots
 
 
@@ -397,149 +480,108 @@ OPTIMAL = "optimal"
 def _simplex_le(rows, nvars: int, objective):
     """Maximize <objective, x> over {rows: <a,x> <= b} with x free.
 
-    rows: lists [coefficients..., bound].  Returns (status, value, x) with
-    status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for UNBOUNDED the witness x
-    is a feasible point.  Free variables are split x = u - v internally.
-    Bland's rule everywhere, so termination is guaranteed.
+    rows: lists [coefficients..., bound] of rationals.  Returns (status, x)
+    with status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for UNBOUNDED x is a
+    feasible point.  Free variables are split x = u - v internally.
+    Bland's rule everywhere, so termination is guaranteed.  The tableau is
+    kept as integer rows over positive row denominators and pivoted by
+    `_pivot`.
     """
     m = len(rows)
     if nvars == 0:
-        ok = all(row[-1] >= 0 for row in rows)
-        return (OPTIMAL, Fraction(0), []) if ok else (INFEASIBLE, None, None)
+        return (OPTIMAL, []) if all(row[-1] >= 0 for row in rows) else (INFEASIBLE, None)
     if m == 0:
-        if all(c == 0 for c in objective):
-            return OPTIMAL, Fraction(0), [Fraction(0)] * nvars
-        return UNBOUNDED, None, [Fraction(0)] * nvars
+        status = OPTIMAL if all(c == 0 for c in objective) else UNBOUNDED
+        return status, [Fraction(0)] * nvars
 
-    # Columns: u_1..u_n, v_1..v_n, s_1..s_m, then artificials as needed.
+    # Columns: u_1..u_n, v_1..v_n, s_1..s_m, one artificial per row with a
+    # negative bound, then the bound.  Row m is the reduced-cost row.
     n_struct = 2 * nvars + m
-    tableau = []
-    basis = []
-    art_cols = []
+    art_col = {}
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            art_col[i] = n_struct + len(art_col)
+    n_total = n_struct + len(art_col)
+    tableau, dens, basis = [], [], []
     for i, coeffs in enumerate(rows):
-        b = coeffs[-1]
-        row = [Fraction(0)] * n_struct
-        for j in range(nvars):
-            row[j] = coeffs[j]
-            row[nvars + j] = -coeffs[j]
-        row[2 * nvars + i] = Fraction(1)
-        if b < 0:
-            row = [-c for c in row]
-            b = -b
-            row.append(b)
-            tableau.append(row)
-            basis.append(None)  # artificial to be added
+        ints, den = _int_row(coeffs)
+        row = [0] * (n_total + 1)
+        row[:nvars] = ints[:-1]
+        row[nvars : 2 * nvars] = [-a for a in ints[:-1]]
+        row[2 * nvars + i] = den
+        row[-1] = ints[-1]
+        if i in art_col:
+            row = [-a for a in row]
+            row[art_col[i]] = den
+            basis.append(art_col[i])
         else:
-            row.append(b)
-            tableau.append(row)
             basis.append(2 * nvars + i)
+        tableau.append(row)
+        dens.append(den)
+    tableau.append(None)
+    dens.append(1)
 
-    n_total = n_struct
-    for i in range(m):
-        if basis[i] is None:
-            for r in tableau:
-                r.insert(-1, Fraction(0))
-            tableau[i][-2] = Fraction(1)
-            basis[i] = n_total
-            art_cols.append(n_total)
-            n_total += 1
-
-    objrow = [Fraction(0)] * (n_total + 1)  # reduced costs, kept in step
-
-    def pivot(irow: int, jcol: int):
-        piv = tableau[irow][jcol]
-        tableau[irow] = [c / piv for c in tableau[irow]]
-        prow = tableau[irow]
-        for i in range(m):
-            if i == irow:
-                continue
-            f = tableau[i][jcol]
-            if f != 0:
-                tableau[i] = [c - f * p for c, p in zip(tableau[i], prow)]
-        f = objrow[jcol]
-        if f != 0:
-            for j in range(n_total + 1):
-                objrow[j] -= f * prow[j]
-        basis[irow] = jcol
-
-    def run(cost, banned=frozenset()):
-        """Maximize <cost, columns>; Bland's rule; returns True if optimal,
-        False if unbounded.  Columns in `banned` never enter the basis."""
+    def run(cost: list, cost_den: int, ncols: int) -> bool:
+        """Maximize the cost (integers over cost_den) over the columns;
+        only the first `ncols` may enter the basis.  Bland's rule; True if
+        optimal, False if unbounded."""
         # Seed the reduced-cost row c_j - c_B B^-1 A_j once; pivots keep it
         # current after that.
-        for j in range(n_total + 1):
-            objrow[j] = cost[j] if j < n_total else Fraction(0)
+        obj, den = cost + [0], cost_den
         for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0:
-                row = tableau[i]
-                for j in range(n_total + 1):
-                    if row[j]:
-                        objrow[j] -= cb * row[j]
+            if obj[basis[i]]:
+                obj, den = _eliminate(obj, den, tableau[i], basis[i])
+        tableau[m], dens[m] = obj, den
         while True:
-            entering = None
-            for j in range(n_total):
-                if objrow[j] > 0 and j not in banned:
-                    entering = j
-                    break
+            objrow = tableau[m]
+            entering = next((j for j in range(ncols) if objrow[j] > 0), None)
             if entering is None:
-                value = sum(
-                    (cost[basis[i]] * tableau[i][n_total] for i in range(m)),
-                    Fraction(0),
-                )
-                return True, value
+                return True
+            # Ratio test on b_i / a_i (the row denominators cancel).
             leaving = None
-            best = None
             for i in range(m):
                 a = tableau[i][entering]
                 if a > 0:
-                    ratio = tableau[i][n_total] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
-                        leaving = i
+                    b = tableau[i][-1]
+                    if leaving is None:
+                        leaving, best_b, best_a = i, b, a
+                        continue
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        leaving, best_b, best_a = i, b, a
             if leaving is None:
-                return False, None
-            pivot(leaving, entering)
+                return False
+            _pivot(tableau, dens, leaving, entering)
+            basis[leaving] = entering
 
-    if art_cols:
-        cost1 = [Fraction(0)] * n_total
-        for j in art_cols:
-            cost1[j] = Fraction(-1)
-        _, val = run(cost1)
-        if val != 0:
-            return INFEASIBLE, None, None
+    if art_col:
+        run([0] * n_struct + [-1] * len(art_col), 1, n_total)
+        # The phase-1 optimum is minus the sum of the basic artificials.
+        if any(basis[i] >= n_struct and tableau[i][-1] for i in range(m)):
+            return INFEASIBLE, None
         # Drive remaining artificials out of the basis (they sit at value 0).
-        art_set = set(art_cols)
         for i in range(m):
-            if basis[i] in art_set:
-                j = next(
-                    (jj for jj in range(n_total) if jj not in art_set and tableau[i][jj] != 0),
-                    None,
-                )
+            if basis[i] >= n_struct:
+                row = tableau[i]
+                j = next((jj for jj in range(n_struct) if row[jj] != 0), None)
                 if j is not None:
-                    pivot(i, j)
+                    _pivot(tableau, dens, i, j)
+                    basis[i] = j
         # Any row still basic in an artificial is all-zero in structurals:
-        # redundant; freeze the artificial by forbidding re-entry below.
+        # redundant; artificials never re-enter below.
 
-    cost2 = [Fraction(0)] * n_total
-    for j in range(nvars):
-        cost2[j] = rat(objective[j])
-        cost2[nvars + j] = -rat(objective[j])
-
-    def extract():
-        x = [Fraction(0)] * nvars
-        for i in range(m):
-            bj = basis[i]
+    obj, obj_den = _int_row(objective)
+    bounded = run(obj + [-a for a in obj] + [0] * (n_total - 2 * nvars), obj_den, n_struct)
+    x = [Fraction(0)] * nvars
+    for i in range(m):
+        bj = basis[i]
+        if bj < 2 * nvars:
+            value = Fraction(tableau[i][-1], dens[i])
             if bj < nvars:
-                x[bj] += tableau[i][n_total]
-            elif bj < 2 * nvars:
-                x[bj - nvars] -= tableau[i][n_total]
-        return x
-
-    bounded, val = run(cost2, banned=frozenset(art_cols))
-    if not bounded:
-        return UNBOUNDED, None, extract()
-    return OPTIMAL, val, extract()
+                x[bj] += value
+            else:
+                x[bj - nvars] -= value
+    return (OPTIMAL if bounded else UNBOUNDED), x
 
 
 def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
@@ -564,10 +606,10 @@ def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
         clean.append(row)
     if obj is None:
         obj_free = [Fraction(0)] * nfree
-    status, val, y = _simplex_le(clean, nfree, obj_free)
+    status, y = _simplex_le(clean, nfree, obj_free)
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
-    witness = recover(y if y is not None else [Fraction(0)] * nfree)
+    witness = recover(y)
     if obj is None:
         return FEASIBLE, None, witness
     if status == UNBOUNDED:

@@ -20,7 +20,6 @@ feasibility test; `cross_check` compares the two routes over a grid.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -62,7 +61,7 @@ class DomainError(ValueError):
     trace, no closed form for the family/rank, ...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Where one assembled inequality came from, and whether redundancy
     elimination kept it."""
@@ -89,7 +88,7 @@ class Provenance:
         return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitPolytope:
     group: GroupData
     Lambda: RatVec
@@ -147,47 +146,33 @@ def _validate_lambda(g: GroupData, Lambda: RatVec):
 
 def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
     """The moment polyhedron from admissible cocharacters and their m = 0
-    well-covering pairs (dominant pairs instead when relaxed=True)."""
+    well-covering pairs (dominant pairs instead when relaxed=True).
+
+    Each row is canonicalized once, and equal rows are one object, shared
+    by the provenance records and the system.  Rows already canonical keep
+    their pair's normal vector, so answers to different Lambdas share it.
+    """
     _require_assemblable(g)
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     _validate_lambda(g, Lambda)
     enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
-    records: list[Provenance] = []
-    rows: list[AffineIneq] = []
-    for row in g.chamber.ineqs:
-        rows.append(row)
-        records.append(Provenance(row.canonical(), "chamber"))
     pair_rows = []
-    w0 = g.weyl.longest()
     for lam in sorted_admissible(enumerate_admissible(g)):
         for pair in enumerate_pairs(g, lam):
-            normal = g.weyl.act(pair.w, lam.coords)
-            bound = pairing(g.weyl.act(w0 * pair.w_prime, lam.coords), Lambda)
-            row = ineq_le(list(normal), bound)
-            pair_rows.append(
-                (
-                    row.canonical().normal.entries,
-                    row,
-                    Provenance(
-                        row.canonical(), "pair",
-                        lam=lam.ints(), w=pair.w.text(), w_prime=pair.w_prime.text(),
-                    ),
-                )
-            )
-    pair_rows.sort(key=lambda t: (t[0], t[1].canonical().bound))
-    for _, row, rec in pair_rows:
-        rows.append(row)
-        records.append(rec)
+            normal, c = pair.row_vectors
+            pair_rows.append((AffineIneq(normal, pairing(c, Lambda)).canonical(), pair.labels))
+    pair_rows.sort(key=lambda t: (t[0].normal.entries, t[0].bound))
+    sources = [(row, "chamber", (None, None, None)) for row in g.chamber.ineqs]
+    sources += [(row, "pair", labels) for row, labels in pair_rows]
+    shared: dict = {}
+    rows = [shared.setdefault(row, row) for row, _, _ in sources]
     system = remove_redundant(HPolyhedron(g.dim, rows))
-    kept_keys = {(r.normal.entries, r.bound, r.kind) for r in system.ineqs}
-    final_records = tuple(
-        Provenance(
-            rec.ineq, rec.source, rec.lam, rec.w, rec.w_prime,
-            kept=(rec.ineq.normal.entries, rec.ineq.bound, rec.ineq.kind) in kept_keys,
-        )
-        for rec in records
+    kept = set(system.ineqs)
+    records = tuple(
+        Provenance(row, source, *labels, kept=row in kept)
+        for row, (_, source, labels) in zip(rows, sources)
     )
-    return OrbitPolytope(g, Lambda, system, final_records)
+    return OrbitPolytope(g, Lambda, system, records)
 
 
 def member(p: OrbitPolytope, xi) -> bool:
@@ -394,21 +379,6 @@ def _grid_candidates(g: GroupData, Lambda: RatVec, radius: int):
             yield mu
 
 
-def _check_point(args):
-    pol_system, g, Lambda, mu = args
-    a = pol_system.contains(mu)
-    b = horn_oracle_member(g, Lambda, mu)
-    return mu, a, b
-
-
-def threads_from_env() -> int:
-    """Worker cap from ORBITOPE_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ORBITOPE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
     """Compare assembled membership against the Horn oracle on the grid
     Lambda + [-radius, radius]^dim refined to half-integers.  Radius 0
@@ -417,19 +387,12 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
         raise DomainError(f"cross-check radius must be >= 0, got {radius}")
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     pol = assemble(g, Lambda)
-    jobs = [(pol.system, g, Lambda, mu) for mu in _grid_candidates(g, Lambda, radius)]
-    nworkers = threads_from_env()
-    disagreements = []
-    if nworkers > 1 and len(jobs) > 64:
-        import multiprocessing
-
-        with multiprocessing.Pool(nworkers) as pool:
-            results = pool.map(_check_point, jobs, chunksize=64)
-    else:
-        results = map(_check_point, jobs)
     count = 0
-    for mu, a, b in results:
+    disagreements = []
+    for mu in _grid_candidates(g, Lambda, radius):
         count += 1
+        a = pol.system.contains(mu)
+        b = horn_oracle_member(g, Lambda, mu)
         if a != b:
             disagreements.append(
                 {"mu": [rat_str(x) for x in mu], "assembled": a, "oracle": b}

@@ -25,13 +25,14 @@ l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .admissible import OneParamSubgroup, is_dominant_ops
 from .exactmath import RatVec
 from .rootdata import GroupData, UnsupportedFamilyError, pairing
 from .schubert import CohClass, SchubertRing
-from .weyl import ParabolicData, WeylElt, max_coset_reps, stabilizer_parabolic
+from .weyl import ParabolicData, Perm, WeylElt, max_coset_reps, stabilizer_parabolic
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,23 @@ class WCPair:
     m: int
     lam: OneParamSubgroup
 
+    @cached_property
+    def row_vectors(self) -> tuple:
+        """(w lam, w0 w' lam): the normal of the pair's assembled row and the
+        vector whose pairing with Lambda is its bound.  Neither depends on
+        Lambda, so a cached pair builds them once and its rows share them."""
+        w0 = WeylElt(Perm.longest(p.degree) for p in self.w.factors)
+        return self.w.act(self.lam.coords), (w0 * self.w_prime).act(self.lam.coords)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """(lam as ints, w text, w' text), built once per pair; cached pairs
+        share them with every provenance record that cites them."""
+        return self.lam.ints(), self.w.text(), self.w_prime.text()
+
     def to_json_obj(self):
-        return {
-            "w": self.w.text(),
-            "w_prime": self.w_prime.text(),
-            "m": self.m,
-            "lambda": list(self.lam.ints()),
-        }
+        lam, w, w_prime = self.labels
+        return {"w": w, "w_prime": w_prime, "m": self.m, "lambda": list(lam)}
 
 
 class GradedModule:

@@ -179,6 +179,16 @@ class WeylElt:
             raise ValueError("mismatched factor counts")
         return WeylElt(a * b for a, b in zip(self.factors, other.factors))
 
+    def act(self, v: RatVec) -> RatVec:
+        """Blockwise coordinate permutation action: the k-th factor permutes
+        the k-th block of consecutive coordinates."""
+        out, start = [], 0
+        for perm in self.factors:
+            stop = start + perm.degree
+            out.extend(perm.act_tuple(v.entries[start:stop]))
+            start = stop
+        return RatVec(out)
+
     def inverse(self) -> "WeylElt":
         return WeylElt(f.inverse() for f in self.factors)
 
@@ -249,10 +259,7 @@ class WeylDescriptor:
         """Blockwise coordinate permutation action on a vector."""
         if v.dim != self.dim:
             raise DimensionError(f"vector dim {v.dim} vs group dim {self.dim}")
-        out = []
-        for (start, stop), perm in zip(self.block_ranges(), w.factors):
-            out.extend(perm.act_tuple(v.entries[start:stop]))
-        return RatVec(out)
+        return w.act(v)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,14 @@ class TestCanonical:
         assert a == b
         assert next(c for c in a.normal if c != 0) > 0
 
+    def test_canonical_row_is_returned_as_itself(self):
+        row = ineq_le([F(2, 3), F(-4, 3)], F(2, 3)).canonical()
+        assert row.canonical() is row
+        eq = ineq_eq([-2, 2], -4).canonical()
+        assert eq.canonical() is eq
+        assert ineq_eq([-1, 1], 2).canonical() == ineq_eq([1, -1], -2)
+        assert HPolyhedron(2, [row]).ineqs[0] is row
+
     def test_trivial_and_infeasible_markers(self):
         assert ineq_le([0, 0], 3).canonical().is_trivial()
         assert ineq_le([0, 0], -3).canonical().is_infeasible_marker()
@@ -157,6 +165,13 @@ class TestLP:
         assert (status, val) == lp_max(HPolyhedron(dim, split), objective)[:2]
         if status != "infeasible":
             assert s.contains(witness)
+            # The integer tableau hands back exact Fractions, never ints or
+            # floats (integer true division would silently give floats).
+            assert all(isinstance(c, F) for c in witness)
+            for point in (lp_witness(s), lp_max(HPolyhedron(dim, split), objective)[2]):
+                assert all(isinstance(c, F) for c in point)
+        if status == "optimal":
+            assert isinstance(val, F)
 
 
 class TestElimination:
