@@ -674,9 +674,18 @@ def remove_redundant(sys: HPolyhedron) -> HPolyhedron:
     kept = list(rows)
     for row in rows:
         rest = [r for r in kept if r is not row]
-        if implies(HPolyhedron(sys.dim, rest), row):
+        if implies(_subsystem(sys, rest), row):
             kept = rest
     return HPolyhedron(sys.dim, kept)
+
+
+def _subsystem(sys: HPolyhedron, rows: list[AffineIneq]) -> HPolyhedron:
+    """The system of `rows`, a subsequence of sys.ineqs.  Those rows are
+    canonical, nontrivial and distinct already, so the constructor is skipped."""
+    sub = object.__new__(HPolyhedron)
+    sub.dim = sys.dim
+    sub.ineqs = tuple(rows)
+    return sub
 
 
 def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:

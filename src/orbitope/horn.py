@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .exactmath import rat
 
 DESK_CAP = 8
-
-_T_MEMO: dict[tuple[int, int], tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -81,22 +80,17 @@ def enum_U(r: int, n: int) -> tuple[HornTriple, ...]:
     return tuple(out)
 
 
+@cache
 def enum_T(r: int, n: int) -> tuple[HornTriple, ...]:
     """The Horn triples T_r^n, lexicographic in (I, J, L); memoized."""
     _check_bounds(r, n)
-    key = (r, n)
-    if key in _T_MEMO:
-        return _T_MEMO[key]
     if r == 1:
-        result = enum_U(1, n)
-    else:
-        filters = [enum_T(p, r) for p in range(1, r)]
-        result = tuple(
-            t for t in enum_U(r, n)
-            if all(_subtriple_ok(t, f) for level in filters for f in level)
-        )
-    _T_MEMO[key] = result
-    return result
+        return enum_U(1, n)
+    filters = [enum_T(p, r) for p in range(1, r)]
+    return tuple(
+        t for t in enum_U(r, n)
+        if all(_subtriple_ok(t, f) for level in filters for f in level)
+    )
 
 
 def _subtriple_ok(t: HornTriple, f: HornTriple) -> bool:

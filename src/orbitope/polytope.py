@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import horn
@@ -34,7 +35,6 @@ from .exactmath import (
     RatVec,
     cone_hull,
     implies,
-    ineq_eq,
     ineq_ge,
     ineq_le,
     lp_feasible,
@@ -263,56 +263,59 @@ def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_system(g: GroupData, Lambda: RatVec, mu: RatVec) -> HPolyhedron:
-    """The feasibility system deciding mu in Delta via the Horn route.
+@cache
+def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
+    """The Horn oracle's rows for g, which depend on neither Lambda nor mu.
 
     Variables: the chain coefficients m_1 >= ... >= m_r >= 0 of the
     strongly orthogonal cone, plus (for the two-block family su(p, q),
-    q >= 2) one central shift k.  Rows: per unitary factor, the Horn
-    trace equality and all T inequalities for the triple
+    q >= 2) one central shift k.  Rows: the chain, then per unitary factor
+    the Horn trace equality and all T inequalities for the triple
     (mu_block, dual(Lambda)_block, gamma(m)_block + k).
+
+    Returns (number of variables, rows); a row is (normal, kind, I, J)
+    and its bound is the sum of mu over the coordinates I plus the sum of
+    dual(Lambda) over the coordinates J.
     """
     r = len(g.schmid)
     two_block = g.family.tag == SU and not g.unitary_coords
     nvars = r + (1 if two_block else 0)
-    lam_star = dual_weight(g, Lambda)
 
-    def gamma_coeff(coord: int) -> list[Fraction]:
-        """Coefficients of gamma(m)_coord as a linear form in m (and k)."""
-        row = [g.schmid[i][coord] for i in range(r)]
+    def gamma_sum(coords) -> RatVec:
+        """The sum of gamma(m)_c (+ k) over coords, as a linear form in m (and k)."""
+        form = [sum((g.schmid[i][c] for c in coords), Fraction(0)) for i in range(r)]
         if two_block:
-            row.append(Fraction(1))  # the central shift k on every coordinate
-        return row
+            form.append(Fraction(len(coords)))  # the central shift k on every coordinate
+        return RatVec(form)
 
-    rows: list[AffineIneq] = []
+    rows = []
     # Chain: m_1 >= m_2 >= ... >= m_r >= 0.
-    for i in range(r - 1):
+    for i in range(r):
         c = [Fraction(0)] * nvars
-        c[i], c[i + 1] = Fraction(-1), Fraction(1)
-        rows.append(ineq_le(c, 0))
-    last = [Fraction(0)] * nvars
-    last[r - 1] = Fraction(-1)
-    rows.append(ineq_le(last, 0))
-
+        c[i] = Fraction(-1)
+        if i + 1 < r:
+            c[i + 1] = Fraction(1)
+        rows.append((RatVec(c), LE, (), ()))
     for start, stop in g.weyl.block_ranges():
-        nb = stop - start
-        mu_b = mu.entries[start:stop]
-        ls_b = lam_star.entries[start:stop]
+        block = tuple(range(start, stop))
         # Trace equality: sum(mu) + sum(lam*) = sum(gamma + k) over the block.
-        tr = [Fraction(0)] * nvars
-        for coord in range(start, stop):
-            for j, c in enumerate(gamma_coeff(coord)):
-                tr[j] += c
-        rows.append(ineq_eq(tr, sum(mu_b) + sum(ls_b)))
-        for rr in range(1, nb):
-            for t in horn.enum_T(rr, nb):
-                lhs_const = sum(mu_b[i - 1] for i in t.I) + sum(ls_b[j - 1] for j in t.J)
-                coeffs = [Fraction(0)] * nvars
-                for ell in t.L:
-                    for j, c in enumerate(gamma_coeff(start + ell - 1)):
-                        coeffs[j] += c
-                rows.append(ineq_le(coeffs, lhs_const))
-    return HPolyhedron(nvars, rows)
+        rows.append((gamma_sum(block), EQ, block, block))
+        for rr in range(1, len(block)):
+            for t in horn.enum_T(rr, len(block)):
+                I, J, L = (tuple(block[i - 1] for i in part) for part in (t.I, t.J, t.L))
+                rows.append((gamma_sum(L), LE, I, J))
+    return nvars, tuple(rows)
+
+
+def _oracle_system(g: GroupData, Lambda: RatVec, mu: RatVec) -> HPolyhedron:
+    """The feasibility system deciding mu in Delta via the Horn route: the
+    rows of `_oracle_rows` with their bounds filled in."""
+    nvars, rows = _oracle_rows(g)
+    m, ls = mu.entries, dual_weight(g, Lambda).entries
+    return HPolyhedron(nvars, [
+        AffineIneq(normal, sum(m[i] for i in I) + sum(ls[j] for j in J), kind)
+        for normal, kind, I, J in rows
+    ])
 
 
 def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
@@ -346,6 +349,11 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
 # ---------------------------------------------------------------------------
 # Cross-check grid
 # ---------------------------------------------------------------------------
+
+
+# Most half-integer box points, (4 radius + 1)^dim, one cross-check may
+# enumerate before filtering; su(2, 2) at radius 4 needs 17^4 = 83521.
+GRID_CAP = 10**5
 
 
 @dataclass
@@ -382,9 +390,14 @@ def _grid_candidates(g: GroupData, Lambda: RatVec, radius: int):
 def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
     """Compare assembled membership against the Horn oracle on the grid
     Lambda + [-radius, radius]^dim refined to half-integers.  Radius 0
-    checks Lambda alone; a negative radius is a DomainError."""
+    checks Lambda alone; a negative radius, or a box of more than GRID_CAP
+    points, is a DomainError."""
     if radius < 0:
         raise DomainError(f"cross-check radius must be >= 0, got {radius}")
+    if (4 * radius + 1) ** g.dim > GRID_CAP:
+        raise DomainError(
+            f"cross-check box of (4*{radius}+1)^{g.dim} points exceeds the cap {GRID_CAP}"
+        )
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     pol = assemble(g, Lambda)
     count = 0
@@ -410,15 +423,11 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
 # Geometric property helpers (used by tests and the CLI `check` verb)
 # ---------------------------------------------------------------------------
 
-_CONE_CACHE: dict = {}
-
-
+@cache
 def noncompact_cone(g: GroupData) -> HPolyhedron:
     """H-representation of the cone spanned by the noncompact positive
     roots (facets used for the shifted-cone inclusion test)."""
-    if g not in _CONE_CACHE:
-        _CONE_CACHE[g] = cone_hull(list(g.noncompact_pos), g.dim)
-    return _CONE_CACHE[g]
+    return cone_hull(list(g.noncompact_pos), g.dim)
 
 
 def contained_in_shifted_cone(p: OrbitPolytope) -> bool:

@@ -140,6 +140,11 @@ class GroupData:
     unitary_coords: bool  # SU(n,1) exposed in the n-coordinate convention
     schubert_carrier: bool
 
+    def __hash__(self):
+        # build's inputs, not every root and chamber row; __eq__ still compares
+        # every field, so a group made with dataclasses.replace gets its own memos.
+        return hash((self.family, self.unitary_coords))
+
     def label(self) -> str:
         return self.family.spec_string()
 

@@ -20,12 +20,16 @@ The combinatorial criterion implemented by `is_well_covering`:
 well-covering pair is dominant.  `enumerate_m0` lists the m = 0
 well-covering pairs after the length prefilter
 l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}.
+
+The pairs live on their context: `context` is memoised on (g, lam), and
+its `pairs` and `dominant_pairs` are enumerated once, for every orbit
+parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 from .admissible import OneParamSubgroup, is_dominant_ops
@@ -111,41 +115,41 @@ class GradedModule:
         return max(max(self.levels), 0)
 
 
-_RING_CACHE: dict[tuple[int, ...], SchubertRing] = {}
-_CTX_CACHE: dict[tuple, "LambdaContext"] = {}
-
-
-def ring_for(g: GroupData) -> SchubertRing:
-    if not g.schubert_carrier:
-        raise UnsupportedFamilyError(
-            f"{g.label()} has no type-A Schubert carrier; well-covering "
-            "pairs are not defined here"
-        )
-    key = g.weyl.degrees
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = SchubertRing(key)
-    return _RING_CACHE[key]
-
-
 @dataclass(frozen=True)
 class LambdaContext:
-    """Everything enumerate/is_well_covering needs for one (g, lam)."""
+    """Everything enumerate/is_well_covering needs for one (g, lam),
+    including its m = 0 pair sets, computed on first use."""
 
     g: GroupData
     lam: OneParamSubgroup
     pd: ParabolicData
     reps: tuple[WeylElt, ...]
     graded: GradedModule
+    ring: SchubertRing
 
-    @property
-    def ring(self) -> SchubertRing:
-        return ring_for(self.g)
+    @cached_property
+    def pairs(self) -> tuple[WCPair, ...]:
+        """The m = 0 well-covering pairs, in sorted order (see enumerate_m0)."""
+        w0 = self.ring.group.longest()
+        target_len = w0.length() + self.pd.w_lambda.length() + self.graded.dim_below(0)
+        candidates = (WCPair(w, w_prime, 0, self.lam) for w in self.reps for w_prime in self.reps
+                      if w.length() + w_prime.length() == target_len)
+        return _sorted_pairs(p for p in candidates if is_well_covering(self.g, p))
+
+    @cached_property
+    def dominant_pairs(self) -> tuple[WCPair, ...]:
+        """The m = 0 dominant pairs, in sorted order."""
+        candidates = (WCPair(w, w_prime, 0, self.lam) for w in self.reps for w_prime in self.reps)
+        return _sorted_pairs(p for p in candidates if is_dominant_pair(self.g, p))
 
 
+def _sorted_pairs(pairs) -> tuple[WCPair, ...]:
+    return tuple(sorted(pairs, key=lambda p: (p.w.sort_key(), p.w_prime.sort_key())))
+
+
+@cache
 def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
-    key = (g, lam.coords)
-    if key in _CTX_CACHE:
-        return _CTX_CACHE[key]
+    """The one LambdaContext of (g, lam), memoised on that pair."""
     if not g.schubert_carrier:
         raise UnsupportedFamilyError(
             f"{g.label()} has no type-A Schubert carrier; well-covering "
@@ -155,9 +159,7 @@ def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
         raise ValueError(f"cocharacter {lam!r} is not dominant for {g.label()}")
     pd = stabilizer_parabolic(g.weyl, lam.coords)
     reps = tuple(max_coset_reps(g.weyl, pd))
-    ctx = LambdaContext(g, lam, pd, reps, GradedModule(g, lam))
-    _CTX_CACHE[key] = ctx
-    return ctx
+    return LambdaContext(g, lam, pd, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
 
 
 def grade(g: GroupData, lam: OneParamSubgroup) -> GradedModule:
@@ -217,52 +219,21 @@ def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
     return not _criterion_product(ctx, pair).is_zero()
 
 
-_PAIR_CACHE: dict[tuple, tuple[WCPair, ...]] = {}
-
-
 def enumerate_m0(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
     """All m = 0 well-covering pairs for lam, in sorted order.
 
     Candidates are prefiltered by the length equation
     l(w) + l(w') = l(w0) + l(w_lambda) + dim M_{<0} before any cup product
-    is computed.  Results are cached: the pair set does not depend on the
-    orbit parameter, only on (g, lam).
+    is computed.  The pair set does not depend on the orbit parameter, so
+    it is computed once per (g, lam), on the context.
     """
-    key = (g, lam.coords, "wc")
-    if key in _PAIR_CACHE:
-        return list(_PAIR_CACHE[key])
-    ctx = context(g, lam)
-    w0 = ctx.ring.group.longest()
-    target_len = w0.length() + ctx.pd.w_lambda.length() + ctx.graded.dim_below(0)
-    out = []
-    for w in ctx.reps:
-        for w_prime in ctx.reps:
-            if w.length() + w_prime.length() != target_len:
-                continue
-            pair = WCPair(w, w_prime, 0, lam)
-            if is_well_covering(g, pair):
-                out.append(pair)
-    out.sort(key=lambda p: (p.w.sort_key(), p.w_prime.sort_key()))
-    _PAIR_CACHE[key] = tuple(out)
-    return out
+    return list(context(g, lam).pairs)
 
 
 def enumerate_m0_dominant(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
     """All m = 0 dominant pairs for lam (relaxed enumeration; superset of
     enumerate_m0)."""
-    key = (g, lam.coords, "dom")
-    if key in _PAIR_CACHE:
-        return list(_PAIR_CACHE[key])
-    ctx = context(g, lam)
-    out = []
-    for w in ctx.reps:
-        for w_prime in ctx.reps:
-            pair = WCPair(w, w_prime, 0, lam)
-            if is_dominant_pair(g, pair):
-                out.append(pair)
-    out.sort(key=lambda p: (p.w.sort_key(), p.w_prime.sort_key()))
-    _PAIR_CACHE[key] = tuple(out)
-    return out
+    return list(context(g, lam).dominant_pairs)
 
 
 def scan_well_covering(g: GroupData, lam: OneParamSubgroup,

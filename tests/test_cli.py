@@ -126,6 +126,11 @@ class TestExitCodes:
                              "--lambda", "3,1", "--radius", "-1")
         assert code == 1 and out == "" and "radius" in err
 
+    def test_oversized_radius(self, capsys):
+        code, out, err = run(capsys, "check", "--group", "so_star:n=5",
+                             "--lambda", "9,7,5,3,1", "--radius", "9")
+        assert code == 1 and out == "" and "exceeds the cap" in err
+
     def test_usage_error(self, capsys):
         assert run(capsys, "ineqs", "--group", "bogus", "--lambda", "1")[0] == 2
         assert run(capsys, "adm", "--group", "sp:n=2,foo=3")[:2] == (2, "")

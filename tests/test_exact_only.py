@@ -1,8 +1,13 @@
-"""Static guard for the exactness claim: no floating point in the package.
+"""Static guards over every module under src/orbitope.
 
-Every module under src/orbitope is scanned for float literals, any use of
-the name `float`, and `math` imports other than `gcd`.  The one allowed
-exception is `cli.render_svg`, whose SVG pixel coordinates are floats.
+Exactness: no floating point in the package.  Modules are scanned for
+float literals, any use of the name `float`, and `math` imports other than
+`gcd`.  The one allowed exception is `cli.render_svg`, whose SVG pixel
+coordinates are floats.
+
+One memo idiom: no module-level empty `{}`, `[]`, `dict()` or `set()`, the
+shape of a hand-rolled cache.  Memos are `functools.cache`, `lru_cache` or
+`cached_property`.
 """
 
 import ast
@@ -39,6 +44,25 @@ def _violations(path: Path) -> list[str]:
     return found
 
 
+def _module_containers(path: Path) -> list[str]:
+    """Module-level assignments of an empty dict, list or set."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        empty = (
+            (isinstance(value, ast.Dict) and not value.keys)
+            or (isinstance(value, ast.List) and not value.elts)
+            or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "set") and not value.args and not value.keywords)
+        )
+        if empty:
+            found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return found
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -58,3 +82,15 @@ def test_scan_catches_floats(tmp_path):
     ok = tmp_path / "cli.py"
     ok.write_text("from math import gcd\n\ndef render_svg():\n    return float(1) + 0.5\n")
     assert _violations(ok) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_rolled_cache(path):
+    assert _module_containers(path) == []
+
+
+def test_scan_catches_module_containers(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("A = {}\nB: dict = {}\nC = []\nD = dict()\nE = set()\n"
+                   "F = {1: 2}\nG = [1]\nH = dict(a=1)\n\ndef f():\n    x = {}\n")
+    assert [v.split()[1] for v in _module_containers(bad)] == ["A", "B:", "C", "D", "E"]

@@ -1,7 +1,10 @@
 """The simplex pivot path, pinned: status, value and witness of `lp_max`
-and `lp_witness` on seeded random systems must match tests/data/lp_path.json
-exactly.  Bland's rule makes the witness a function of the pivot path, so
-any change to the tableau arithmetic that alters a pivot shows up here.
+and `lp_witness` on seeded random systems, and the member flag and cone
+witness of `horn_oracle_member` on seeded (group, Lambda, mu) triples, must
+match tests/data/lp_path.json exactly.  Bland's rule makes every witness a
+function of the pivot path and of the row order, so any change to the
+tableau arithmetic or to the order in which a system is built that alters
+a pivot shows up here.
 
 Regenerate the file (only when the pivot path is meant to change) with
 
@@ -10,13 +13,18 @@ Regenerate the file (only when the pivot path is meant to change) with
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from orbitope.exactmath import EQ, LE, AffineIneq, HPolyhedron, RatVec, lp_max, lp_witness, rat_str
+from orbitope.polytope import horn_oracle_member
+from orbitope.rootdata import GroupFamily, build, in_hol_chamber
 
 DATA = Path(__file__).parent / "data" / "lp_path.json"
 SEED = 20110117
 COUNT = 300
+ORACLE_GROUPS = ("sp:n=4", "su:p=6,q=1", "su:p=2,q=2", "so_star:n=4", "su:p=3,q=2")
+ORACLE_PER_GROUP = 20
 
 
 def _systems(seed: int = SEED, count: int = COUNT):
@@ -56,8 +64,51 @@ def _record(dim, rows, objective) -> dict:
     }
 
 
+def _oracle_triples(seed: int = SEED):
+    """Per group, ORACLE_PER_GROUP dominant points mu near a strictly
+    holomorphic Lambda (a fresh Lambda every fourth point).  Half the points
+    are Lambda plus a small half-integer combination of the noncompact
+    positive roots, half are Lambda plus a half-integer step in [-2, 2] per
+    coordinate, trace-preserving where the group is trace-zero.
+    [(spec, Lambda text, mu text)]"""
+    rnd = random.Random(seed)
+    steps = [Fraction(k, 2) for k in range(-4, 5)]
+    out = []
+    for spec in ORACLE_GROUPS:
+        g = build(GroupFamily.parse(spec))
+        Lambda = None
+        while sum(1 for t in out if t[0] == spec) < ORACLE_PER_GROUP:
+            if Lambda is None or rnd.random() < 0.25:
+                vals = sorted((Fraction(rnd.randint(0, 12), rnd.choice((1, 2)))
+                               for _ in range(g.dim)), reverse=True)
+                if g.trace_zero:
+                    vals = [v - sum(vals) / g.dim for v in vals]
+                if not in_hol_chamber(g, RatVec(vals)):
+                    continue
+                Lambda = RatVec(vals)
+            if rnd.random() < 0.5:
+                mu = Lambda
+                for beta in g.noncompact_pos:
+                    mu = mu + beta.scale(Fraction(rnd.choice((0, 0, 0, 1, 2)), 2))
+            else:
+                delta = [rnd.choice(steps) for _ in range(g.dim)]
+                if g.trace_zero:
+                    delta[-1] = -sum(delta[:-1])
+                mu = RatVec([a + d for a, d in zip(Lambda, delta)])
+            if g.chamber.contains(mu):
+                out.append((spec, _vec(Lambda), _vec(mu)))
+    return out
+
+
+def _oracle_record(spec, Lambda, mu) -> dict:
+    g = build(GroupFamily.parse(spec))
+    ok, gamma = horn_oracle_member(g, [Fraction(x) for x in Lambda],
+                                   [Fraction(x) for x in mu], witness=True)
+    return {"group": spec, "Lambda": Lambda, "mu": mu, "member": ok, "witness": _vec(gamma)}
+
+
 def test_pivot_path_is_pinned():
-    cases = json.loads(DATA.read_text())
+    cases = json.loads(DATA.read_text())["lp"]
     assert len(cases) == COUNT
     statuses = {case["max"][0] for case in cases}
     assert statuses == {"optimal", "infeasible", "unbounded"}
@@ -65,8 +116,21 @@ def test_pivot_path_is_pinned():
         assert _record(case["dim"], case["rows"], case["objective"]) == case
 
 
+def test_oracle_path_is_pinned():
+    cases = json.loads(DATA.read_text())["oracle"]
+    assert len(cases) == ORACLE_PER_GROUP * len(ORACLE_GROUPS)
+    for spec in ORACLE_GROUPS:
+        assert {case["member"] for case in cases if case["group"] == spec} == {True, False}
+    for case in cases:
+        assert _oracle_record(case["group"], case["Lambda"], case["mu"]) == case
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
-    records = [_record(*sysobj) for sysobj in _systems()]
+    records = {
+        "lp": [_record(*sysobj) for sysobj in _systems()],
+        "oracle": [_oracle_record(*triple) for triple in _oracle_triples()],
+    }
     DATA.write_text(json.dumps(records, indent=0) + "\n")
-    print(f"wrote {len(records)} systems to {DATA}")
+    print(f"wrote {len(records['lp'])} systems and {len(records['oracle'])} "
+          f"oracle points to {DATA}")

@@ -26,6 +26,7 @@ from orbitope.polytope import (
     display_ineq,
     horn_oracle_member,
     member,
+    noncompact_cone,
 )
 from orbitope.admissible import enumerate_admissible
 from orbitope.rootdata import GroupFamily, UnsupportedFamilyError, build, in_hol_chamber
@@ -222,6 +223,13 @@ class TestCrossCheck:
         with pytest.raises(DomainError):
             cross_check(g_of("sp:n=2"), [3, 1], -1)
 
+    def test_oversized_box_is_domain_error(self):
+        # 37^5 box points at radius 9; radius 4 on su(2, 2) (17^4) is allowed
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            cross_check(g_of("so_star:n=5"), [9, 7, 5, 3, 1], 9)
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            cross_check(g_of("su:p=2,q=2"), [3, 1, -1, -3], 5)
+
 
 class TestGeometricProperties:
     FAMILIES = ["sp:n=2", "sp:n=3", "su:p=2,q=1", "su:p=3,q=1",
@@ -303,6 +311,17 @@ class TestGeometricProperties:
                 ineq_ge([0, 1, 0, 0], c),
             ])
             assert poly_equal(p.system, expect)
+
+    def test_replaced_group_gets_its_own_cone(self):
+        # equal hash, unequal group: the memo must not hand out g's cone
+        from dataclasses import replace
+        g = g_of("sp:n=2")
+        ray = replace(g, noncompact_pos=g.noncompact_pos[:1])
+        assert hash(ray) == hash(g) and ray != g
+        quadrant = noncompact_cone(g)
+        assert quadrant.contains(RatVec([0, 1]))
+        assert not noncompact_cone(ray).contains(RatVec([0, 1]))
+        assert noncompact_cone(g) is quadrant
 
 
 class TestRedundancyBehavior:

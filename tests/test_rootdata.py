@@ -37,6 +37,13 @@ class TestFamilyParsing:
                 GroupFamily.parse(bad)
 
 
+class TestGroupHash:
+    def test_equal_builds_hash_equal(self):
+        for spec in ("sp:n=3", "su:p=3,q=2", "su:p=2,q=1", "so_star:n=4", "so:p=5"):
+            a, b = g_of(spec), g_of(spec)
+            assert a is not b and a == b and hash(a) == hash(b)
+
+
 class TestRootCounts:
     def test_noncompact_counts(self):
         assert len(g_of("sp:n=3").noncompact_pos) == 6          # n(n+1)/2
