@@ -11,7 +11,8 @@ On top of these the module provides an exact feasibility / optimization
 solver (a dense simplex with Bland's rule, equalities removed by
 substitution beforehand), Fourier-Motzkin elimination (used as an
 independent feasibility oracle and to project parametrized cones), and the
-derived predicates `implies`, `remove_redundant` and `poly_equal`.
+derived predicates `implies`, `implies_all`, `remove_redundant` and
+`poly_equal`.
 
 All exact elimination lives here, and all pivoting goes through one
 fraction-free kernel, `_pivot`.  It keeps each row as Python ints over one
@@ -26,6 +27,18 @@ substitution, `eliminate_variables` and the admissible-cocharacter kernels
 and ranks (admissible.py) call.  `_fm_step` is the single Fourier-Motzkin
 step, shared by `fm_feasible_with_witness` and `eliminate_variables`;
 `primitive` is the single scaling to coprime integers.
+
+Those predicates share one implication path, `_implication_test`.  A batch
+of implication tests on a system first finds one point x0 of it with
+`lp_witness`, the same single LP `lp_feasible` solves.  In the frame
+x = x0 + z every <= row's bound is its slack at x0, which is >= 0, so the
+slack basis is feasible and no LP of the batch has a phase 1; equalities
+become homogeneous and are substituted once per equality set, not once per
+LP; and each phase-2 run stops as soon as the objective passes the tested
+row's slack, or proves it unbounded.  x0 lies in every subsystem of the
+system, so `remove_redundant` tests all its candidates with one witness.
+`lp_max`, `lp_witness` and `lp_feasible`, and so the Horn oracle, keep the
+pivot path that tests/test_lp_path.py pins (phase 1 from the origin).
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -477,7 +490,7 @@ UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
 
 
-def _simplex_le(rows, nvars: int, objective):
+def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
     """Maximize <objective, x> over {rows: <a,x> <= b} with x free.
 
     rows: lists [coefficients..., bound] of rationals.  Returns (status, x)
@@ -485,7 +498,8 @@ def _simplex_le(rows, nvars: int, objective):
     feasible point.  Free variables are split x = u - v internally.
     Bland's rule everywhere, so termination is guaranteed.  The tableau is
     kept as integer rows over positive row denominators and pivoted by
-    `_pivot`.
+    `_pivot`.  With `stop`, phase 2 ends as soon as the objective exceeds
+    it, with status UNBOUNDED: the objective is not bounded by `stop`.
     """
     m = len(rows)
     if nvars == 0:
@@ -521,12 +535,13 @@ def _simplex_le(rows, nvars: int, objective):
     tableau.append(None)
     dens.append(1)
 
-    def run(cost: list, cost_den: int, ncols: int) -> bool:
+    def run(cost: list, cost_den: int, ncols: int, stop=None) -> bool:
         """Maximize the cost (integers over cost_den) over the columns;
         only the first `ncols` may enter the basis.  Bland's rule; True if
-        optimal, False if unbounded."""
+        optimal, False if unbounded or, with `stop`, once the cost exceeds
+        it."""
         # Seed the reduced-cost row c_j - c_B B^-1 A_j once; pivots keep it
-        # current after that.
+        # current after that.  Its last entry is minus the current cost.
         obj, den = cost + [0], cost_den
         for i in range(m):
             if obj[basis[i]]:
@@ -534,6 +549,8 @@ def _simplex_le(rows, nvars: int, objective):
         tableau[m], dens[m] = obj, den
         while True:
             objrow = tableau[m]
+            if stop is not None and -objrow[-1] * stop.denominator > stop.numerator * dens[m]:
+                return False
             entering = next((j for j in range(ncols) if objrow[j] > 0), None)
             if entering is None:
                 return True
@@ -571,7 +588,7 @@ def _simplex_le(rows, nvars: int, objective):
         # redundant; artificials never re-enter below.
 
     obj, obj_den = _int_row(objective)
-    bounded = run(obj + [-a for a in obj] + [0] * (n_total - 2 * nvars), obj_den, n_struct)
+    bounded = run(obj + [-a for a in obj] + [0] * (n_total - 2 * nvars), obj_den, n_struct, stop)
     x = [Fraction(0)] * nvars
     for i in range(m):
         bj = basis[i]
@@ -634,30 +651,102 @@ def lp_max(sys: HPolyhedron, objective: Sequence):
     return _solve(sys, objective)
 
 
+def _implication_test(x0: RatVec):
+    """The implication test at a point x0: `implied(rows, row)` is True iff
+    every point of the system `rows` satisfies `row`.  Every row of `rows`
+    must hold at x0, so this serves every subsystem of a system x0 lies in.
+
+    In the frame x = x0 + z a <= row reads <a, z> <= b - <a, x0>, whose
+    bound (the slack at x0) is >= 0, and an equality reads <a, z> = 0.  So
+    the slack basis is feasible and `_simplex_le` never builds artificials;
+    the equalities are substituted once per equality set, each normal is
+    reduced once per set, and each run stops as soon as <a, z> exceeds the
+    tested row's slack.
+    """
+    # Memos keyed by id(row), which is cheap where hashing a row is not;
+    # each entry holds its row, so the id stays that row's.
+    slacks: dict = {}
+    substitutions: dict = {}
+
+    def slack(row: AffineIneq) -> Fraction:
+        entry = slacks.get(id(row))
+        if entry is None:
+            entry = slacks[id(row)] = (row, row.bound - row.normal.dot(x0))
+        return entry[1]
+
+    def substitution(eqs: list):
+        """(number of free variables, reduce): reduce(row) is the row's
+        normal over the free variables of the equalities `eqs`."""
+        key = tuple(map(id, eqs))
+        f = substitutions.get(key)
+        if f is None:
+            eq_rows = [list(r.normal) for r in eqs]
+            pivots = row_reduce(eq_rows, [], range(x0.dim))
+            pivot_data = [(col, eq_rows[i]) for i, col in pivots]
+            pivot_cols = {col for col, _ in pivot_data}
+            free_cols = [j for j in range(x0.dim) if j not in pivot_cols]
+            reduced: dict = {}
+
+            def reduce(row: AffineIneq) -> list:
+                entry = reduced.get(id(row))
+                if entry is None:
+                    a = list(row.normal)
+                    for col, e in pivot_data:
+                        if a[col]:
+                            c = a[col]
+                            a = [x - c * y for x, y in zip(a, e)]
+                    entry = reduced[id(row)] = (row, [a[j] for j in free_cols])
+                return entry[1]
+
+            f = substitutions[key] = (eqs, len(free_cols), reduce)
+        return f[1:]
+
+    def implied(rows, row: AffineIneq) -> bool:
+        t = slack(row)
+        if t < 0 or (row.kind == EQ and t != 0):
+            return False
+        nfree, reduce = substitution([r for r in rows if r.kind == EQ])
+        lp_rows = []
+        for r in rows:
+            if r.kind == LE:
+                a = reduce(r)
+                if any(a):
+                    lp_rows.append([*a, slack(r)])
+        a = reduce(row)
+        directions = [a] if row.kind == LE else [a, [-c for c in a]]
+        return all(_simplex_le(lp_rows, nfree, d, t)[0] == OPTIMAL for d in directions)
+
+    return implied
+
+
+def implies_all(sys: HPolyhedron, rows: Iterable[AffineIneq]) -> bool:
+    """True iff every point of sys satisfies every row of `rows` (vacuously
+    if sys is empty): one witness LP, then one phase-2 LP per row."""
+    rows = list(rows)
+    if any(row.dim != sys.dim for row in rows):
+        raise DimensionError("constraint dimension mismatch")
+    x0 = lp_witness(sys)
+    if x0 is None:
+        return True
+    implied = _implication_test(x0)
+    return all(implied(sys.ineqs, row) for row in rows)
+
+
 def implies(sys: HPolyhedron, row: AffineIneq) -> bool:
     """True iff every point of sys satisfies `row` (vacuously if empty)."""
-    if row.dim != sys.dim:
-        raise DimensionError("constraint dimension mismatch")
-    status, val, _ = _solve(sys, row.normal)
-    if status == INFEASIBLE:
-        return True
-    if status == UNBOUNDED:
-        return False
-    if row.kind == LE:
-        return val <= row.bound
-    if val != row.bound:
-        return False
-    status2, val2, _ = _solve(sys, -row.normal)
-    return status2 == OPTIMAL and val2 == -row.bound
+    return implies_all(sys, [row])
 
 
 def remove_redundant(sys: HPolyhedron) -> HPolyhedron:
     """Drop every constraint implied by the others.
 
     The result defines the same point set; infeasible input collapses to
-    the canonical empty system.  Idempotent.
+    the canonical empty system.  Idempotent.  Rows are visited in order, and
+    one witness of sys serves the implication test of every candidate
+    subsystem.
     """
-    if not lp_feasible(sys):
+    x0 = lp_witness(sys)
+    if x0 is None:
         return HPolyhedron.empty(sys.dim)
     # Cheap prepass: among <= rows sharing a normal only the least bound
     # can survive.
@@ -671,19 +760,21 @@ def remove_redundant(sys: HPolyhedron) -> HPolyhedron:
         r for r in sys.ineqs
         if r.kind != LE or r.bound == tightest[r.normal.entries]
     ]
+    implied = _implication_test(x0)
     kept = list(rows)
     for row in rows:
         rest = [r for r in kept if r is not row]
-        if implies(_subsystem(sys, rest), row):
+        if implied(rest, row):
             kept = rest
-    return HPolyhedron(sys.dim, kept)
+    return _canonical_system(sys.dim, kept)
 
 
-def _subsystem(sys: HPolyhedron, rows: list[AffineIneq]) -> HPolyhedron:
-    """The system of `rows`, a subsequence of sys.ineqs.  Those rows are
-    canonical, nontrivial and distinct already, so the constructor is skipped."""
+def _canonical_system(dim: int, rows: list[AffineIneq]) -> HPolyhedron:
+    """The system of `rows`, which are canonical, nontrivial and distinct
+    already (a subsequence of a system's rows, say), so the constructor's
+    canonicalising and deduplication are skipped."""
     sub = object.__new__(HPolyhedron)
-    sub.dim = sys.dim
+    sub.dim = dim
     sub.ineqs = tuple(rows)
     return sub
 
@@ -696,13 +787,14 @@ def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:
     """
     if p.dim != q.dim:
         raise DimensionError("comparing systems of different dimension")
-    p_feas = lp_feasible(p)
-    q_feas = lp_feasible(q)
-    if not p_feas or not q_feas:
-        return p_feas == q_feas
+    p_point = lp_witness(p)
+    q_point = lp_witness(q)
+    if p_point is None or q_point is None:
+        return (p_point is None) == (q_point is None)
     common = set(p.ineqs) & set(q.ineqs)
-    return all(implies(p, r) for r in q.ineqs if r not in common) and all(
-        implies(q, r) for r in p.ineqs if r not in common
+    in_p, in_q = _implication_test(p_point), _implication_test(q_point)
+    return all(in_p(p.ineqs, r) for r in q.ineqs if r not in common) and all(
+        in_q(q.ineqs, r) for r in p.ineqs if r not in common
     )
 
 

@@ -33,12 +33,14 @@ from .exactmath import (
     AffineIneq,
     HPolyhedron,
     RatVec,
+    _canonical_system,
     cone_hull,
-    implies,
+    implies_all,
     ineq_ge,
     ineq_le,
     lp_feasible,
     lp_witness,
+    primitive,
     rat_str,
     remove_redundant,
 )
@@ -273,9 +275,11 @@ def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
     the Horn trace equality and all T inequalities for the triple
     (mu_block, dual(Lambda)_block, gamma(m)_block + k).
 
-    Returns (number of variables, rows); a row is (normal, kind, I, J)
-    and its bound is the sum of mu over the coordinates I plus the sum of
-    dual(Lambda) over the coordinates J.
+    Returns (number of variables, rows).  A row is (unit, scale, kind, I,
+    J, cls): its bound is the sum of mu over the coordinates I plus the sum
+    of dual(Lambda) over the coordinates J, and its normal is scale * unit,
+    with unit primitive (sign-normalised for an equality; None for a zero
+    normal).  Rows with the same unit and kind share the class number cls.
     """
     r = len(g.schmid)
     two_block = g.family.tag == SU and not g.unitary_coords
@@ -304,18 +308,53 @@ def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
             for t in horn.enum_T(rr, len(block)):
                 I, J, L = (tuple(block[i - 1] for i in part) for part in (t.I, t.J, t.L))
                 rows.append((gamma_sum(L), LE, I, J))
-    return nvars, tuple(rows)
+    classes: dict = {}
+    out = []
+    for normal, kind, I, J in rows:
+        if normal.is_zero():
+            out.append((None, None, kind, I, J, None))
+            continue
+        unit = primitive(list(normal))
+        if kind == EQ and next(a for a in unit if a) < 0:
+            unit = [-a for a in unit]
+        k = next(j for j, a in enumerate(unit) if a)
+        cls = classes.setdefault((tuple(unit), kind), len(classes))
+        out.append((RatVec(unit), normal[k] / unit[k], kind, I, J, cls))
+    return nvars, tuple(out)
 
 
 def _oracle_system(g: GroupData, Lambda: RatVec, mu: RatVec) -> HPolyhedron:
     """The feasibility system deciding mu in Delta via the Horn route: the
-    rows of `_oracle_rows` with their bounds filled in."""
+    rows of `_oracle_rows` with their bounds filled in.
+
+    The rows come out as the HPolyhedron constructor would make them, in
+    the same order: a row <normal, x> <= b with normal = scale * unit and
+    b / scale = p/q in lowest terms is canonically <q unit, x> <= p, a row
+    that always holds is dropped, and repeats are dropped.
+    """
     nvars, rows = _oracle_rows(g)
     m, ls = mu.entries, dual_weight(g, Lambda).entries
-    return HPolyhedron(nvars, [
-        AffineIneq(normal, sum(m[i] for i in I) + sum(ls[j] for j in J), kind)
-        for normal, kind, I, J in rows
-    ])
+    seen = set()
+    out = []
+    for unit, scale, kind, I, J, cls in rows:
+        b = sum(m[i] for i in I) + sum(ls[j] for j in J)
+        if unit is None:
+            if b >= 0 if kind == LE else b == 0:
+                continue
+            key = None
+        else:
+            b = b / scale
+            key = (cls, b.numerator, b.denominator)
+        if key in seen:
+            continue
+        seen.add(key)
+        if unit is None:
+            out.append(HPolyhedron.empty(nvars).ineqs[0])
+        elif b.denominator == 1:
+            out.append(AffineIneq(unit, b, kind))
+        else:
+            out.append(AffineIneq(unit.scale(b.denominator), b.numerator, kind))
+    return _canonical_system(nvars, out)
 
 
 def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
@@ -433,17 +472,12 @@ def noncompact_cone(g: GroupData) -> HPolyhedron:
 def contained_in_shifted_cone(p: OrbitPolytope) -> bool:
     """polyhedron(Lambda) inside Lambda + cone(noncompact positives)."""
     g, Lambda = p.group, p.Lambda
-    for row in noncompact_cone(g).ineqs:
-        shifted = AffineIneq(row.normal, row.bound + row.normal.dot(Lambda), row.kind)
-        if not implies(p.system, shifted):
-            return False
-    return True
+    return implies_all(p.system, (
+        AffineIneq(row.normal, row.bound + row.normal.dot(Lambda), row.kind)
+        for row in noncompact_cone(g).ineqs
+    ))
 
 
 def contained_in_hol_closure(p: OrbitPolytope) -> bool:
     """polyhedron inside the closure of the holomorphic chamber."""
-    g = p.group
-    for beta in g.noncompact_pos:
-        if not implies(p.system, ineq_ge(list(beta), 0)):
-            return False
-    return True
+    return implies_all(p.system, (ineq_ge(list(beta), 0) for beta in p.group.noncompact_pos))

@@ -247,7 +247,7 @@ class WeylDescriptor:
 
     def elements(self):
         """All elements (cartesian product of factor symmetric groups)."""
-        if self.order > 10**6:
+        if self.order > 10**4:
             raise ValueError(f"group too large to enumerate: order {self.order}")
         pools = [
             [Perm(p) for p in itertools.permutations(range(1, d + 1))] for d in self.degrees
@@ -295,21 +295,24 @@ def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> ParabolicData:
         for i in range(1, stop - start):
             if lam[start + i - 1] == lam[start + i]:
                 gens.append((f, i))
-    # The subgroup generated is a product of symmetric groups on the equal
-    # runs; enumerate by closing under the generators.
-    gen_elts = [group.simple(f, i) for f, i in gens]
-    seen = {group.identity()}
-    frontier = [group.identity()]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gen_elts:
-                u = w * g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    subgroup = tuple(sorted(seen, key=WeylElt.sort_key))
+    # The subgroup generated is the product of the symmetric groups on the
+    # runs of equal coordinates inside each block: list it as that product
+    # (whose `elements` refuses a group too large to list), placing each
+    # run's permutation at the run's positions.
+    runs = []  # (factor, first position in the factor, length)
+    for f, (start, stop) in enumerate(group.block_ranges()):
+        first = start
+        for j in range(start + 1, stop + 1):
+            if j == stop or lam[j] != lam[j - 1]:
+                runs.append((f, first - start, j - first))
+                first = j
+    elements = []
+    for w in WeylDescriptor(tuple(n for _, _, n in runs)).elements():
+        images = [list(range(1, d + 1)) for d in group.degrees]
+        for (f, a, n), perm in zip(runs, w.factors):
+            images[f][a : a + n] = [a + i for i in perm.images]
+        elements.append(WeylElt(Perm(imgs) for imgs in images))
+    subgroup = tuple(sorted(elements, key=WeylElt.sort_key))
     w_lambda = max(subgroup, key=WeylElt.length)
     return ParabolicData(group, lam, tuple(gens), subgroup, w_lambda)
 

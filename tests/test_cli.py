@@ -1,16 +1,79 @@
-"""Command line interface: verbs, formats, determinism, exit codes."""
+"""Command line interface: verbs, formats, determinism, exit codes.
 
+`TestByteIdentity` pins stdout and the exit code of a fixed command list
+(every verb, text and json, one usage error and one domain error) to
+tests/data/cli_bytes.json.  Regenerate the file (only when the output is
+meant to change) with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
+import io
 import json
+import time
+from pathlib import Path
 
 import pytest
 
 from orbitope.cli import main
+
+CLI_BYTES = Path(__file__).parent / "data" / "cli_bytes.json"
+COMMANDS = [
+    ["adm", "--group", "so_star:n=3"],
+    ["adm", "--group", "sp:n=3", "--format", "json"],
+    ["pairs", "--group", "su:p=2,q=1"],
+    ["pairs", "--group", "so_star:n=3", "--format", "json"],
+    ["ineqs", "--group", "su:p=2,q=2", "--lambda", "3,1,-1,-3"],
+    ["ineqs", "--group", "so_star:n=4", "--lambda", "7,5,3,1"],
+    ["ineqs", "--group", "su:p=3,q=2", "--lambda", "5,3,1,-4,-5", "--format", "json"],
+    ["ineqs", "--group", "sp:n=2", "--lambda", "7/2,1", "--format", "json"],
+    ["member", "--group", "sp:n=2", "--lambda", "3,1", "--xi", "2,1"],
+    ["member", "--group", "so_star:n=4", "--lambda", "7,5,3,1", "--xi", "8,6,4,2",
+     "--format", "json"],
+    ["oracle", "--group", "sp:n=4", "--lambda", "4,3,2,1", "--mu", "5,4,3,2"],
+    ["oracle", "--group", "su:p=2,q=2", "--lambda", "3,1,-1,-3", "--mu", "4,2,-2,-4",
+     "--format", "json"],
+    ["oracle", "--group", "so_star:n=4", "--lambda", "7,5,3,1", "--mu", "7,5,3,-1",
+     "--format", "json"],
+    ["check", "--group", "su:p=2,q=2", "--lambda", "3,1,-1,-3", "--radius", "1"],
+    ["check", "--group", "so_star:n=3", "--lambda", "3,2,1", "--radius", "1",
+     "--format", "json"],
+    ["horn", "--n", "3", "--r", "2"],
+    ["horn", "--n", "4", "--r", "2", "--format", "text"],
+    ["plot", "--group", "sp:n=2", "--lambda", "3,1"],
+    ["plot", "--group", "su:p=2,q=1", "--lambda", "2,0", "--format", "json"],
+    ["ineqs", "--group", "bogus", "--lambda", "1"],
+    ["ineqs", "--group", "sp:n=2", "--lambda", "1,3", "--format", "json"],
+]
+
+
+def _capture(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue()}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("index", range(len(COMMANDS)),
+                             ids=[" ".join(argv) for argv in COMMANDS])
+    def test_stdout_and_exit_code(self, index):
+        pinned = json.loads(CLI_BYTES.read_text())
+        assert len(pinned) == len(COMMANDS)
+        assert _capture(COMMANDS[index]) == pinned[index]
+
+    def test_covers_every_verb_and_exit_code(self):
+        pinned = json.loads(CLI_BYTES.read_text())
+        verbs = {"adm", "pairs", "ineqs", "member", "oracle", "check", "horn", "plot"}
+        assert {case["argv"][0] for case in pinned} == verbs
+        assert {case["code"] for case in pinned} == {0, 1, 2}
 
 
 class TestIneqs:
@@ -131,6 +194,13 @@ class TestExitCodes:
                              "--lambda", "9,7,5,3,1", "--radius", "9")
         assert code == 1 and out == "" and "exceeds the cap" in err
 
+    def test_oversized_weyl_group(self, capsys):
+        # |W| = 8! 2! = 80640 is past the enumeration cap: exit 1, fast.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "pairs", "--group", "su:p=8,q=2")
+        assert time.perf_counter() - start < 5
+        assert code == 1 and out == "" and "too large" in err
+
     def test_usage_error(self, capsys):
         assert run(capsys, "ineqs", "--group", "bogus", "--lambda", "1")[0] == 2
         assert run(capsys, "adm", "--group", "sp:n=2,foo=3")[:2] == (2, "")
@@ -142,3 +212,9 @@ class TestExitCodes:
                          "--format", "json", "--out", str(path))
         assert code == 0
         assert json.loads(path.read_text()) == [[0, -1], [1, -1], [1, 0]]
+
+
+if __name__ == "__main__":
+    records = [_capture(argv) for argv in COMMANDS]
+    CLI_BYTES.write_text(json.dumps(records, indent=0) + "\n")
+    print(f"wrote {len(records)} commands to {CLI_BYTES}")

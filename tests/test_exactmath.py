@@ -233,6 +233,59 @@ class TestRedundancy:
         assert poly_equal(s, r)
 
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, data):
+        # The reference is the loop that rebuilt every candidate subsystem and
+        # decided each implication with its own lp_max from scratch.
+        dim = data.draw(st.integers(1, 4))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            if rows and data.draw(st.booleans()):
+                coeffs = list(data.draw(st.sampled_from(rows)).normal)  # a repeated normal
+            kind = data.draw(st.sampled_from([LE, LE, LE, EQ]))
+            rows.append(AffineIneq(RatVec(coeffs), data.draw(st.integers(-4, 4)), kind))
+        s = HPolyhedron(dim, rows)
+        assert remove_redundant(s).ineqs == _reference_remove_redundant(s).ineqs
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        other = AffineIneq(RatVec(coeffs), data.draw(st.integers(-4, 4)),
+                           data.draw(st.sampled_from([LE, EQ])))
+        assert implies(s, other) == _reference_implies(s, other)
+
+
+def _reference_implies(sys, row):
+    status, val, _ = lp_max(sys, row.normal)
+    if status == "infeasible":
+        return True
+    if status == "unbounded":
+        return False
+    if row.kind == LE:
+        return val <= row.bound
+    if val != row.bound:
+        return False
+    status2, val2, _ = lp_max(sys, -row.normal)
+    return status2 == "optimal" and val2 == -row.bound
+
+
+def _reference_remove_redundant(sys):
+    if not lp_feasible(sys):
+        return HPolyhedron.empty(sys.dim)
+    tightest = {}
+    for row in sys.ineqs:
+        if row.kind == LE:
+            cur = tightest.get(row.normal.entries)
+            if cur is None or row.bound < cur:
+                tightest[row.normal.entries] = row.bound
+    rows = [r for r in sys.ineqs if r.kind != LE or r.bound == tightest[r.normal.entries]]
+    kept = list(rows)
+    for row in rows:
+        rest = [r for r in kept if r is not row]
+        if _reference_implies(HPolyhedron(sys.dim, rest), row):
+            kept = rest
+    return HPolyhedron(sys.dim, kept)
+
+
 class TestPolyEqual:
     def test_reflexive(self):
         s = sysd(2, ineq_le([1, 1], 1))

@@ -18,6 +18,8 @@ from orbitope.exactmath import (
 )
 from orbitope.polytope import (
     DomainError,
+    _oracle_rows,
+    _oracle_system,
     assemble,
     closed_form,
     contained_in_hol_closure,
@@ -29,7 +31,13 @@ from orbitope.polytope import (
     noncompact_cone,
 )
 from orbitope.admissible import enumerate_admissible
-from orbitope.rootdata import GroupFamily, UnsupportedFamilyError, build, in_hol_chamber
+from orbitope.rootdata import (
+    GroupFamily,
+    UnsupportedFamilyError,
+    build,
+    dual_weight,
+    in_hol_chamber,
+)
 from orbitope.wellcover import enumerate_m0
 
 
@@ -201,6 +209,26 @@ class TestOracle:
         p = assemble(g, [2, 0])
         for mu in ([F(5, 2), F(1, 2)], [F(7, 2), 1], [2, F(1, 2)]):
             assert horn_oracle_member(g, [2, 0], mu) == member(p, mu)
+
+    @pytest.mark.parametrize("spec", ["sp:n=4", "su:p=6,q=1", "su:p=3,q=2",
+                                      "so_star:n=3", "so_star:n=5"])
+    def test_system_is_the_constructors(self, spec):
+        # Per point only the bounds are new; the rows must be exactly those
+        # HPolyhedron makes of the raw rows: scaling, order, repeats dropped,
+        # and rows with a zero normal dropped or turned into the marker.
+        g = g_of(spec)
+        nvars, rows = _oracle_rows(g)
+        rnd = random.Random(spec)
+        for _ in range(20):
+            Lambda, mu = (RatVec([F(rnd.randint(-9, 9), rnd.choice((1, 2, 3)))
+                                  for _ in range(g.dim)]) for _ in range(2))
+            ls = dual_weight(g, Lambda)
+            raw = [
+                AffineIneq(RatVec([0] * nvars) if unit is None else unit.scale(scale),
+                           sum(mu[i] for i in I) + sum(ls[j] for j in J), kind)
+                for unit, scale, kind, I, J, _ in rows
+            ]
+            assert _oracle_system(g, Lambda, mu).ineqs == HPolyhedron(nvars, raw).ineqs
 
     def test_so_family_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
