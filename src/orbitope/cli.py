@@ -11,9 +11,9 @@ Verbs:
   pairs    m = 0 well-covering pairs per admissible cocharacter
   plot     SVG of a rank-2 polyhedron with cone rays and chamber wall
 
-Exit codes: 0 ok, 1 domain error, 2 usage error, 3 cross-check
-disagreement.  Output is deterministic: identical inputs give identical
-bytes.
+Exit codes: 0 ok, 1 domain error, 2 usage error (an output that cannot be
+written among them), 3 cross-check disagreement.  Output is deterministic:
+identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -48,6 +48,16 @@ def _parse_vec(text: str) -> RatVec:
         return RatVec([Fraction(part.strip()) for part in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
+
+
+def _parse_window(text: str) -> int:
+    try:
+        window = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad window {text!r}") from exc
+    if window < 0:
+        raise argparse.ArgumentTypeError(f"window must be >= 0, got {window}")
+    return window
 
 
 def _parse_group(text: str) -> GroupFamily:
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", help="SVG of a rank-2 polyhedron")
     common(p)
-    p.add_argument("--window", type=int, default=0,
+    p.add_argument("--window", type=_parse_window, default=0,
                    help="half-width of the viewport (0 = auto)")
     p.set_defaults(func=cmd_plot)
     return top
@@ -356,6 +366,10 @@ def main(argv=None) -> int:
     except (DomainError, UnsupportedFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
+    except OSError as exc:
+        # The only files touched are the output (--out or stdout).
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

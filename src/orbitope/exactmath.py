@@ -50,8 +50,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 LE = "le"
 EQ = "eq"
 
@@ -254,11 +252,6 @@ class AffineIneq:
         v = self.normal.dot(x)
         return v == self.bound if self.kind == EQ else v <= self.bound
 
-    def __str__(self):
-        lhs = " + ".join(f"{rat_str(a)}*x{i+1}" for i, a in enumerate(self.normal) if a != 0) or "0"
-        op = "=" if self.kind == EQ else "<="
-        return f"{lhs} {op} {rat_str(self.bound)}"
-
 
 def ineq_le(coeffs: Sequence, bound) -> AffineIneq:
     return AffineIneq(RatVec(coeffs), rat(bound), LE)
@@ -330,9 +323,6 @@ class HPolyhedron:
 
     def __repr__(self):
         return f"HPolyhedron(dim={self.dim}, {len(self.ineqs)} rows)"
-
-    def pretty(self) -> str:
-        return "\n".join(str(r) for r in self.ineqs) or "(whole space)"
 
     # -- JSON wire format ------------------------------------------------
     def to_json_obj(self) -> dict:

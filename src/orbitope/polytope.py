@@ -418,8 +418,13 @@ class CrossCheckReport:
 def _grid_candidates(g: GroupData, Lambda: RatVec, radius: int):
     """Dominant points Lambda + delta, delta in the half-integer box."""
     steps = [Fraction(k, 2) for k in range(-2 * radius, 2 * radius + 1)]
-    for delta in itertools.product(steps, repeat=g.dim):
-        if g.trace_zero and sum(delta) != 0:
+    if g.trace_zero:
+        # The trace fixes the last offset: minus the sum of the others.
+        deltas = ((*head, -sum(head)) for head in itertools.product(steps, repeat=g.dim - 1))
+    else:
+        deltas = itertools.product(steps, repeat=g.dim)
+    for delta in deltas:
+        if abs(delta[-1]) > radius:
             continue
         mu = RatVec([a + d for a, d in zip(Lambda, delta)])
         if g.chamber.contains(mu):
@@ -459,7 +464,7 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Geometric property helpers (used by tests and the CLI `check` verb)
+# Geometric property helpers (used by tests)
 # ---------------------------------------------------------------------------
 
 @cache

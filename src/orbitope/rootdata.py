@@ -18,8 +18,9 @@ closed-form polytope description downstream uses; pass
 `su_n1_unitary_coords=False` to get the plain p+q = n+1 picture.
 
 SO(p, 2) carries no Schubert/coroot data: its Weyl group is not a product
-of symmetric groups, and no polytope pipeline is defined for it here; the
-descriptor's sign_action flag records the proxy status.
+of symmetric groups, and no polytope pipeline is defined for it here.  Its
+permutation descriptor is only a proxy, which `schubert_carrier=False`
+records.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
     chamber = HPolyhedron(dim, _dominance_rows(simple)) if simple else HPolyhedron.whole_space(dim)
     # Permutation proxy only: the true Weyl group also flips signs (type
     # B/D); the trailing degree-1 factor pins the SO(2) coordinate.
-    weyl = WeylDescriptor((m, 1), sign_action=True)
+    weyl = WeylDescriptor((m, 1))
     return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
                    trace_zero=False, unitary_coords=False, schubert_carrier=False)
 

@@ -9,6 +9,11 @@ maximal compact subgroup; it acts on coordinate vectors blockwise.  The
 special elements what_k = s1...s_{k-1} (the cycle (1 2 ... k)) and
 wcheck_k = s_{r-1}...s_k (the cycle (r r-1 ... k)) drive the coset
 combinatorics used everywhere downstream.
+
+The parabolic data of a dominant vector lam come from its runs of equal
+coordinates inside each block, with no listing of W or W_lambda: w_lambda
+reverses every run, and the longest representative of each coset
+w W_lambda is read off the orbit point w . lam (`max_coset_reps`).
 """
 
 from __future__ import annotations
@@ -196,15 +201,9 @@ class WeylElt:
 @dataclass(frozen=True)
 class WeylDescriptor:
     """A product of symmetric groups S_{d1} x ... x S_{df} acting blockwise
-    on vectors of dimension d1 + ... + df.
-
-    `sign_action` marks the orthogonal families whose actual Weyl group also
-    flips coordinate signs; those never carry Schubert data here and the
-    flag only documents that the permutation model is a proxy.
-    """
+    on vectors of dimension d1 + ... + df."""
 
     degrees: tuple[int, ...]
-    sign_action: bool = False
 
     def __post_init__(self):
         if not self.degrees or any(d < 1 for d in self.degrees):
@@ -245,16 +244,6 @@ class WeylDescriptor:
     def from_words(self, words: Sequence[Sequence[int]]) -> WeylElt:
         return WeylElt(Perm.from_word(d, w) for d, w in zip(self.degrees, words))
 
-    def elements(self):
-        """All elements (cartesian product of factor symmetric groups)."""
-        if self.order > 10**4:
-            raise ValueError(f"group too large to enumerate: order {self.order}")
-        pools = [
-            [Perm(p) for p in itertools.permutations(range(1, d + 1))] for d in self.degrees
-        ]
-        for combo in itertools.product(*pools):
-            yield WeylElt(combo)
-
     def act(self, w: WeylElt, v: RatVec) -> RatVec:
         """Blockwise coordinate permutation action on a vector."""
         if v.dim != self.dim:
@@ -264,80 +253,73 @@ class WeylDescriptor:
 
 @dataclass(frozen=True)
 class ParabolicData:
-    """The stabilizer W_lambda of a dominant vector, with its combinatorics.
+    """The stabilizer W_lambda of a dominant vector lam, through its
+    longest element.
 
-    generators are the simple reflections (factor, i) fixing lam; W_lambda
-    is exactly the subgroup they generate, and w_lambda its longest element.
+    W_lambda is the product of the symmetric groups on the runs of equal
+    coordinates inside each block, so w_lambda reverses every run.
     """
 
     group: WeylDescriptor
     lam: RatVec
-    generators: tuple[tuple[int, int], ...]
-    subgroup: tuple[WeylElt, ...]
     w_lambda: WeylElt
 
-    @property
-    def order(self) -> int:
-        return len(self.subgroup)
+
+def _runs(values: Sequence) -> list[tuple[int, ...]]:
+    """The runs of equal adjacent entries, as tuples of 1-indexed positions."""
+    runs: list[tuple[int, ...]] = []
+    for i, v in enumerate(values, start=1):
+        if runs and values[i - 2] == v:
+            runs[-1] += (i,)
+        else:
+            runs.append((i,))
+    return runs
+
+
+def _longest(targets: Sequence[tuple[int, ...]]) -> Perm:
+    """The permutation sending the k-th run's positions, in order, to the
+    k-th target tuple (increasing) read backwards."""
+    return Perm(i for t in targets for i in reversed(t))
+
+
+def _placements(free: Sequence[int], sizes: Sequence[int]):
+    """Every choice of disjoint increasing target tuples of the given
+    sizes from free, one per run in turn."""
+    if not sizes:
+        yield ()
+        return
+    for chosen in itertools.combinations(free, sizes[0]):
+        rest = [i for i in free if i not in chosen]
+        for tail in _placements(rest, sizes[1:]):
+            yield (chosen, *tail)
 
 
 def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> ParabolicData:
-    """Build W_lambda for a dominant vector lam (equal adjacent coordinates
-    inside each block give the generating simple reflections)."""
+    """W_lambda for a dominant vector lam (blockwise weakly decreasing)."""
     if lam.dim != group.dim:
         raise DimensionError("lambda dimension does not match group")
-    for start, stop in group.block_ranges():
-        for j in range(start, stop - 1):
-            if lam[j] < lam[j + 1]:
-                raise ValueError("lambda must be dominant (blockwise weakly decreasing)")
-    gens = []
-    for f, (start, stop) in enumerate(group.block_ranges()):
-        for i in range(1, stop - start):
-            if lam[start + i - 1] == lam[start + i]:
-                gens.append((f, i))
-    # The subgroup generated is the product of the symmetric groups on the
-    # runs of equal coordinates inside each block: list it as that product
-    # (whose `elements` refuses a group too large to list), placing each
-    # run's permutation at the run's positions.
-    runs = []  # (factor, first position in the factor, length)
-    for f, (start, stop) in enumerate(group.block_ranges()):
-        first = start
-        for j in range(start + 1, stop + 1):
-            if j == stop or lam[j] != lam[j - 1]:
-                runs.append((f, first - start, j - first))
-                first = j
-    elements = []
-    for w in WeylDescriptor(tuple(n for _, _, n in runs)).elements():
-        images = [list(range(1, d + 1)) for d in group.degrees]
-        for (f, a, n), perm in zip(runs, w.factors):
-            images[f][a : a + n] = [a + i for i in perm.images]
-        elements.append(WeylElt(Perm(imgs) for imgs in images))
-    subgroup = tuple(sorted(elements, key=WeylElt.sort_key))
-    w_lambda = max(subgroup, key=WeylElt.length)
-    return ParabolicData(group, lam, tuple(gens), subgroup, w_lambda)
+    blocks = [lam.entries[start:stop] for start, stop in group.block_ranges()]
+    if any(a < b for block in blocks for a, b in zip(block, block[1:])):
+        raise ValueError("lambda must be dominant (blockwise weakly decreasing)")
+    return ParabolicData(group, lam, WeylElt(_longest(_runs(block)) for block in blocks))
 
 
 def max_coset_reps(group: WeylDescriptor, pd: ParabolicData) -> list[WeylElt]:
-    """Longest representatives of the cosets w W_lambda, one per coset.
+    """Longest representatives of the cosets w W_lambda, one per coset,
+    sorted by WeylElt.sort_key.
 
-    Found by exhaustive scan: the coset of w is keyed by the orbit point
-    w . lambda (W_lambda is exactly the stabilizer of lambda).  The longest
-    element of each coset is unique; this is asserted.
+    The coset of w is fixed by the orbit point w . lam, a rearrangement of
+    lam inside each block (W_lambda is exactly the stabilizer of lam).  Its
+    longest element sends the positions of each run of lam to the positions
+    that run's value takes in w . lam, in decreasing order: every pair
+    inside a run is then an inversion, and the inversions between runs are
+    fixed by w . lam (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    on parabolic quotients).
     """
-    best: dict[tuple, WeylElt] = {}
-    tied: dict[tuple, bool] = {}
-    for w in group.elements():
-        key = group.act(w, pd.lam).entries
-        cur = best.get(key)
-        if cur is None or w.length() > cur.length():
-            best[key] = w
-            tied[key] = False
-        elif w.length() == cur.length():
-            tied[key] = True
-    if any(tied.values()):
-        raise AssertionError("longest coset representative was not unique")
-    reps = sorted(best.values(), key=WeylElt.sort_key)
-    expected = group.order // pd.order
-    if len(reps) != expected:
-        raise AssertionError(f"coset count {len(reps)} != {expected}")
-    return reps
+    if group.order > 10**4:
+        raise ValueError(f"group too large to enumerate: order {group.order}")
+    factors = []
+    for start, stop in group.block_ranges():
+        sizes = [len(run) for run in _runs(pd.lam.entries[start:stop])]
+        factors.append([_longest(p) for p in _placements(range(1, stop - start + 1), sizes)])
+    return sorted((WeylElt(f) for f in itertools.product(*factors)), key=WeylElt.sort_key)

@@ -1,0 +1,42 @@
+"""The names the benchmark tracer reaches for still exist.
+
+perfbench/tracer.py wraps package functions by name, from outside the
+package; a rename would make traced runs fail or silently record nothing.
+The tracer is loaded from its path, unedited.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def mods(tracer):
+    return tracer.import_orbitope()
+
+
+def test_traced_names_resolve(tracer, mods):
+    assert set(tracer.TRACED) <= set(tracer.LAYERS)
+    for layer, names in tracer.TRACED.items():
+        for name in names:
+            owner = mods[layer]
+            for part in name.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), f"{layer}.{name}"
+
+
+def test_counter_hooks_resolve(tracer, mods):
+    assert callable(mods["wellcover"].context)
+    hits, misses = tracer.schubert_cache(mods)
+    assert hits >= 0 and misses >= 0

@@ -45,6 +45,9 @@ COMMANDS = [
     ["plot", "--group", "su:p=2,q=1", "--lambda", "2,0", "--format", "json"],
     ["ineqs", "--group", "bogus", "--lambda", "1"],
     ["ineqs", "--group", "sp:n=2", "--lambda", "1,3", "--format", "json"],
+    ["pairs", "--group", "su:p=2,q=2", "--format", "json"],
+    ["pairs", "--group", "su:p=3,q=3"],
+    ["check", "--group", "su:p=2,q=2", "--lambda", "2,1,-1,-2", "--radius", "2"],
 ]
 
 
@@ -200,6 +203,24 @@ class TestExitCodes:
         code, out, err = run(capsys, "pairs", "--group", "su:p=8,q=2")
         assert time.perf_counter() - start < 5
         assert code == 1 and out == "" and "too large" in err
+
+    def test_zero_window(self, capsys):
+        # a window of minus the largest |coordinate| left a zero-width box
+        code, out, err = run(capsys, "plot", "--group", "sp:n=2",
+                             "--lambda", "3,1", "--window", "-3")
+        assert code == 2 and out == "" and "error:" in err
+        assert "Traceback" not in err
+
+    def test_negative_window(self, capsys):
+        # a wider negative window mirrored the viewport
+        code, out, err = run(capsys, "plot", "--group", "sp:n=2",
+                             "--lambda", "3,1", "--window", "-5")
+        assert code == 2 and out == "" and "window" in err
+
+    def test_unwritable_out(self, capsys):
+        code, out, err = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", "3,1",
+                             "--out", "/nonexistent/x")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_usage_error(self, capsys):
         assert run(capsys, "ineqs", "--group", "bogus", "--lambda", "1")[0] == 2

@@ -1,5 +1,6 @@
 """Permutation combinatorics: lengths, special elements, coset reps."""
 
+import functools
 import itertools
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitope import goldens
+from orbitope.admissible import closed_form_admissible
 from orbitope.exactmath import RatVec
+from orbitope.rootdata import GroupFamily, build
 from orbitope.weyl import (
     Perm,
     WeylDescriptor,
@@ -17,6 +20,8 @@ from orbitope.weyl import (
     special_elements,
     stabilizer_parabolic,
 )
+
+from test_admissible import GOLDEN_BY_SPEC
 
 
 def perms(n):
@@ -166,6 +171,81 @@ class TestCosetReps:
         G = WeylDescriptor((2,))
         with pytest.raises(ValueError):
             stabilizer_parabolic(G, RatVec([0, 1]))
+
+
+CARRIER_SPECS = [spec for spec in sorted(GOLDEN_BY_SPEC)
+                 if build(GroupFamily.parse(spec)).schubert_carrier]
+
+
+def scan_reference(group, lam):
+    """Parabolic data by listing all of W: (longest coset representatives
+    sorted by sort_key, w_lambda, |W_lambda|).  The coset of w is keyed by
+    the orbit point w . lam; the longest element of each coset, and of the
+    stabilizer, must be unique."""
+    best, tied, stabilizer = {}, {}, 0
+    for w, length in weyl_group(group.degrees):
+        key = group.act(w, lam).entries
+        stabilizer += key == lam.entries
+        cur = best.get(key)
+        if cur is None or length > cur[1]:
+            best[key] = (w, length)
+            tied[key] = False
+        elif length == cur[1]:
+            tied[key] = True
+    assert not any(tied.values()), "longest coset representative was not unique"
+    reps = sorted((w for w, _ in best.values()), key=WeylElt.sort_key)
+    return reps, best[lam.entries][0], stabilizer
+
+
+@functools.cache
+def weyl_group(degrees):
+    """(w, length) for every w in S_{d1} x ... x S_{df}."""
+    pools = [perms(d) for d in degrees]
+    return [(w, w.length()) for w in map(WeylElt, itertools.product(*pools))]
+
+
+def compositions(total):
+    """Degree tuples of positive parts summing to total."""
+    if total == 0:
+        return [()]
+    return [(d, *rest) for d in range(1, total + 1) for rest in compositions(total - d)]
+
+
+def blockwise_dominant(degrees, values):
+    """Every vector, entries from values, weakly decreasing in each block."""
+    blocks = [itertools.combinations_with_replacement(sorted(values, reverse=True), d)
+              for d in degrees]
+    for combo in itertools.product(*blocks):
+        yield RatVec([x for block in combo for x in block])
+
+
+class TestAgainstScan:
+    """max_coset_reps and w_lambda are built from the runs of lambda; the
+    scan over all of W is the reference."""
+
+    def check(self, group, lam):
+        reps, w_lambda, stab_order = scan_reference(group, lam)
+        pd = stabilizer_parabolic(group, lam)
+        got = max_coset_reps(group, pd)
+        assert got == reps
+        assert pd.w_lambda == w_lambda
+        assert len(got) == group.order // stab_order
+
+    def test_small_degrees(self):
+        cases = 0
+        for total in range(1, 7):
+            for degrees in compositions(total):
+                group = WeylDescriptor(degrees)
+                for lam in blockwise_dominant(degrees, (0, 1, 2)):
+                    self.check(group, lam)
+                    cases += 1
+        assert cases == 10479
+
+    @pytest.mark.parametrize("spec", CARRIER_SPECS)
+    def test_admissible_lambdas(self, spec):
+        g = build(GroupFamily.parse(spec))
+        for lam in closed_form_admissible(g):
+            self.check(g.weyl, lam.coords)
 
 
 class TestAction:
