@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .exactmath import RatVec, primitive, row_reduce
+from .exactmath import DomainError, RatVec, primitive, row_reduce
 from .rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
 
 SUBSET_CAP = 10**5
@@ -108,25 +108,17 @@ def is_admissible(g: GroupData, lam: RatVec) -> bool:
 def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
     """All dominant indivisible admissible cocharacters, by scanning the
     full-rank (rank-1-short) subsets of the noncompact positive roots and
-    taking primitive kernel generators of both signs."""
+    taking primitive kernel generators of both signs.  A rank-1 torus
+    needs no root: its one empty subset leaves the whole torus line."""
     roots = list(g.noncompact_pos)
     extra = _ambient_constraints(g)
     need = _torus_rank(g) - 1
     found: set[OneParamSubgroup] = set()
-    if need == 0:
-        # Rank-1 torus: the whole torus line is admissible; dominance and
-        # sign selection still apply.
-        vec = _primitive_kernel_vector(extra, g.dim) if extra else RatVec([1])
-        if vec is not None:
-            for cand in (vec, -vec):
-                if is_dominant_ops(g, cand):
-                    found.add(OneParamSubgroup(cand))
-        return found
     total = 1
     for i in range(need):
         total = total * (len(roots) - i) // (i + 1)
     if total > SUBSET_CAP:
-        raise ValueError(f"subset enumeration too large: C({len(roots)},{need}) = {total}")
+        raise DomainError(f"subset enumeration too large: C({len(roots)},{need}) = {total}")
     for subset in combinations(roots, need):
         vec = _primitive_kernel_vector(list(subset) + extra, g.dim)
         if vec is None:

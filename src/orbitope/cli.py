@@ -24,10 +24,9 @@ import sys
 from fractions import Fraction
 
 from .admissible import enumerate_admissible, sorted_admissible
-from .exactmath import HPolyhedron, RatVec, rat_str
+from .exactmath import DomainError, HPolyhedron, RatVec, rat_str
 from .horn import enum_T
 from .polytope import (
-    DomainError,
     OrbitPolytope,
     assemble,
     cross_check,
@@ -36,7 +35,7 @@ from .polytope import (
     member,
 )
 from .rootdata import GroupFamily, UnsupportedFamilyError, build
-from .wellcover import enumerate_m0
+from .wellcover import enumerate_m0, require_pairs
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -172,6 +171,7 @@ def cmd_horn(args) -> int:
 
 def cmd_pairs(args) -> int:
     g = build(args.group)
+    require_pairs(g)
     records = []
     for lam in sorted_admissible(enumerate_admissible(g)):
         for pair in enumerate_m0(g, lam):

@@ -193,6 +193,12 @@ class DimensionError(ValueError):
     """Raised when vectors or constraints of unequal dimension are mixed."""
 
 
+class DomainError(ValueError):
+    """An argument violates a documented precondition (wrong chamber, wrong
+    trace, no closed form for the family/rank, a request past a size cap,
+    ...)."""
+
+
 @dataclass(frozen=True, slots=True)
 class AffineIneq:
     """One affine constraint <normal, x> (<=|=) bound.
@@ -299,10 +305,6 @@ class HPolyhedron:
     def empty(dim: int) -> "HPolyhedron":
         """The distinguished canonical infeasible system {0 <= -1}."""
         return HPolyhedron(dim, [AffineIneq(RatVec([0] * dim), Fraction(-1), LE)])
-
-    @staticmethod
-    def whole_space(dim: int) -> "HPolyhedron":
-        return HPolyhedron(dim, [])
 
     def contains(self, x: RatVec) -> bool:
         if x.dim != self.dim:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .exactmath import rat
+from .exactmath import DomainError, rat
 
 DESK_CAP = 8
 
@@ -104,7 +104,7 @@ def _check_bounds(r: int, n: int):
     if not 1 <= r < n:
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
     if n > DESK_CAP:
-        raise ValueError(f"n={n} exceeds the desk cap {DESK_CAP}")
+        raise DomainError(f"n={n} exceeds the desk cap {DESK_CAP}")
 
 
 class Spectrum:

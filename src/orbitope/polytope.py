@@ -31,6 +31,7 @@ from .exactmath import (
     EQ,
     LE,
     AffineIneq,
+    DomainError,
     HPolyhedron,
     RatVec,
     _canonical_system,
@@ -45,7 +46,6 @@ from .exactmath import (
     remove_redundant,
 )
 from .rootdata import (
-    SO,
     SO_STAR,
     SP,
     SU,
@@ -55,12 +55,7 @@ from .rootdata import (
     in_hol_chamber,
     pairing,
 )
-from .wellcover import enumerate_m0, enumerate_m0_dominant
-
-
-class DomainError(ValueError):
-    """An argument violates a documented precondition (wrong chamber, wrong
-    trace, no closed form for the family/rank, ...)."""
+from .wellcover import enumerate_m0, enumerate_m0_dominant, require_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +128,7 @@ def display_ineq(row: AffineIneq) -> str:
 
 
 def _require_assemblable(g: GroupData):
-    if g.family.tag == SO:
+    if not g.schubert_carrier:
         raise UnsupportedFamilyError(
             f"{g.label()}: no polytope pipeline for the orthogonal family"
         )
@@ -157,6 +152,7 @@ def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
     _require_assemblable(g)
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     _validate_lambda(g, Lambda)
+    require_pairs(g)
     enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
     pair_rows = []
     for lam in sorted_admissible(enumerate_admissible(g)):
@@ -282,13 +278,12 @@ def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
     normal).  Rows with the same unit and kind share the class number cls.
     """
     r = len(g.schmid)
-    two_block = g.family.tag == SU and not g.unitary_coords
-    nvars = r + (1 if two_block else 0)
+    nvars = r + (1 if g.trace_zero else 0)
 
     def gamma_sum(coords) -> RatVec:
         """The sum of gamma(m)_c (+ k) over coords, as a linear form in m (and k)."""
         form = [sum((g.schmid[i][c] for c in coords), Fraction(0)) for i in range(r)]
-        if two_block:
+        if g.trace_zero:
             form.append(Fraction(len(coords)))  # the central shift k on every coordinate
         return RatVec(form)
 

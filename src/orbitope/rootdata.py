@@ -17,26 +17,23 @@ convention (noncompact positive roots b_k = e_k* + sum_j e_j*), which every
 closed-form polytope description downstream uses; pass
 `su_n1_unitary_coords=False` to get the plain p+q = n+1 picture.
 
-SO(p, 2) carries no Schubert/coroot data: its Weyl group is not a product
-of symmetric groups, and no polytope pipeline is defined for it here.  Its
-permutation descriptor is only a proxy, which `schubert_carrier=False`
-records.
+For sp, su and so* the compact Weyl group is a product of symmetric
+groups, one per unitary factor, and one helper builds the compact roots,
+chamber and Weyl blocks from the block degrees; only the noncompact roots
+and the strongly orthogonal family are written out per family.  SO(p, 2)
+keeps its own type B/D compact roots; its Weyl group is not a product of
+symmetric groups, so it carries no Schubert/coroot data, no polytope
+pipeline is defined for it, and its permutation descriptor is only a proxy
+(`schubert_carrier` is False).  `GroupData` stores only these per-family
+facts; its dimension, rho, module weights and flags are derived from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import (
-    AffineIneq,
-    DimensionError,
-    HPolyhedron,
-    RatVec,
-    cone_hull,
-    ineq_eq,
-    ineq_ge,
-)
+from .exactmath import DimensionError, HPolyhedron, RatVec, cone_hull, ineq_eq, ineq_ge
 from .weyl import WeylDescriptor
 
 SP = "sp"
@@ -109,41 +106,57 @@ class GroupFamily:
             raise ValueError(f"cannot parse group spec {text!r}: {exc}") from exc
 
     def spec_string(self) -> str:
-        if self.tag == SP:
-            return f"sp:n={self.params[0]}"
-        if self.tag == SU:
-            return f"su:p={self.params[0]},q={self.params[1]}"
-        if self.tag == SO_STAR:
-            return f"so_star:n={self.params[0]}"
-        return f"so:p={self.params[0]}"
+        pairs = zip(_PARAM_KEYS[self.tag], self.params)
+        return f"{self.tag}:" + ",".join(f"{key}={val}" for key, val in pairs)
 
 
 @dataclass(frozen=True)
 class GroupData:
     """Exact root data of one family instance.
 
-    weights_p_minus is always the elementwise negative of noncompact_pos,
-    and rho the half-sum of the compact positive roots.  chamber carries
-    the trace-zero equality for su(p, q) with q >= 2.  schubert_carrier is
-    False exactly for so(p, 2).
+    Stored: the family, the compact and noncompact positive roots, the
+    strongly orthogonal (Schmid) family, the dominant chamber, the Weyl
+    blocks and the su(n, 1) convention flag; equality compares these.
+    Derived when the object is made, so a `dataclasses.replace` copy never
+    keeps stale values: dim (the Weyl blocks' total degree), rho (the
+    half-sum of the compact positive roots), weights_p_minus (the negated
+    noncompact positive roots), trace_zero (the chamber carries the trace
+    equality, as for su(p, q) in p + q coordinates) and schubert_carrier
+    (False exactly for so(p, 2)).
     """
 
     family: GroupFamily
-    dim: int
     compact_pos: tuple[RatVec, ...]
     noncompact_pos: tuple[RatVec, ...]
-    rho: RatVec
     schmid: tuple[RatVec, ...]
     chamber: HPolyhedron
     weyl: WeylDescriptor
-    weights_p_minus: tuple[RatVec, ...]
-    trace_zero: bool
     unitary_coords: bool  # SU(n,1) exposed in the n-coordinate convention
-    schubert_carrier: bool
+    dim: int = field(init=False, compare=False)
+    rho: RatVec = field(init=False, compare=False)
+    weights_p_minus: tuple[RatVec, ...] = field(init=False, compare=False)
+    trace_zero: bool = field(init=False, compare=False)
+    schubert_carrier: bool = field(init=False, compare=False)
+
+    def __post_init__(self):
+        dim = self.weyl.dim
+        rho = RatVec([0] * dim)
+        for alpha in self.compact_pos:
+            rho = rho + alpha
+        derived = {
+            "dim": dim,
+            "rho": rho.scale(Fraction(1, 2)),
+            "weights_p_minus": tuple(-b for b in self.noncompact_pos),
+            "trace_zero": ineq_eq([1] * dim, 0) in self.chamber.ineqs,
+            "schubert_carrier": self.family.tag != SO,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __hash__(self):
         # build's inputs, not every root and chamber row; __eq__ still compares
-        # every field, so a group made with dataclasses.replace gets its own memos.
+        # every stored field, so a group made with dataclasses.replace gets its
+        # own memos.
         return hash((self.family, self.unitary_coords))
 
     def label(self) -> str:
@@ -158,83 +171,66 @@ def _unit(dim: int, *idx_sign) -> RatVec:
     return RatVec(v)
 
 
-def _dominance_rows(simple_roots) -> list[AffineIneq]:
-    return [ineq_ge(list(alpha), 0) for alpha in simple_roots]
+def _chamber(dim: int, simple_roots, trace_zero: bool = False) -> HPolyhedron:
+    """Dominance against the simple roots, plus the trace equality."""
+    rows = [ineq_ge(list(alpha), 0) for alpha in simple_roots]
+    if trace_zero:
+        rows.append(ineq_eq([1] * dim, 0))
+    return HPolyhedron(dim, rows)
+
+
+def _unitary_blocks(degrees: tuple[int, ...], trace_zero: bool = False):
+    """(compact positive roots, chamber, Weyl group) of a compact group whose
+    Weyl group is S_{d1} x ... x S_{df}: the roots e_i - e_j (i < j) inside
+    each block, with the simple ones e_i - e_{i+1} as chamber walls."""
+    weyl = WeylDescriptor(degrees)
+    dim = weyl.dim
+    compact, simple = [], []
+    for start, stop in weyl.block_ranges():
+        compact += [_unit(dim, (i, 1), (j, -1)) for i in range(start, stop)
+                    for j in range(i + 1, stop)]
+        simple += [_unit(dim, (i, 1), (i + 1, -1)) for i in range(start, stop - 1)]
+    return compact, _chamber(dim, simple, trace_zero), weyl
 
 
 def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
     """Instantiate the root data of one family."""
-    tag = family.tag
-    if tag == SP:
-        n = family.params[0]
-        dim = n
-        compact = [_unit(dim, (i, 1), (j, -1)) for i in range(n) for j in range(n) if i < j]
-        noncompact = [
-            _unit(dim, (i, 1), (j, 1)) for i in range(n) for j in range(i, n)
-        ]
-        schmid = [_unit(dim, (i, 2)) for i in range(n)]
-        simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-        chamber = HPolyhedron(dim, _dominance_rows(simple)) if n > 1 else HPolyhedron.whole_space(1)
-        weyl = WeylDescriptor((n,))
-        return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-                       trace_zero=False, unitary_coords=False, schubert_carrier=True)
-
-    if tag == SU:
-        p, q = family.params
-        if q == 1 and su_n1_unitary_coords:
-            n = p
-            dim = n
-            compact = [_unit(dim, (i, 1), (j, -1)) for i in range(n) for j in range(n) if i < j]
-            # b_k = e_k + sum_j e_j in the unitary-group convention.
-            noncompact = [
-                RatVec([1 + (1 if j == k else 0) for j in range(n)]) for k in range(n)
-            ]
-            schmid = [noncompact[0]]
-            simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-            chamber = HPolyhedron(dim, _dominance_rows(simple)) if n > 1 else HPolyhedron.whole_space(1)
-            weyl = WeylDescriptor((n,))
-            return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-                           trace_zero=False, unitary_coords=True, schubert_carrier=True)
+    tag, params = family.tag, family.params
+    if tag == SO:
+        return _build_so(family)
+    unitary = tag == SU and params[1] == 1 and su_n1_unitary_coords
+    if tag == SU and not unitary:
+        p, q = params
         dim = p + q
-        compact = [_unit(dim, (i, 1), (j, -1)) for i in range(p) for j in range(p) if i < j]
-        compact += [
-            _unit(dim, (p + i, 1), (p + j, -1)) for i in range(q) for j in range(q) if i < j
-        ]
-        noncompact = [
-            _unit(dim, (i, 1), (p + j, -1)) for i in range(p) for j in range(q)
-        ]
+        compact, chamber, weyl = _unitary_blocks((p, q), trace_zero=True)
+        noncompact = [_unit(dim, (i, 1), (p + j, -1)) for i in range(p) for j in range(q)]
         # Strongly orthogonal family (b_{1,p+q}, b_{2,p+q-1}, ..., b_{q,p+1}).
-        schmid = [_unit(dim, (i, 1), (p + q - 1 - i, -1)) for i in range(q)]
-        simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(p - 1)]
-        simple += [_unit(dim, (p + i, 1), (p + i + 1, -1)) for i in range(q - 1)]
-        rows = _dominance_rows(simple)
-        rows.append(ineq_eq([1] * dim, 0))
-        chamber = HPolyhedron(dim, rows)
-        weyl = WeylDescriptor((p, q))
-        return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-                       trace_zero=True, unitary_coords=False, schubert_carrier=True)
+        schmid = [_unit(dim, (i, 1), (dim - 1 - i, -1)) for i in range(q)]
+    else:
+        n = params[0]
+        compact, chamber, weyl = _unitary_blocks((n,))
+        if tag == SP:
+            noncompact = [_unit(n, (i, 1), (j, 1)) for i in range(n) for j in range(i, n)]
+            schmid = [_unit(n, (i, 2)) for i in range(n)]
+        elif tag == SU:
+            # b_k = e_k + sum_j e_j in the unitary-group convention.
+            noncompact = [RatVec([1 + (1 if j == k else 0) for j in range(n)]) for k in range(n)]
+            schmid = [noncompact[0]]
+        else:
+            noncompact = [_unit(n, (i, 1), (j, 1)) for i in range(n) for j in range(i + 1, n)]
+            schmid = [_unit(n, (2 * j, 1), (2 * j + 1, 1)) for j in range(n // 2)]
+    return GroupData(family, tuple(compact), tuple(noncompact), tuple(schmid),
+                     chamber, weyl, unitary)
 
-    if tag == SO_STAR:
-        n = family.params[0]
-        dim = n
-        compact = [_unit(dim, (i, 1), (j, -1)) for i in range(n) for j in range(n) if i < j]
-        noncompact = [
-            _unit(dim, (i, 1), (j, 1)) for i in range(n) for j in range(n) if i < j
-        ]
-        schmid = [_unit(dim, (2 * j, 1), (2 * j + 1, 1)) for j in range(n // 2)]
-        simple = [_unit(dim, (i, 1), (i + 1, -1)) for i in range(n - 1)]
-        chamber = HPolyhedron(dim, _dominance_rows(simple))
-        weyl = WeylDescriptor((n,))
-        return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-                       trace_zero=False, unitary_coords=False, schubert_carrier=True)
 
-    # SO(p, 2): p = 2m even (type D compact factor) or p = 2m+1 odd (type B).
+def _build_so(family: GroupFamily) -> GroupData:
+    """SO(p, 2): p = 2m even (type D compact factor) or p = 2m+1 odd (type B)."""
     p = family.params[0]
     m = p // 2
     odd = p % 2 == 1
     dim = m + 1
-    compact = [_unit(dim, (i, 1), (j, -1)) for i in range(m) for j in range(m) if i < j]
-    compact += [_unit(dim, (i, 1), (j, 1)) for i in range(m) for j in range(m) if i < j]
+    compact = [_unit(dim, (i, 1), (j, -1)) for i in range(m) for j in range(i + 1, m)]
+    compact += [_unit(dim, (i, 1), (j, 1)) for i in range(m) for j in range(i + 1, m)]
     if odd:
         compact += [_unit(dim, (i, 1)) for i in range(m)]
     noncompact = [_unit(dim, (i, s), (m, 1)) for i in range(m) for s in (1, -1)]
@@ -246,34 +242,10 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
         simple += [_unit(dim, (m - 1, 1))]
     elif m >= 2:
         simple += [_unit(dim, (m - 2, 1), (m - 1, 1))]
-    chamber = HPolyhedron(dim, _dominance_rows(simple)) if simple else HPolyhedron.whole_space(dim)
     # Permutation proxy only: the true Weyl group also flips signs (type
     # B/D); the trailing degree-1 factor pins the SO(2) coordinate.
-    weyl = WeylDescriptor((m, 1))
-    return _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-                   trace_zero=False, unitary_coords=False, schubert_carrier=False)
-
-
-def _finish(family, dim, compact, noncompact, schmid, chamber, weyl,
-            trace_zero, unitary_coords, schubert_carrier) -> GroupData:
-    half = Fraction(1, 2)
-    rho = RatVec([0] * dim)
-    for alpha in compact:
-        rho = rho + alpha.scale(half)
-    return GroupData(
-        family=family,
-        dim=dim,
-        compact_pos=tuple(compact),
-        noncompact_pos=tuple(noncompact),
-        rho=rho,
-        schmid=tuple(schmid),
-        chamber=chamber,
-        weyl=weyl,
-        weights_p_minus=tuple(-b for b in noncompact),
-        trace_zero=trace_zero,
-        unitary_coords=unitary_coords,
-        schubert_carrier=schubert_carrier,
-    )
+    return GroupData(family, tuple(compact), tuple(noncompact), tuple(schmid),
+                     _chamber(dim, simple), WeylDescriptor((m, 1)), False)
 
 
 def pairing(a: RatVec, b: RatVec) -> Fraction:

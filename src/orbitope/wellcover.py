@@ -36,7 +36,14 @@ from .admissible import OneParamSubgroup, is_dominant_ops
 from .exactmath import RatVec
 from .rootdata import GroupData, UnsupportedFamilyError, pairing
 from .schubert import CohClass, SchubertRing
-from .weyl import ParabolicData, Perm, WeylElt, max_coset_reps, stabilizer_parabolic
+from .weyl import (
+    ParabolicData,
+    Perm,
+    WeylElt,
+    check_order_cap,
+    max_coset_reps,
+    stabilizer_parabolic,
+)
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,22 @@ def _sorted_pairs(pairs) -> tuple[WCPair, ...]:
     return tuple(sorted(pairs, key=lambda p: (p.w.sort_key(), p.w_prime.sort_key())))
 
 
-@cache
-def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
-    """The one LambdaContext of (g, lam), memoised on that pair."""
+def require_pairs(g: GroupData) -> None:
+    """Raise, before any admissible scan, when the pairs of g cannot be
+    listed: no type-A Schubert carrier, or a Weyl group past the order cap
+    of `max_coset_reps`."""
     if not g.schubert_carrier:
         raise UnsupportedFamilyError(
             f"{g.label()} has no type-A Schubert carrier; well-covering "
             "pairs are not defined here"
         )
+    check_order_cap(g.weyl)
+
+
+@cache
+def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
+    """The one LambdaContext of (g, lam), memoised on that pair."""
+    require_pairs(g)
     if not is_dominant_ops(g, lam.coords):
         raise ValueError(f"cocharacter {lam!r} is not dominant for {g.label()}")
     pd = stabilizer_parabolic(g.weyl, lam.coords)

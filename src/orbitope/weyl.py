@@ -22,7 +22,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactmath import DimensionError, RatVec
+from .exactmath import DimensionError, DomainError, RatVec
+
+# The largest Weyl group whose coset representatives are listed.
+ORDER_CAP = 10**4
 
 
 class Perm:
@@ -304,6 +307,12 @@ def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> ParabolicData:
     return ParabolicData(group, lam, WeylElt(_longest(_runs(block)) for block in blocks))
 
 
+def check_order_cap(group: WeylDescriptor) -> None:
+    """DomainError when W is past ORDER_CAP, before any work is done."""
+    if group.order > ORDER_CAP:
+        raise DomainError(f"group too large to enumerate: order {group.order}")
+
+
 def max_coset_reps(group: WeylDescriptor, pd: ParabolicData) -> list[WeylElt]:
     """Longest representatives of the cosets w W_lambda, one per coset,
     sorted by WeylElt.sort_key.
@@ -316,8 +325,7 @@ def max_coset_reps(group: WeylDescriptor, pd: ParabolicData) -> list[WeylElt]:
     fixed by w . lam (Bjorner-Brenti, Combinatorics of Coxeter Groups,
     on parabolic quotients).
     """
-    if group.order > 10**4:
-        raise ValueError(f"group too large to enumerate: order {group.order}")
+    check_order_cap(group)
     factors = []
     for start, stop in group.block_ranges():
         sizes = [len(run) for run in _runs(pd.lam.entries[start:stop])]

@@ -13,7 +13,7 @@ from orbitope.admissible import (
     kernel_root_span_dim,
     sorted_admissible,
 )
-from orbitope.exactmath import RatVec
+from orbitope.exactmath import DomainError, RatVec
 from orbitope.rootdata import GroupFamily, build
 
 GOLDEN_BY_SPEC = {
@@ -42,6 +42,20 @@ def test_enumeration_equals_closed_form_and_golden(spec):
     assert enum == closed
     golden = goldens.admissible_vectors(goldens.load(GOLDEN_BY_SPEC[spec]), spec)
     assert enum == golden
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_su11_equals_closed_form(unitary):
+    # a rank-1 torus (like sp:n=1 above) goes through the subset loop too
+    g = build(GroupFamily.parse("su:p=1,q=1"), su_n1_unitary_coords=unitary)
+    assert as_ints(enumerate_admissible(g)) == as_ints(closed_form_admissible(g))
+
+
+def test_subset_cap_is_domain_error():
+    # C(24, 8) = 735471 subsets for su(6, 4)
+    g = build(GroupFamily.parse("su:p=6,q=4"))
+    with pytest.raises(DomainError, match=r"subset enumeration too large: C\(24,8\)"):
+        enumerate_admissible(g)
 
 
 def test_sp_cardinality():

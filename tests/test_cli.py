@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from orbitope import cli
+from orbitope.admissible import closed_form_admissible
 from orbitope.cli import main
 
 CLI_BYTES = Path(__file__).parent / "data" / "cli_bytes.json"
@@ -201,8 +203,24 @@ class TestExitCodes:
         # |W| = 8! 2! = 80640 is past the enumeration cap: exit 1, fast.
         start = time.perf_counter()
         code, out, err = run(capsys, "pairs", "--group", "su:p=8,q=2")
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 1
         assert code == 1 and out == "" and "too large" in err
+
+    def test_oversized_weyl_group_skips_the_scan(self, capsys, monkeypatch):
+        # the cap is checked before the admissible scan, which never runs
+        def scan(g):
+            raise AssertionError("admissible scan ran")
+
+        monkeypatch.setattr(cli, "enumerate_admissible", scan)
+        code, out, err = run(capsys, "pairs", "--group", "su:p=8,q=2")
+        assert code == 1 and out == "" and "too large" in err
+
+    def test_adm_needs_no_cosets(self, capsys, monkeypatch):
+        # adm lists cocharacters only, so the Weyl order cap does not apply;
+        # the closed form stands in for the scan (about 3 s for su(8, 2))
+        monkeypatch.setattr(cli, "enumerate_admissible", closed_form_admissible)
+        code, out, err = run(capsys, "adm", "--group", "su:p=8,q=2", "--format", "json")
+        assert code == 0 and err == "" and len(json.loads(out)) == 11
 
     def test_zero_window(self, capsys):
         # a window of minus the largest |coordinate| left a zero-width box

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitope import goldens
+from orbitope.exactmath import DomainError
 from orbitope.horn import (
     HornTriple,
     enum_T,
@@ -131,6 +132,10 @@ class TestEnumT:
             enum_T(3, 3)
         with pytest.raises(ValueError):
             enum_T(2, 9)
+
+    def test_desk_cap_is_domain_error(self):
+        with pytest.raises(DomainError, match="n=9 exceeds the desk cap 8"):
+            enum_T(1, 9)
 
     def test_triple_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitope import goldens
+from orbitope import exactmath, goldens, polytope
 from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
@@ -250,6 +250,18 @@ class TestCrossCheck:
     def test_negative_radius_is_domain_error(self):
         with pytest.raises(DomainError):
             cross_check(g_of("sp:n=2"), [3, 1], -1)
+
+    def test_domain_error_lives_in_exactmath(self):
+        assert DomainError is exactmath.DomainError
+
+    def test_oversized_weyl_group_fails_before_the_scan(self, monkeypatch):
+        def scan(g):
+            raise AssertionError("admissible scan ran")
+
+        monkeypatch.setattr(polytope, "enumerate_admissible", scan)
+        lam = list(range(17, 9, -1)) + [-53, -55]
+        with pytest.raises(DomainError, match="too large to enumerate"):
+            assemble(g_of("su:p=8,q=2"), lam)
 
     def test_oversized_box_is_domain_error(self):
         # 37^5 box points at radius 9; radius 4 on su(2, 2) (17^4) is allowed

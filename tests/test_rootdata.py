@@ -1,10 +1,20 @@
-"""Family root data: counts, strong orthogonality, chambers, cones."""
+"""Family root data: counts, strong orthogonality, chambers, cones.
 
+`TestPinned` compares `build` field by field with tests/data/rootdata.json,
+one record per (spec, su(n, 1) convention).  Regenerate the file (only when
+the root data is meant to change) with
+
+    PYTHONPATH=src python tests/test_rootdata.py
+"""
+
+import json
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from orbitope.exactmath import HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal
+from orbitope.exactmath import HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal, rat_str
 from orbitope.rootdata import (
     GroupFamily,
     UnsupportedFamilyError,
@@ -16,8 +26,66 @@ from orbitope.rootdata import (
 )
 
 
+ROOTDATA = Path(__file__).parent / "data" / "rootdata.json"
+PINNED_SPECS = (
+    [f"sp:n={n}" for n in range(1, 7)]
+    + [f"su:p={p},q={q}" for p in range(1, 6) for q in range(1, p + 1)]
+    + [f"so_star:n={n}" for n in range(3, 8)]
+    + [f"so:p={p}" for p in range(3, 10)]
+)
+# (spec, su_n1_unitary_coords): both conventions where they differ.
+PINNED_CASES = [(spec, unitary) for spec in PINNED_SPECS
+                for unitary in ((True, False) if spec.endswith(",q=1") else (True,))]
+
+
 def g_of(spec, **kw):
     return build(GroupFamily.parse(spec), **kw)
+
+
+def _record(spec, unitary) -> dict:
+    g = g_of(spec, su_n1_unitary_coords=unitary)
+
+    def vecs(vs):
+        return [[rat_str(x) for x in v] for v in vs]
+
+    return {
+        "spec": spec,
+        "su_n1_unitary_coords": unitary,
+        "dim": g.dim,
+        "compact_pos": vecs(g.compact_pos),
+        "noncompact_pos": vecs(g.noncompact_pos),
+        "schmid": vecs(g.schmid),
+        "rho": vecs([g.rho])[0],
+        "weights_p_minus": vecs(g.weights_p_minus),
+        "chamber": g.chamber.to_json_obj(),
+        "weyl_degrees": list(g.weyl.degrees),
+        "trace_zero": g.trace_zero,
+        "unitary_coords": g.unitary_coords,
+        "schubert_carrier": g.schubert_carrier,
+    }
+
+
+class TestPinned:
+    @pytest.mark.parametrize("index", range(len(PINNED_CASES)),
+                             ids=[f"{s}-{u}" for s, u in PINNED_CASES])
+    def test_build_matches_file(self, index):
+        pinned = json.loads(ROOTDATA.read_text())
+        assert len(pinned) == len(PINNED_CASES) == 38
+        assert _record(*PINNED_CASES[index]) == pinned[index]
+
+
+class TestReplace:
+    def test_noncompact_replacement_updates_weights(self):
+        g = g_of("su:p=3,q=2")
+        ray = replace(g, noncompact_pos=g.noncompact_pos[:2])
+        assert ray.weights_p_minus == tuple(-b for b in g.noncompact_pos[:2])
+
+    def test_compact_replacement_updates_rho(self):
+        for spec in ("sp:n=3", "su:p=3,q=2", "so:p=5"):
+            g = g_of(spec)
+            assert replace(g, compact_pos=()).rho == RatVec([0] * g.dim)
+            one = replace(g, compact_pos=g.compact_pos[:1])
+            assert one.rho == g.compact_pos[0].scale(F(1, 2))
 
 
 class TestFamilyParsing:
@@ -164,7 +232,6 @@ class TestSchmidCone:
 
     def test_degenerate_origin(self):
         # no strongly orthogonal family -> the zero cone
-        from dataclasses import replace
         stripped = replace(g_of("sp:n=2"), schmid=())
         cone = schmid_cone(stripped)
         assert cone.contains(RatVec([0, 0])) and not cone.contains(RatVec([1, 0]))
@@ -176,3 +243,9 @@ class TestDualWeight:
         assert dual_weight(g, RatVec([3, 1, -1, -3])) == RatVec([-1, -3, 3, 1])
         g2 = g_of("sp:n=3")
         assert dual_weight(g2, RatVec([4, 2, 1])) == RatVec([-1, -2, -4])
+
+
+if __name__ == "__main__":
+    records = [_record(spec, unitary) for spec, unitary in PINNED_CASES]
+    ROOTDATA.write_text(json.dumps(records, indent=0) + "\n")
+    print(f"wrote {len(records)} groups to {ROOTDATA}")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orbitope import goldens
 from orbitope.admissible import closed_form_admissible
-from orbitope.exactmath import RatVec
+from orbitope.exactmath import DomainError, RatVec
 from orbitope.rootdata import GroupFamily, build
 from orbitope.weyl import (
     Perm,
@@ -166,6 +166,13 @@ class TestCosetReps:
         pd = stabilizer_parabolic(G, RatVec([1, 1, 2, 0]))
         reps = max_coset_reps(G, pd)
         assert len(reps) == 2
+
+    def test_order_cap_is_domain_error(self):
+        # su(8, 2): |W| = 8! 2! = 80640
+        G = build(GroupFamily.parse("su:p=8,q=2")).weyl
+        pd = stabilizer_parabolic(G, RatVec([1] * 9 + [-9]))
+        with pytest.raises(DomainError, match="group too large to enumerate: order 80640"):
+            max_coset_reps(G, pd)
 
     def test_dominance_required(self):
         G = WeylDescriptor((2,))
