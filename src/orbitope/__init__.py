@@ -5,6 +5,7 @@ independent Horn-inequality oracle.
 Subpackages / modules:
 
   exactmath   -- rational vectors, affine inequality systems, exact LP
+  certificates -- reusable certificates of redundancy decisions
   weyl        -- products of symmetric groups, lengths, coset representatives
   rootdata    -- root data of the four classical Hermitian families
   horn        -- Horn index triples and Horn-cone membership

@@ -1,0 +1,289 @@
+"""Certificates of redundancy decisions, reusable across systems that
+share their row normals.
+
+`exactmath.remove_redundant` visits the rows of a system in order and
+drops a row when the rows still kept, without it, imply it.  It proves
+each decision with a certificate (Fukuda, *Polyhedral Computation FAQ*,
+2.19-2.21) that names rows by their primitive integer normals, not their
+bounds, so the certificate can be checked against any bounds:
+
+  Farkas   -- multipliers y >= 0 on <= rows with y A equal to the tested
+              normal (up to the equalities), which prove the row implied
+              when the rows are in the system and y . b <= its bound;
+  Witness  -- a basis of row normals and coordinates of x0, whose point
+              A_B^-1 b_B proves the row kept when it satisfies every other
+              row and violates this one;
+  Ray      -- a direction no other row stops and the tested normal grows
+              along, which proves the row kept from x0.
+
+A `CertificateStore` keeps them per tested direction.  Before the LP of a
+decision, the certificates stored for its direction are checked exactly,
+in integers and Fractions, against the rows still in the system at their
+bounds; the first that holds decides.  Only when none holds does the LP
+run, and the certificate is read off its final tableau: the reduced costs
+of the slack columns give y, the nonbasic slacks and structurals the
+basis, the entering column the ray.  So a miss costs no LP beyond the one
+that decides it, and every decision is the fact the LP would have
+established, taken in the same order: the kept rows never depend on the
+store.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import gcd
+from operator import mul
+from typing import Optional
+
+from .exactmath import (
+    EQ,
+    LE,
+    OPTIMAL,
+    RatVec,
+    _Frame,
+    _int_row,
+    _simplex_le,
+    _Substitution,
+    primitive,
+    row_reduce,
+)
+
+
+# Most certificates a CertificateStore keeps per tested direction.
+CERTIFICATES_PER_ROW = 8
+
+
+class _Rows:
+    """The rows of one redundancy removal as integers, with their slacks
+    at a point x0 of the system and which of them are still in it.
+
+    Row j is normal/den <= bound/den (or =), normal = g * unit with unit
+    primitive; `ints[j]` is (normal, bound, kind, g).  Its key (unit, kind)
+    is what certificates name, since it does not change when only the bound
+    does.  `slacks[j]` is the slack at x0 per unit, bound/g - <unit, x0>,
+    and `feasible` says whether x0 satisfies every row.  `frame` holds the
+    implication LPs at x0 that decide what no certificate does.
+    """
+
+    def __init__(self, rows: list, x0: RatVec):
+        self.rows = rows
+        self.x0 = x0
+        self.frame = _Frame(x0)
+        self.alive = [True] * len(rows)
+        self.ints, self.keys, self.scales, self.slacks = [], [], [], []
+        self.index = {id(row): j for j, row in enumerate(rows)}
+        self.by_key: dict = {}
+        point, point_den = _int_row(x0.entries)
+        self.feasible = True
+        for j, row in enumerate(rows):
+            ints, den = _int_row([*row.normal.entries, row.bound])
+            normal, bound = ints[:-1], ints[-1]
+            g = gcd(*normal) or 1
+            key = (tuple(a // g for a in normal), row.kind)
+            excess = bound * point_den - sum(map(mul, normal, point))
+            self.feasible &= excess >= 0 if row.kind == LE else excess == 0
+            self.ints.append((normal, bound, row.kind, g))
+            self.keys.append(key)
+            self.scales.append(Fraction(g, den))
+            self.slacks.append(Fraction(excess, g * point_den))
+            self.by_key.setdefault(key, []).append(j)
+
+    def tightest(self, key) -> Optional[int]:
+        """The row still in the system with this key and the least slack,
+        or None when the system has none."""
+        best = None
+        for j in self.by_key.get(key, ()):
+            if self.alive[j] and (best is None or self.slacks[j] < self.slacks[best]):
+                best = j
+        return best
+
+    def violated(self, x: list, scale: int) -> bool:
+        """Whether a row still in the system fails at the point x / scale
+        (scale > 0), or, for scale 0, whether it stops the direction x."""
+        for alive, (normal, bound, kind, _) in zip(self.alive, self.ints):
+            if alive:
+                excess = sum(map(mul, normal, x)) - bound * scale
+                if excess > 0 or (excess and kind == EQ):
+                    return True
+        return False
+
+    def solve(self, i: int, sign: int) -> tuple:
+        """(bounded, certificate): the implication LP of row i against the
+        rows still in the system in direction sign * normal, and the
+        certificate read off its final tableau."""
+        rest = [row for row, alive in zip(self.rows, self.alive) if alive]
+        sub, lp_rows, sources = self.frame.program(rest)
+        row = self.rows[i]
+        objective = [sign * c for c in sub.reduce(row)]
+        status, _, final = _simplex_le(lp_rows, sub.nfree, objective, self.frame.slack(row))
+        key_of = [self.keys[self.index[id(r)]] for r in sources]
+        n, m = sub.nfree, len(sources)
+        if status == OPTIMAL:
+            # The reduced costs of the slack columns are minus the
+            # multipliers y >= 0 with y A = objective.
+            support: dict = {}
+            if final is not None:
+                tableau, dens = final[0], final[1]
+                for p, r in enumerate(sources):
+                    y = tableau[m][2 * n + p]
+                    if y:
+                        j = self.index[id(r)]
+                        support[key_of[p]] = (support.get(key_of[p], 0)
+                                              + Fraction(-y, dens[m]) * self.scales[j])
+            equalities = tuple(self.keys[self.index[id(r)]] for r in sub.eqs)
+            return True, Farkas(
+                tuple((key, y / self.scales[i]) for key, y in support.items()), equalities
+            )
+        if final is None or final[3] is not None:
+            return False, Ray(_ray(sub, objective, final))
+        # The objective passed the slack at a vertex of the LP: tight rows
+        # (nonbasic slacks), the pivoting equalities and, for each free
+        # variable neither of whose halves is basic, its coordinate of x0.
+        basis = final[2]
+        basic = set(basis)
+        moved = {col % n for col in basis if col < 2 * n}
+        keys = [key_of[p] for p in range(m) if 2 * n + p not in basic]
+        keys += [self.keys[self.index[id(sub.eqs[q])]] for q in sub.pivot_rows]
+        coords = tuple(sub.free_cols[j] for j in range(n) if j not in moved)
+        return False, Witness(tuple(keys), coords)
+
+
+def _ray(sub: _Substitution, objective: list, final) -> tuple:
+    """The primitive integer direction along which the LP's objective grows
+    without bound: the entering column's edge, or the objective itself when
+    the LP had no rows."""
+    if final is None:
+        z = list(objective)
+    else:
+        tableau, dens, basis, entering = final
+        n = sub.nfree
+        z = [Fraction(0)] * n
+        if entering < 2 * n:
+            z[entering % n] += 1 if entering < n else -1
+        for r, col in enumerate(basis):
+            if col < 2 * n and tableau[r][entering]:
+                rate = Fraction(-tableau[r][entering], dens[r])
+                z[col % n] += rate if col < n else -rate
+    return tuple(a.numerator for a in primitive(sub.lift(z)))
+
+
+@dataclass(frozen=True, slots=True)
+class Farkas:
+    """Proves a row implied: multipliers y >= 0 on <= rows named by key,
+    with sum y * unit equal to the tested direction up to a combination of
+    the named equalities.  That identity does not depend on the bounds; at
+    given bounds the row is implied when every named row is in the system
+    and sum y * slack <= the tested row's slack."""
+
+    support: tuple  # ((key, y), ...)
+    equalities: tuple  # (key, ...)
+
+    def decide(self, rows: _Rows, i: int, sign: int) -> Optional[bool]:
+        total = 0
+        for key, y in self.support:
+            j = rows.tightest(key)
+            if j is None:
+                return None
+            total += y * rows.slacks[j]
+        if any(rows.tightest(key) is None for key in self.equalities):
+            return None
+        return True if total <= sign * rows.slacks[i] else None
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Proves a row kept: a basis of row normals (by key) and coordinate
+    functionals, whose point x_B = A_B^-1 b_B takes the bounds of the named
+    rows and the coordinates of x0.  At given bounds the row is kept when
+    x_B satisfies every row still in the system and violates the tested
+    one."""
+
+    keys: tuple  # (key, ...)
+    coords: tuple  # (coordinate index, ...)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """(integer rows, positive denominator) of A_B^-1.  The basis is
+        nonsingular: it is the LP's final basis written in x."""
+        dim = len(self.keys) + len(self.coords)
+        units = [list(unit) for unit, _ in self.keys]
+        units += [[1 if j == c else 0 for j in range(dim)] for c in self.coords]
+        rows = [u + [1 if k == r else 0 for k in range(dim)] for r, u in enumerate(units)]
+        inverse = [None] * dim
+        for r, col in row_reduce(rows, [], range(dim)):
+            inverse[col] = rows[r][dim:]
+        ints, den = _int_row([a for row in inverse for a in row])
+        return [ints[k * dim : (k + 1) * dim] for k in range(dim)], den
+
+    def decide(self, rows: _Rows, i: int, sign: int) -> Optional[bool]:
+        bounds = []
+        for key in self.keys:
+            j = rows.tightest(key)
+            if j is None:
+                return None
+            _, bound, _, g = rows.ints[j]
+            bounds.append(bound if g == 1 else Fraction(bound, g))
+        bounds += [rows.x0[c] for c in self.coords]
+        b, den = _int_row(bounds)
+        inverse, inverse_den = self.inverse
+        x = [sum(map(mul, row, b)) for row in inverse]
+        scale = den * inverse_den
+        normal, bound, _, _ = rows.ints[i]
+        if sign * (sum(map(mul, normal, x)) - bound * scale) <= 0 or rows.violated(x, scale):
+            return None
+        return False
+
+
+@dataclass(frozen=True, slots=True)
+class Ray:
+    """Proves a row kept: a direction d with <unit, d> <= 0 on every <= row
+    and = 0 on every equality of the system, along which the tested
+    direction grows.  x0 + t d stays in the system for all t >= 0."""
+
+    direction: tuple
+
+    def decide(self, rows: _Rows, i: int, sign: int) -> Optional[bool]:
+        normal = rows.ints[i][0]
+        if sign * sum(map(mul, normal, self.direction)) <= 0:
+            return None
+        return None if rows.violated(self.direction, 0) else False
+
+
+class CertificateStore:
+    """Certificates of redundancy decisions, shared by systems whose rows
+    have the same normals and other bounds (the systems `assemble` builds
+    for one group at different Lambda).
+
+    Certificates are kept per tested direction (a primitive integer
+    normal, negated for the second test of an equality), at most
+    CERTIFICATES_PER_ROW of them, the most recently useful first.  Each one
+    is checked exactly against the system at hand before it decides
+    anything; `hits` and `misses` count the decisions taken with and
+    without an LP.
+    """
+
+    def __init__(self):
+        self.certificates: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def bounded(self, rows: _Rows, i: int, sign: int) -> bool:
+        """Whether the rows still in the system imply row i in direction
+        sign (True) or not (False)."""
+        unit = rows.keys[i][0]
+        direction = unit if sign == 1 else tuple(-a for a in unit)
+        found = self.certificates.setdefault(direction, [])
+        for k, cert in enumerate(found):
+            verdict = cert.decide(rows, i, sign)
+            if verdict is not None:
+                self.hits += 1
+                if k:
+                    found.insert(0, found.pop(k))
+                return verdict
+        self.misses += 1
+        verdict, cert = rows.solve(i, sign)
+        found.insert(0, cert)
+        del found[CERTIFICATES_PER_ROW:]
+        return verdict

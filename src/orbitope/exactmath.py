@@ -28,17 +28,21 @@ and ranks (admissible.py) call.  `_fm_step` is the single Fourier-Motzkin
 step, shared by `fm_feasible_with_witness` and `eliminate_variables`;
 `primitive` is the single scaling to coprime integers.
 
-Those predicates share one implication path, `_implication_test`.  A batch
-of implication tests on a system first finds one point x0 of it with
-`lp_witness`, the same single LP `lp_feasible` solves.  In the frame
-x = x0 + z every <= row's bound is its slack at x0, which is >= 0, so the
-slack basis is feasible and no LP of the batch has a phase 1; equalities
-become homogeneous and are substituted once per equality set, not once per
-LP; and each phase-2 run stops as soon as the objective passes the tested
+Those predicates share one implication path, `_Frame`.  A batch of
+implication tests on a system starts from one point x0 of it: the caller's
+known point if it satisfies every row, else the point `lp_witness` finds
+with the same single LP `lp_feasible` solves.  In the frame x = x0 + z
+every <= row's bound is its slack at x0, which is >= 0, so the slack basis
+is feasible and no LP of the batch has a phase 1; equalities become
+homogeneous and are substituted once per equality set, not once per LP;
+and each phase-2 run stops as soon as the objective passes the tested
 row's slack, or proves it unbounded.  x0 lies in every subsystem of the
-system, so `remove_redundant` tests all its candidates with one witness.
+system, so `remove_redundant` tests all its candidates with one point.
 `lp_max`, `lp_witness` and `lp_feasible`, and so the Horn oracle, keep the
 pivot path that tests/test_lp_path.py pins (phase 1 from the origin).
+
+`remove_redundant` proves each decision with a certificate that later
+systems with the same normals can reuse (certificates.py).
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -485,20 +489,26 @@ OPTIMAL = "optimal"
 def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
     """Maximize <objective, x> over {rows: <a,x> <= b} with x free.
 
-    rows: lists [coefficients..., bound] of rationals.  Returns (status, x)
-    with status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for UNBOUNDED x is a
-    feasible point.  Free variables are split x = u - v internally.
-    Bland's rule everywhere, so termination is guaranteed.  The tableau is
-    kept as integer rows over positive row denominators and pivoted by
-    `_pivot`.  With `stop`, phase 2 ends as soon as the objective exceeds
-    it, with status UNBOUNDED: the objective is not bounded by `stop`.
+    rows: lists [coefficients..., bound] of rationals.  Returns
+    (status, x, final) with status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for
+    UNBOUNDED x is a feasible point.  Free variables are split x = u - v
+    internally.  Bland's rule everywhere, so termination is guaranteed.  The
+    tableau is kept as integer rows over positive row denominators and
+    pivoted by `_pivot`.  With `stop`, phase 2 ends as soon as the objective
+    exceeds it, with status UNBOUNDED: the objective is not bounded by
+    `stop`.  `final` is (tableau, dens, basis, ray) as the run left them,
+    the reduced-cost row last, where `ray` is the entering column that
+    proved the objective unbounded (None otherwise); it is None when no
+    tableau was built (no variables or no rows).
     """
     m = len(rows)
     if nvars == 0:
-        return (OPTIMAL, []) if all(row[-1] >= 0 for row in rows) else (INFEASIBLE, None)
+        if all(row[-1] >= 0 for row in rows):
+            return OPTIMAL, [], None
+        return INFEASIBLE, None, None
     if m == 0:
         status = OPTIMAL if all(c == 0 for c in objective) else UNBOUNDED
-        return status, [Fraction(0)] * nvars
+        return status, [Fraction(0)] * nvars, None
 
     # Columns: u_1..u_n, v_1..v_n, s_1..s_m, one artificial per row with a
     # negative bound, then the bound.  Row m is the reduced-cost row.
@@ -526,12 +536,14 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
         dens.append(den)
     tableau.append(None)
     dens.append(1)
+    ray = None
 
     def run(cost: list, cost_den: int, ncols: int, stop=None) -> bool:
         """Maximize the cost (integers over cost_den) over the columns;
         only the first `ncols` may enter the basis.  Bland's rule; True if
         optimal, False if unbounded or, with `stop`, once the cost exceeds
         it."""
+        nonlocal ray
         # Seed the reduced-cost row c_j - c_B B^-1 A_j once; pivots keep it
         # current after that.  Its last entry is minus the current cost.
         obj, den = cost + [0], cost_den
@@ -559,6 +571,7 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                         leaving, best_b, best_a = i, b, a
             if leaving is None:
+                ray = entering
                 return False
             _pivot(tableau, dens, leaving, entering)
             basis[leaving] = entering
@@ -567,7 +580,7 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
         run([0] * n_struct + [-1] * len(art_col), 1, n_total)
         # The phase-1 optimum is minus the sum of the basic artificials.
         if any(basis[i] >= n_struct and tableau[i][-1] for i in range(m)):
-            return INFEASIBLE, None
+            return INFEASIBLE, None, None
         # Drive remaining artificials out of the basis (they sit at value 0).
         for i in range(m):
             if basis[i] >= n_struct:
@@ -590,7 +603,7 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
                 x[bj] += value
             else:
                 x[bj - nvars] -= value
-    return (OPTIMAL if bounded else UNBOUNDED), x
+    return (OPTIMAL if bounded else UNBOUNDED), x, (tableau, dens, basis, ray)
 
 
 def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
@@ -615,7 +628,7 @@ def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
         clean.append(row)
     if obj is None:
         obj_free = [Fraction(0)] * nfree
-    status, y = _simplex_le(clean, nfree, obj_free)
+    status, y, _ = _simplex_le(clean, nfree, obj_free)
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
     witness = recover(y)
@@ -643,10 +656,56 @@ def lp_max(sys: HPolyhedron, objective: Sequence):
     return _solve(sys, objective)
 
 
-def _implication_test(x0: RatVec):
-    """The implication test at a point x0: `implied(rows, row)` is True iff
+class _Substitution:
+    """The equalities `eqs` solved for their pivot columns by `row_reduce`.
+
+    `reduce(row)` is a row's normal over the remaining free columns (each
+    normal is reduced once, memoised by id); `lift(z)` maps a direction
+    over the free columns to the full direction on which every equality
+    vanishes.
+    """
+
+    def __init__(self, eqs: list, dim: int):
+        self.eqs = eqs  # holds the rows whose ids key the memo of this object
+        eq_rows = [list(r.normal) for r in eqs]
+        pivots = row_reduce(eq_rows, [], range(dim))
+        self.pivot_rows = [i for i, _ in pivots]
+        self.pivot_data = [(col, eq_rows[i]) for i, col in pivots]
+        pivot_cols = {col for _, col in pivots}
+        self.free_cols = [j for j in range(dim) if j not in pivot_cols]
+        self.nfree = len(self.free_cols)
+        self._reduced: dict = {}
+
+    def reduce(self, row: AffineIneq) -> list:
+        entry = self._reduced.get(id(row))
+        if entry is None:
+            a = list(row.normal)
+            for col, e in self.pivot_data:
+                if a[col]:
+                    c = a[col]
+                    a = [x - c * y for x, y in zip(a, e)]
+            entry = self._reduced[id(row)] = (row, [a[j] for j in self.free_cols])
+        return entry[1]
+
+    def lift(self, z: list) -> list:
+        full = [Fraction(0)] * (len(self.free_cols) + len(self.pivot_data))
+        for j, col in enumerate(self.free_cols):
+            full[col] = z[j]
+        for col, e in self.pivot_data:
+            full[col] = -sum((e[j] * full[j] for j in self.free_cols), Fraction(0))
+        return full
+
+
+def _signs(kind: str) -> tuple:
+    """The directions a row is tested in: <= once, = both ways."""
+    return (1,) if kind == LE else (1, -1)
+
+
+class _Frame:
+    """The implication tests at a point x0: `implied(rows, row)` is True iff
     every point of the system `rows` satisfies `row`.  Every row of `rows`
-    must hold at x0, so this serves every subsystem of a system x0 lies in.
+    must hold at x0, so one frame serves every subsystem of a system x0
+    lies in.
 
     In the frame x = x0 + z a <= row reads <a, z> <= b - <a, x0>, whose
     bound (the slack at x0) is >= 0, and an equality reads <a, z> = 0.  So
@@ -655,60 +714,48 @@ def _implication_test(x0: RatVec):
     reduced once per set, and each run stops as soon as <a, z> exceeds the
     tested row's slack.
     """
-    # Memos keyed by id(row), which is cheap where hashing a row is not;
-    # each entry holds its row, so the id stays that row's.
-    slacks: dict = {}
-    substitutions: dict = {}
 
-    def slack(row: AffineIneq) -> Fraction:
-        entry = slacks.get(id(row))
+    def __init__(self, x0: RatVec):
+        self.x0 = x0
+        # Memos keyed by id(row), which is cheap where hashing a row is not;
+        # each entry holds its row, so the id stays that row's.
+        self._slacks: dict = {}
+        self._substitutions: dict = {}
+
+    def slack(self, row: AffineIneq) -> Fraction:
+        entry = self._slacks.get(id(row))
         if entry is None:
-            entry = slacks[id(row)] = (row, row.bound - row.normal.dot(x0))
+            entry = self._slacks[id(row)] = (row, row.bound - row.normal.dot(self.x0))
         return entry[1]
 
-    def substitution(eqs: list):
-        """(number of free variables, reduce): reduce(row) is the row's
-        normal over the free variables of the equalities `eqs`."""
+    def program(self, rows: list) -> tuple:
+        """(substitution, LP rows, their source rows): the <= rows of `rows`
+        over the free variables of its equalities, bounded by their slacks,
+        leaving out those whose normal vanishes there."""
+        eqs = [r for r in rows if r.kind == EQ]
         key = tuple(map(id, eqs))
-        f = substitutions.get(key)
-        if f is None:
-            eq_rows = [list(r.normal) for r in eqs]
-            pivots = row_reduce(eq_rows, [], range(x0.dim))
-            pivot_data = [(col, eq_rows[i]) for i, col in pivots]
-            pivot_cols = {col for col, _ in pivot_data}
-            free_cols = [j for j in range(x0.dim) if j not in pivot_cols]
-            reduced: dict = {}
-
-            def reduce(row: AffineIneq) -> list:
-                entry = reduced.get(id(row))
-                if entry is None:
-                    a = list(row.normal)
-                    for col, e in pivot_data:
-                        if a[col]:
-                            c = a[col]
-                            a = [x - c * y for x, y in zip(a, e)]
-                    entry = reduced[id(row)] = (row, [a[j] for j in free_cols])
-                return entry[1]
-
-            f = substitutions[key] = (eqs, len(free_cols), reduce)
-        return f[1:]
-
-    def implied(rows, row: AffineIneq) -> bool:
-        t = slack(row)
-        if t < 0 or (row.kind == EQ and t != 0):
-            return False
-        nfree, reduce = substitution([r for r in rows if r.kind == EQ])
-        lp_rows = []
+        sub = self._substitutions.get(key)
+        if sub is None:
+            sub = self._substitutions[key] = _Substitution(eqs, self.x0.dim)
+        lp_rows, sources = [], []
         for r in rows:
             if r.kind == LE:
-                a = reduce(r)
+                a = sub.reduce(r)
                 if any(a):
-                    lp_rows.append([*a, slack(r)])
-        a = reduce(row)
-        directions = [a] if row.kind == LE else [a, [-c for c in a]]
-        return all(_simplex_le(lp_rows, nfree, d, t)[0] == OPTIMAL for d in directions)
+                    lp_rows.append([*a, self.slack(r)])
+                    sources.append(r)
+        return sub, lp_rows, sources
 
-    return implied
+    def implied(self, rows, row: AffineIneq) -> bool:
+        t = self.slack(row)
+        if t < 0 or (row.kind == EQ and t != 0):
+            return False
+        sub, lp_rows, _ = self.program(rows)
+        a = sub.reduce(row)
+        return all(
+            _simplex_le(lp_rows, sub.nfree, [sign * c for c in a], t)[0] == OPTIMAL
+            for sign in _signs(row.kind)
+        )
 
 
 def implies_all(sys: HPolyhedron, rows: Iterable[AffineIneq]) -> bool:
@@ -720,8 +767,8 @@ def implies_all(sys: HPolyhedron, rows: Iterable[AffineIneq]) -> bool:
     x0 = lp_witness(sys)
     if x0 is None:
         return True
-    implied = _implication_test(x0)
-    return all(implied(sys.ineqs, row) for row in rows)
+    frame = _Frame(x0)
+    return all(frame.implied(sys.ineqs, row) for row in rows)
 
 
 def implies(sys: HPolyhedron, row: AffineIneq) -> bool:
@@ -729,17 +776,24 @@ def implies(sys: HPolyhedron, row: AffineIneq) -> bool:
     return implies_all(sys, [row])
 
 
-def remove_redundant(sys: HPolyhedron) -> HPolyhedron:
+def remove_redundant(
+    sys: HPolyhedron, known: Optional[RatVec] = None, store: Optional["CertificateStore"] = None
+) -> HPolyhedron:
     """Drop every constraint implied by the others.
 
     The result defines the same point set; infeasible input collapses to
-    the canonical empty system.  Idempotent.  Rows are visited in order, and
-    one witness of sys serves the implication test of every candidate
-    subsystem.
+    the canonical empty system.  Idempotent.  Rows are visited in order; a
+    row is dropped when the rows still kept, without it, imply it.
+
+    `known` is a point of sys, if the caller has one; it is checked, and a
+    witness LP finds a point when it is missing or fails a row.  Each
+    decision first tries the certificates in `store` (a fresh store when
+    none is given) and only then solves the implication LP, whose
+    certificate it adds to the store.
     """
-    x0 = lp_witness(sys)
-    if x0 is None:
-        return HPolyhedron.empty(sys.dim)
+    # certificates.py builds on this module, so it is imported here.
+    from .certificates import CertificateStore, _Rows
+
     # Cheap prepass: among <= rows sharing a normal only the least bound
     # can survive.
     tightest: dict = {}
@@ -752,13 +806,19 @@ def remove_redundant(sys: HPolyhedron) -> HPolyhedron:
         r for r in sys.ineqs
         if r.kind != LE or r.bound == tightest[r.normal.entries]
     ]
-    implied = _implication_test(x0)
-    kept = list(rows)
-    for row in rows:
-        rest = [r for r in kept if r is not row]
-        if implied(rest, row):
-            kept = rest
-    return _canonical_system(sys.dim, kept)
+    if known is not None and known.dim != sys.dim:
+        raise DimensionError(f"point dim {known.dim} vs system dim {sys.dim}")
+    checked = _Rows(rows, known) if known is not None else None
+    if checked is None or not checked.feasible:
+        x0 = lp_witness(sys)
+        if x0 is None:
+            return HPolyhedron.empty(sys.dim)
+        checked = _Rows(rows, x0)
+    store = CertificateStore() if store is None else store
+    for i, row in enumerate(rows):
+        checked.alive[i] = False
+        checked.alive[i] = not all(store.bounded(checked, i, sign) for sign in _signs(row.kind))
+    return _canonical_system(sys.dim, [r for r, alive in zip(rows, checked.alive) if alive])
 
 
 def _canonical_system(dim: int, rows: list[AffineIneq]) -> HPolyhedron:
@@ -784,9 +844,9 @@ def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:
     if p_point is None or q_point is None:
         return (p_point is None) == (q_point is None)
     common = set(p.ineqs) & set(q.ineqs)
-    in_p, in_q = _implication_test(p_point), _implication_test(q_point)
-    return all(in_p(p.ineqs, r) for r in q.ineqs if r not in common) and all(
-        in_q(q.ineqs, r) for r in p.ineqs if r not in common
+    in_p, in_q = _Frame(p_point), _Frame(q_point)
+    return all(in_p.implied(p.ineqs, r) for r in q.ineqs if r not in common) and all(
+        in_q.implied(q.ineqs, r) for r in p.ineqs if r not in common
     )
 
 

@@ -164,13 +164,27 @@ def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
     sources += [(row, "pair", labels) for row, labels in pair_rows]
     shared: dict = {}
     rows = [shared.setdefault(row, row) for row, _, _ in sources]
-    system = remove_redundant(HPolyhedron(g.dim, rows))
-    kept = set(system.ineqs)
+    # Lambda lies in the polyhedron, so it is the known point.
+    system = remove_redundant(
+        _canonical_system(g.dim, list(shared.values())), Lambda, _certificates(g)
+    )
+    kept = {id(row) for row in system.ineqs}
     records = tuple(
-        Provenance(row, source, *labels, kept=row in kept)
+        Provenance(row, source, *labels, kept=id(row) in kept)
         for row, (_, source, labels) in zip(rows, sources)
     )
     return OrbitPolytope(g, Lambda, system, records)
+
+
+@cache
+def _certificates(g: GroupData) -> "CertificateStore":
+    """The redundancy certificates of g's assembled systems, which share
+    their row normals across Lambda; the store grows, bounded per row."""
+    # Imported here, as in exactmath.remove_redundant, so that a process
+    # that never assembles does not load the module.
+    from .certificates import CertificateStore
+
+    return CertificateStore()
 
 
 def member(p: OrbitPolytope, xi) -> bool:

@@ -42,8 +42,9 @@ SO_STAR = "so_star"
 SO = "so"
 
 
-# Parameter keys of each family, in GroupFamily.params order.
-_PARAM_KEYS = {SP: ("n",), SU: ("p", "q"), SO_STAR: ("n",), SO: ("p",)}
+# Parameter keys of each family, in GroupFamily.params order, with the
+# least value of each.  The one rule across keys is su's p >= q.
+_PARAMS = {SP: {"n": 1}, SU: {"p": 1, "q": 1}, SO_STAR: {"n": 3}, SO: {"p": 3}}
 
 
 class UnsupportedFamilyError(ValueError):
@@ -59,20 +60,18 @@ class GroupFamily:
 
     def __post_init__(self):
         tag, params = self.tag, self.params
-        if tag == SP:
-            if len(params) != 1 or params[0] < 1:
-                raise ValueError("sp needs n >= 1")
-        elif tag == SU:
-            if len(params) != 2 or not (params[0] >= params[1] >= 1):
-                raise ValueError("su needs p >= q >= 1")
-        elif tag == SO_STAR:
-            if len(params) != 1 or params[0] < 3:
-                raise ValueError("so_star needs n >= 3")
-        elif tag == SO:
-            if len(params) != 1 or params[0] < 3:
-                raise ValueError("so needs p >= 3")
-        else:
+        least = _PARAMS.get(tag)
+        if least is None:
             raise ValueError(f"unknown family tag {tag!r}")
+        if (
+            len(params) != len(least)
+            or any(v < low for v, low in zip(params, least.values()))
+            or (tag == SU and params[0] < params[1])
+        ):
+            # The keys as one chain down to the last key's least value,
+            # which for su is p >= q >= 1.
+            low = list(least.values())[-1]
+            raise ValueError(f"{tag} needs {' >= '.join(least)} >= {low}")
 
     @staticmethod
     def parse(text: str) -> "GroupFamily":
@@ -80,7 +79,7 @@ class GroupFamily:
         'so:p=5'.  For su the key n is accepted as an alias of p.  Unknown
         or repeated keys are rejected."""
         tag, _, argstr = text.partition(":")
-        keys = _PARAM_KEYS.get(tag)
+        keys = _PARAMS.get(tag)
         try:
             if keys is None:
                 raise ValueError(f"unknown family tag {tag!r}")
@@ -106,7 +105,7 @@ class GroupFamily:
             raise ValueError(f"cannot parse group spec {text!r}: {exc}") from exc
 
     def spec_string(self) -> str:
-        pairs = zip(_PARAM_KEYS[self.tag], self.params)
+        pairs = zip(_PARAMS[self.tag], self.params)
         return f"{self.tag}:" + ",".join(f"{key}={val}" for key, val in pairs)
 
 

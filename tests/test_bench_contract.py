@@ -40,3 +40,19 @@ def test_counter_hooks_resolve(tracer, mods):
     assert callable(mods["wellcover"].context)
     hits, misses = tracer.schubert_cache(mods)
     assert hits >= 0 and misses >= 0
+
+
+def test_assemble_records_redundancy_spans(tracer, mods):
+    # The tracer wraps the names polytope bound with `from ... import`; a
+    # call that bypassed them would drop the layer from traced runs silently.
+    t = tracer.Tracer(mods)
+    rd = mods["rootdata"]
+    g = rd.build(rd.GroupFamily.parse("sp:n=2"))
+    t.start()
+    try:
+        t.run("bench.request", 0, mods["polytope"].assemble, g, [3, 1])
+    finally:
+        t.stop()
+    names = [span[0] for span in t.spans]
+    assert "polytope.assemble" in names
+    assert "exactmath.remove_redundant" in names

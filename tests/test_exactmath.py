@@ -1,12 +1,18 @@
 """Exact LP, canonicalization, redundancy and the Fourier-Motzkin oracle."""
 
 import json
+import random
 from fractions import Fraction as F
+from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitope import polytope
+from orbitope.admissible import enumerate_admissible
+from orbitope.certificates import CertificateStore, Farkas, Ray, Witness
 from orbitope.exactmath import (
     EQ,
     LE,
@@ -14,6 +20,7 @@ from orbitope.exactmath import (
     DimensionError,
     HPolyhedron,
     RatVec,
+    _canonical_system,
     cone_hull,
     eliminate_variables,
     fm_feasible,
@@ -31,6 +38,7 @@ from orbitope.exactmath import (
     remove_redundant,
     row_reduce,
 )
+from orbitope.rootdata import GroupFamily, build, in_hol_chamber
 
 
 def sysd(dim, *rows):
@@ -252,6 +260,199 @@ class TestRedundancy:
         other = AffineIneq(RatVec(coeffs), data.draw(st.integers(-4, 4)),
                            data.draw(st.sampled_from([LE, EQ])))
         assert implies(s, other) == _reference_implies(s, other)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_store_and_known_point_change_nothing(self, data):
+        # A family of systems sharing normals (some repeated, some multiples
+        # of others) with bounds drawn around a point, which is passed as
+        # the known point; now and then a row is shifted past the point, so
+        # the point violates it and the member may be infeasible.  One store
+        # serves the whole family.
+        dim = data.draw(st.integers(1, 4))
+        shapes = []
+        for _ in range(data.draw(st.integers(1, 7))):
+            if shapes and data.draw(st.booleans()):
+                coeffs = [data.draw(st.sampled_from([1, 2])) * c
+                          for c in data.draw(st.sampled_from(shapes))[0]]
+            else:
+                coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            shapes.append((coeffs, data.draw(st.sampled_from([LE, LE, LE, EQ]))))
+        store = CertificateStore()
+        for _ in range(data.draw(st.integers(2, 6))):
+            point = [F(data.draw(st.integers(-6, 6)), data.draw(st.sampled_from([1, 2])))
+                     for _ in range(dim)]
+            rows = []
+            for coeffs, kind in shapes:
+                slack = 0 if kind == EQ else data.draw(st.integers(0, 3))
+                slack -= data.draw(st.sampled_from([0, 0, 0, 0, 0, 0, 1, 3]))
+                rows.append(AffineIneq(RatVec(coeffs), sum(a * x for a, x in zip(coeffs, point))
+                                       + slack, kind))
+            s = HPolyhedron(dim, rows)
+            want = _reference_remove_redundant(s).ineqs
+            assert remove_redundant(s).ineqs == want
+            assert remove_redundant(s, RatVec(point), store).ineqs == want
+
+    # The groups of the assemble-mix benchmark workload.
+    STREAM_GROUPS = ("sp:n=4", "su:p=4,q=1", "su:p=2,q=2", "so_star:n=4", "su:p=3,q=2", "sp:n=5")
+
+    @pytest.mark.parametrize("spec", STREAM_GROUPS)
+    def test_warm_store_matches_fresh_and_every_certificate_checks(self, spec, monkeypatch):
+        # 200 Lambdas sampled as the benchmark samples them.  Every request
+        # goes through assemble, so the group's store warms up; the same
+        # system with a fresh store must give the same rows and kept flags,
+        # and every certificate the stores applied must check.
+        applied = []
+        for cls in (Farkas, Witness, Ray):
+            monkeypatch.setattr(cls, "decide", _recording(cls.decide, applied))
+        # The admissible set does not depend on Lambda; one scan per group
+        # keeps sp:n=5 affordable.
+        monkeypatch.setattr(polytope, "enumerate_admissible", cache(enumerate_admissible))
+        g = build(GroupFamily.parse(spec))
+        rng = random.Random(f"stream:{spec}")
+        hits = polytope._certificates(g).hits
+        for _ in range(200):
+            Lambda = _benchmark_lambda(g, rng)
+            p = polytope.assemble(g, Lambda)
+            offered = list(dict.fromkeys(record.ineq for record in p.provenance))
+            fresh = remove_redundant(_canonical_system(g.dim, offered), Lambda, CertificateStore())
+            assert p.system.ineqs == fresh.ineqs
+            kept = set(fresh.ineqs)
+            assert [r.kept for r in p.provenance] == [r.ineq in kept for r in p.provenance]
+        assert polytope._certificates(g).hits - hits > 1000
+        _check_certificates(applied)
+
+
+def _benchmark_lambda(g, rng):
+    """A strictly holomorphic orbit parameter drawn as the benchmark draws
+    it: sorted half-integers in [0, 12], shifted to trace zero where the
+    group needs it."""
+    while True:
+        vals = sorted((F(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(g.dim)),
+                      reverse=True)
+        if g.trace_zero:
+            shift = sum(vals) / g.dim
+            vals = [v - shift for v in vals]
+        if in_hol_chamber(g, RatVec(vals)):
+            return RatVec(vals)
+
+
+def _recording(decide, applied: list):
+    """decide(), recording each verdict it reaches with what it was reached
+    on: the certificate, the rows still in the system, the tested row, the
+    direction and the point of the system."""
+    def wrapper(cert, rows, i, sign):
+        verdict = decide(cert, rows, i, sign)
+        if verdict is not None:
+            rest = [r for r, alive in zip(rows.rows, rows.alive) if alive]
+            applied.append((cert, rest, rows.rows[i], sign, rows.x0, verdict))
+        return verdict
+    return wrapper
+
+
+# -- a certificate checker in Fraction arithmetic, independent of the simplex
+
+
+def _solve_square(rows, rhs):
+    """x with rows x = rhs by Gauss-Jordan on Fractions; None if singular."""
+    n = len(rows)
+    m = [list(map(F, r)) + [F(b)] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [a / m[col][col] for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    return [row[-1] for row in m]
+
+
+def _rank(rows) -> int:
+    m = [list(map(F, r)) for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _dot(a, x):
+    return sum((F(p) * F(q) for p, q in zip(a, x)), F(0))
+
+
+def _check_certificates(applied: list):
+    """Each recorded certificate proves its verdict for the tested row in
+    its direction (sign * normal . x <= sign * bound) against the rows that
+    were still in the system."""
+    units = {}  # id(normal) -> (normal, unit); `applied` keeps every row alive
+
+    def unit(normal) -> tuple:
+        """(primitive integer direction, positive scale) of a normal."""
+        entry = units.get(id(normal))
+        if entry is None:
+            den = 1
+            for a in normal:
+                den = den * a.denominator // gcd(den, a.denominator)
+            ints = [int(a * den) for a in normal]
+            g = gcd(*ints) or 1
+            entry = units[id(normal)] = (normal, (tuple(a // g for a in ints), F(g, den)))
+        return entry[1]
+
+    def named(rest, key):
+        """The row of rest with this (unit, kind) and least bound, or None."""
+        found = [r for r in rest if r.kind == key[1] and unit(r.normal)[0] == key[0]]
+        return min(found, key=lambda r: r.bound / unit(r.normal)[1], default=None)
+
+    for cert, rest, row, sign, x0, verdict in applied:
+        u, scale = unit(row.normal)
+        direction = [sign * a for a in u]
+        target = sign * row.bound / scale
+        if isinstance(cert, Farkas):
+            assert verdict is True
+            # Every named row is in rest, with y >= 0 on the <= rows.
+            support = [(named(rest, key), y) for key, y in cert.support]
+            equalities = [named(rest, key) for key in cert.equalities]
+            assert all(r is not None and y >= 0 for r, y in support)
+            assert all(r is not None for r in equalities)
+            # sum y * unit is the direction up to the equalities' normals ...
+            residual = list(direction)
+            for r, y in support:
+                residual = [a - y * b for a, b in zip(residual, unit(r.normal)[0])]
+            normals = [list(r.normal) for r in equalities]
+            assert _rank(normals + [residual]) == _rank(normals)
+            # ... so at a point of those equalities the bound follows.
+            assert all(_dot(r.normal, x0) == r.bound for r in equalities)
+            slack = sum((y * (r.bound / unit(r.normal)[1] - _dot(unit(r.normal)[0], x0))
+                         for r, y in support), F(0))
+            assert slack <= target - _dot(direction, x0)
+        elif isinstance(cert, Witness):
+            assert verdict is False
+            basis = [named(rest, key) for key in cert.keys]
+            assert all(r is not None for r in basis)
+            dim = len(row.normal)
+            lhs = [list(unit(r.normal)[0]) for r in basis]
+            lhs += [[int(j == c) for j in range(dim)] for c in cert.coords]
+            rhs = [r.bound / unit(r.normal)[1] for r in basis] + [x0[c] for c in cert.coords]
+            x = _solve_square(lhs, rhs)
+            assert x is not None
+            assert all(r.satisfied_by(RatVec(x)) for r in rest)
+            assert _dot(direction, x) > target
+        else:
+            assert isinstance(cert, Ray) and verdict is False
+            d = cert.direction
+            assert all(r.satisfied_by(x0) for r in rest)
+            assert all(_dot(r.normal, d) <= 0 if r.kind == LE else _dot(r.normal, d) == 0
+                       for r in rest)
+            assert _dot(direction, d) > 0
 
 
 def _reference_implies(sys, row):

@@ -103,6 +103,17 @@ class TestFamilyParsing:
                     "su:p=3,q=2,q=1", "so:p=5,q=2", "so_star:n=4,p=1", "su:p=3"):
             with pytest.raises(ValueError):
                 GroupFamily.parse(bad)
+        # Direct construction: a wrong parameter count or a value below its
+        # least, with the family's message.
+        for tag, params, message in (
+            ("sp", (), "sp needs n >= 1"), ("sp", (2, 1), "sp needs n >= 1"),
+            ("sp", (0,), "sp needs n >= 1"), ("su", (3,), "su needs p >= q >= 1"),
+            ("su", (2, 0), "su needs p >= q >= 1"), ("su", (1, 2), "su needs p >= q >= 1"),
+            ("so_star", (2,), "so_star needs n >= 3"), ("so_star", (4, 1), "so_star needs n >= 3"),
+            ("so", (2,), "so needs p >= 3"), ("xx", (1,), "unknown family tag 'xx'"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GroupFamily(tag, params)
 
 
 class TestGroupHash:
