@@ -19,13 +19,14 @@ bounds, so the certificate can be checked against any bounds:
 A `CertificateStore` keeps them per tested direction.  Before the LP of a
 decision, the certificates stored for its direction are checked exactly,
 in integers and Fractions, against the rows still in the system at their
-bounds; the first that holds decides.  Only when none holds does the LP
-run, and the certificate is read off its final tableau: the reduced costs
-of the slack columns give y, the nonbasic slacks and structurals the
-basis, the entering column the ray.  So a miss costs no LP beyond the one
-that decides it, and every decision is the fact the LP would have
-established, taken in the same order: the kept rows never depend on the
-store.
+bounds; the first that holds decides.  Only when none holds does the
+implication LP run (`exactmath._Frame.lp`, the one `implies` runs).
+exactmath reads its final tableau; this module only names the LP rows by
+key: the multipliers give y, the tight rows, the pivoting equalities and
+the coordinates that did not move the basis, the unbounded edge the ray.
+So a miss costs no LP beyond the one that decides it, and every decision
+is the fact the LP would have established, taken in the same order: the
+kept rows never depend on the store.
 """
 
 from __future__ import annotations
@@ -37,18 +38,7 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .exactmath import (
-    EQ,
-    LE,
-    OPTIMAL,
-    RatVec,
-    _Frame,
-    _int_row,
-    _simplex_le,
-    _Substitution,
-    primitive,
-    row_reduce,
-)
+from .exactmath import EQ, LE, RatVec, _Frame, _int_row, primitive, row_reduce
 
 
 # Most certificates a CertificateStore keeps per tested direction.
@@ -109,64 +99,34 @@ class _Rows:
                     return True
         return False
 
+    def key(self, row) -> tuple:
+        return self.keys[self.index[id(row)]]
+
     def solve(self, i: int, sign: int) -> tuple:
         """(bounded, certificate): the implication LP of row i against the
         rows still in the system in direction sign * normal, and the
-        certificate read off its final tableau."""
+        certificate its final tableau gives, with LP rows named by key."""
         rest = [row for row, alive in zip(self.rows, self.alive) if alive]
-        sub, lp_rows, sources = self.frame.program(rest)
-        row = self.rows[i]
-        objective = [sign * c for c in sub.reduce(row)]
-        status, _, final = _simplex_le(lp_rows, sub.nfree, objective, self.frame.slack(row))
-        key_of = [self.keys[self.index[id(r)]] for r in sources]
-        n, m = sub.nfree, len(sources)
-        if status == OPTIMAL:
-            # The reduced costs of the slack columns are minus the
-            # multipliers y >= 0 with y A = objective.
+        bounded, sub, sources, final = self.frame.lp(rest, self.rows[i], sign)
+        if bounded:
             support: dict = {}
-            if final is not None:
-                tableau, dens = final[0], final[1]
-                for p, r in enumerate(sources):
-                    y = tableau[m][2 * n + p]
-                    if y:
-                        j = self.index[id(r)]
-                        support[key_of[p]] = (support.get(key_of[p], 0)
-                                              + Fraction(-y, dens[m]) * self.scales[j])
-            equalities = tuple(self.keys[self.index[id(r)]] for r in sub.eqs)
+            for p, y in final.multipliers():
+                j = self.index[id(sources[p])]
+                support[self.keys[j]] = support.get(self.keys[j], 0) + y * self.scales[j]
             return True, Farkas(
-                tuple((key, y / self.scales[i]) for key, y in support.items()), equalities
+                tuple((key, y / self.scales[i]) for key, y in support.items()),
+                tuple(map(self.key, sub.eqs)),
             )
-        if final is None or final[3] is not None:
-            return False, Ray(_ray(sub, objective, final))
-        # The objective passed the slack at a vertex of the LP: tight rows
-        # (nonbasic slacks), the pivoting equalities and, for each free
-        # variable neither of whose halves is basic, its coordinate of x0.
-        basis = final[2]
-        basic = set(basis)
-        moved = {col % n for col in basis if col < 2 * n}
-        keys = [key_of[p] for p in range(m) if 2 * n + p not in basic]
-        keys += [self.keys[self.index[id(sub.eqs[q])]] for q in sub.pivot_rows]
-        coords = tuple(sub.free_cols[j] for j in range(n) if j not in moved)
+        edge = final.edge()
+        if edge is not None:
+            return False, Ray(tuple(a.numerator for a in primitive(sub.lift(edge))))
+        # The objective passed the slack at a vertex of the LP: the tight
+        # rows, the pivoting equalities and, for each free variable that did
+        # not move, its coordinate of x0.
+        keys = [self.key(sources[p]) for p in final.tight()]
+        keys += [self.key(sub.eqs[q]) for q in sub.pivot_rows]
+        coords = tuple(sub.free_cols[j] for j in final.unmoved())
         return False, Witness(tuple(keys), coords)
-
-
-def _ray(sub: _Substitution, objective: list, final) -> tuple:
-    """The primitive integer direction along which the LP's objective grows
-    without bound: the entering column's edge, or the objective itself when
-    the LP had no rows."""
-    if final is None:
-        z = list(objective)
-    else:
-        tableau, dens, basis, entering = final
-        n = sub.nfree
-        z = [Fraction(0)] * n
-        if entering < 2 * n:
-            z[entering % n] += 1 if entering < n else -1
-        for r, col in enumerate(basis):
-            if col < 2 * n and tableau[r][entering]:
-                rate = Fraction(-tableau[r][entering], dens[r])
-                z[col % n] += rate if col < n else -rate
-    return tuple(a.numerator for a in primitive(sub.lift(z)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,11 +8,10 @@ three public data types hold Fractions:
   HPolyhedron  -- a finite system of such constraints in a fixed dimension.
 
 On top of these the module provides an exact feasibility / optimization
-solver (a dense simplex with Bland's rule, equalities removed by
-substitution beforehand), Fourier-Motzkin elimination (used as an
-independent feasibility oracle and to project parametrized cones), and the
-derived predicates `implies`, `implies_all`, `remove_redundant` and
-`poly_equal`.
+solver (a dense simplex with Bland's rule), Fourier-Motzkin elimination
+(used as an independent feasibility oracle and to project parametrized
+cones), and the derived predicates `implies`, `implies_all`,
+`remove_redundant` and `poly_equal`.
 
 All exact elimination lives here, and all pivoting goes through one
 fraction-free kernel, `_pivot`.  It keeps each row as Python ints over one
@@ -22,13 +21,22 @@ of Bareiss's integer-preserving elimination and the integer pivoting of
 lrs.  The rationals it represents are exactly those of Gauss-Jordan over
 Fraction, so Bland's rule takes the same pivots and every witness is the
 same.  Its two users are the simplex tableau (`_simplex_le`) and
-`row_reduce`, the single Gauss-Jordan routine, which the LP's equality
+`row_reduce`, the single Gauss-Jordan routine, which the equality
 substitution, `eliminate_variables` and the admissible-cocharacter kernels
-and ranks (admissible.py) call.  `_fm_step` is the single Fourier-Motzkin
-step, shared by `fm_feasible_with_witness` and `eliminate_variables`;
-`primitive` is the single scaling to coprime integers.
+and ranks (admissible.py) call; `_Substitution` reduces each further row
+with the kernel's elimination step, `_eliminate`.  `_fm_step` is the
+single Fourier-Motzkin step, shared by `fm_feasible_with_witness` and
+`eliminate_variables`; `primitive` is the single scaling to coprime
+integers.
 
-Those predicates share one implication path, `_Frame`.  A batch of
+Each step of an LP has one home.  `_Substitution` is the only equality
+elimination: `_solve` (so `lp_max`, `lp_witness` and `lp_feasible`),
+`fm_feasible_with_witness` and `_Frame` build their LP rows with it and
+map its free values back with it.  `_Final`, beside `_simplex_le`, is the
+only reader of the final tableau: the multipliers, the tight rows, the
+variables that did not move and the unbounded edge.
+
+The predicates share one implication LP, `_Frame.lp`.  A batch of
 implication tests on a system starts from one point x0 of it: the caller's
 known point if it satisfies every row, else the point `lp_witness` finds
 with the same single LP `lp_feasible` solves.  In the frame x = x0 + z
@@ -42,7 +50,8 @@ system, so `remove_redundant` tests all its candidates with one point.
 pivot path that tests/test_lp_path.py pins (phase 1 from the origin).
 
 `remove_redundant` proves each decision with a certificate that later
-systems with the same normals can reuse (certificates.py).
+systems with the same normals can reuse (certificates.py), read off the
+same implication LP.
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -438,42 +447,77 @@ def row_reduce(rows: list, others: list, order) -> list:
     return pivots
 
 
-def _substitute_equalities(sys: HPolyhedron, objective: Optional[Sequence] = None):
-    """Eliminate the equality rows of `sys` by Gauss-Jordan substitution.
+class _Substitution:
+    """The equalities `eqs` solved for their pivot columns by `row_reduce`:
+    the package's one equality elimination.  Given a point x0 of the
+    system, it works in the frame x = x0 + z, where each row's bound is its
+    slack at x0 and the equalities are homogeneous.
 
-    Returns None when the equalities are inconsistent, else
-    (le_rows, nfree, recover, obj_free): `le_rows` are the inequality rows
-    [coefficients over the free variables..., bound], `recover(y)` maps a
-    free-variable assignment back to full coordinates and `obj_free` is
-    `objective` restricted to the free variables through that map (None
-    without an objective).
+    `consistent` says whether the equalities have a solution.
+    `reduce(row)` is a row as [normal..., bound] over the free columns with
+    the equalities substituted (once per row, memoised by id),
+    `program(rows)` the LP rows of the <= rows, and `lift(y)` the full
+    vector with free values y on which every equality holds: a point, or,
+    in the frame of x0, a direction.  The reduced rows are the rationals
+    Gauss-Jordan gives, since the reduced row echelon form is unique.
     """
-    dim = sys.dim
-    eq_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == EQ]
-    le_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == LE]
-    if objective is not None:
-        le_rows.append([*objective, Fraction(0)])
-    pivots = row_reduce(eq_rows, le_rows, range(dim))
-    pivot_rows = {i for i, _ in pivots}
-    if any(row[-1] != 0 for i, row in enumerate(eq_rows) if i not in pivot_rows):
-        return None
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [j for j in range(dim) if j not in pivot_cols]
-    reduced = [[row[j] for j in free_cols] + [row[-1]] for row in le_rows]
-    obj_free = reduced.pop()[:-1] if objective is not None else None
-    pivot_data = [(col, eq_rows[i]) for i, col in pivots]
 
-    def recover(y: Sequence[Fraction]) -> RatVec:
-        full = [Fraction(0)] * dim
-        for j, col in enumerate(free_cols):
-            full[col] = rat(y[j])
-        for col, row in pivot_data:
-            full[col] = row[-1] - sum(
-                (row[j] * full[j] for j in free_cols), Fraction(0)
+    def __init__(self, eqs: list, dim: int, x0: Optional[RatVec] = None):
+        self.eqs = eqs  # holds the rows whose ids key memos of this object
+        self.x0 = x0
+        eq_rows = [[*r.normal, self.bound(r)] for r in eqs]
+        pivots = row_reduce(eq_rows, [], range(dim))
+        self.pivot_rows = [i for i, _ in pivots]
+        # Each pivot row as integers e over a denominator, so e[col] > 0.
+        self.pivots = [(col, _int_row(eq_rows[i])[0]) for i, col in pivots]
+        taken = set(self.pivot_rows)
+        self.consistent = all(row[-1] == 0 for i, row in enumerate(eq_rows) if i not in taken)
+        pivot_cols = {col for _, col in pivots}
+        self.free_cols = [j for j in range(dim) if j not in pivot_cols]
+        self.nfree = len(self.free_cols)
+        self.dim = dim
+        self._reduced: dict = {}
+
+    def bound(self, row: AffineIneq) -> Fraction:
+        return row.bound if self.x0 is None else row.bound - row.normal.dot(self.x0)
+
+    def reduce(self, row: AffineIneq) -> list:
+        entry = self._reduced.get(id(row))
+        if entry is None:
+            a, den = _int_row([*row.normal, self.bound(row)])
+            for col, e in self.pivots:
+                if a[col]:
+                    a, den = _eliminate(a, den, e, col)
+            entry = self._reduced[id(row)] = (
+                row, [Fraction(a[j], den) for j in (*self.free_cols, self.dim)]
             )
-        return RatVec(full)
+        return entry[1]
 
-    return reduced, len(free_cols), recover, obj_free
+    def program(self, rows) -> Optional[tuple]:
+        """(LP rows, their source rows): the <= rows of `rows` reduced,
+        leaving out those whose normal vanishes.  None when the system is
+        infeasible: the equalities are inconsistent, or a row left out has a
+        negative bound."""
+        if not self.consistent:
+            return None
+        lp_rows, sources = [], []
+        for r in rows:
+            if r.kind == LE:
+                reduced = self.reduce(r)
+                if any(reduced[:-1]):
+                    lp_rows.append(reduced)
+                    sources.append(r)
+                elif reduced[-1] < 0:
+                    return None
+        return lp_rows, sources
+
+    def lift(self, y: Sequence) -> list:
+        full = [Fraction(0)] * self.dim
+        for j, col in enumerate(self.free_cols):
+            full[col] = y[j]
+        for col, e in self.pivots:
+            full[col] = (e[-1] - sum((e[j] * full[j] for j in self.free_cols), Fraction(0))) / e[col]
+        return full
 
 
 # ---------------------------------------------------------------------------
@@ -496,19 +540,17 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
     tableau is kept as integer rows over positive row denominators and
     pivoted by `_pivot`.  With `stop`, phase 2 ends as soon as the objective
     exceeds it, with status UNBOUNDED: the objective is not bounded by
-    `stop`.  `final` is (tableau, dens, basis, ray) as the run left them,
-    the reduced-cost row last, where `ray` is the entering column that
-    proved the objective unbounded (None otherwise); it is None when no
-    tableau was built (no variables or no rows).
+    `stop`.  `final` reads the tableau the run ended with (`_Final`); it is
+    None when the LP is infeasible.
     """
     m = len(rows)
     if nvars == 0:
         if all(row[-1] >= 0 for row in rows):
-            return OPTIMAL, [], None
+            return OPTIMAL, [], _Final(None, None, [], nvars, None, objective)
         return INFEASIBLE, None, None
     if m == 0:
         status = OPTIMAL if all(c == 0 for c in objective) else UNBOUNDED
-        return status, [Fraction(0)] * nvars, None
+        return status, [Fraction(0)] * nvars, _Final(None, None, [], nvars, None, objective)
 
     # Columns: u_1..u_n, v_1..v_n, s_1..s_m, one artificial per row with a
     # negative bound, then the bound.  Row m is the reduced-cost row.
@@ -536,7 +578,7 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
         dens.append(den)
     tableau.append(None)
     dens.append(1)
-    ray = None
+    ray = None  # the entering column that proved the objective unbounded
 
     def run(cost: list, cost_den: int, ncols: int, stop=None) -> bool:
         """Maximize the cost (integers over cost_den) over the columns;
@@ -603,7 +645,65 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
                 x[bj] += value
             else:
                 x[bj - nvars] -= value
-    return (OPTIMAL if bounded else UNBOUNDED), x, (tableau, dens, basis, ray)
+    return (OPTIMAL if bounded else UNBOUNDED), x, _Final(tableau, dens, basis, nvars, ray, objective)
+
+
+class _Final:
+    """The tableau a `_simplex_le` run ended with, read in terms of its LP:
+    rows <a_p, x> <= b_p, p < m, over n free variables.  Only `_simplex_le`
+    and this reader know the column layout: u_1..u_n, v_1..v_n with
+    x = u - v, the slacks s_1..s_m, the artificials, then the bound; the
+    reduced-cost row comes last.  Without rows or variables no tableau was
+    built, and `tableau` is None."""
+
+    __slots__ = ("tableau", "dens", "basis", "nvars", "entering", "objective")
+
+    def __init__(self, tableau, dens, basis: list, nvars: int, entering, objective):
+        self.tableau, self.dens, self.basis = tableau, dens, basis
+        self.nvars, self.entering, self.objective = nvars, entering, objective
+
+    def multipliers(self) -> list:
+        """(p, y_p) for each LP row with y_p != 0, where, after an optimal
+        run, y >= 0 and sum y_p a_p is the objective: minus the reduced
+        costs of the slack columns."""
+        if self.tableau is None:
+            return []
+        n, m = self.nvars, len(self.basis)
+        costs, den = self.tableau[m], self.dens[m]
+        return [(p, Fraction(-y, den)) for p, y in enumerate(costs[2 * n : 2 * n + m]) if y]
+
+    def tight(self) -> list:
+        """The LP rows whose slack is nonbasic: they hold with equality at
+        the final vertex."""
+        offset, basic = 2 * self.nvars, set(self.basis)
+        return [p for p in range(len(self.basis)) if offset + p not in basic]
+
+    def unmoved(self) -> list:
+        """The variables neither of whose halves is basic: they are 0 at
+        the final vertex."""
+        n = self.nvars
+        moved = {col % n for col in self.basis if col < 2 * n}
+        return [j for j in range(n) if j not in moved]
+
+    def edge(self) -> Optional[list]:
+        """The direction over the variables along which the objective grows
+        without bound: the entering column's edge, or the objective itself
+        when the LP had no rows.  None when the run did not prove the
+        objective unbounded."""
+        if self.tableau is None:
+            return list(self.objective) if any(self.objective) else None
+        entering = self.entering
+        if entering is None:
+            return None
+        n = self.nvars
+        z = [Fraction(0)] * n
+        if entering < 2 * n:
+            z[entering % n] += 1 if entering < n else -1
+        for r, col in enumerate(self.basis):
+            if col < 2 * n and self.tableau[r][entering]:
+                rate = Fraction(-self.tableau[r][entering], self.dens[r])
+                z[col % n] += rate if col < n else -rate
+        return z
 
 
 def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
@@ -614,24 +714,20 @@ def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
     obj = objective
     if obj is not None and not isinstance(obj, RatVec):
         obj = RatVec(obj)
-    reduced = _substitute_equalities(sys, obj)
-    if reduced is None:
+    if obj is not None and obj.dim != sys.dim:
+        raise DimensionError(f"objective dim {obj.dim} vs system dim {sys.dim}")
+    sub = _Substitution([r for r in sys.ineqs if r.kind == EQ], sys.dim)
+    program = sub.program(sys.ineqs)
+    if program is None:
         return INFEASIBLE, None, None
-    rows, nfree, recover, obj_free = reduced
-    # Drop trivially-true reduced rows, detect trivially-false ones.
-    clean = []
-    for row in rows:
-        if all(c == 0 for c in row[:-1]):
-            if row[-1] < 0:
-                return INFEASIBLE, None, None
-            continue
-        clean.append(row)
     if obj is None:
-        obj_free = [Fraction(0)] * nfree
-    status, y, _ = _simplex_le(clean, nfree, obj_free)
+        obj_free = [Fraction(0)] * sub.nfree
+    else:
+        obj_free = sub.reduce(AffineIneq(obj, 0))[:-1]
+    status, y, _ = _simplex_le(program[0], sub.nfree, obj_free)
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
-    witness = recover(y)
+    witness = RatVec(sub.lift(y))
     if obj is None:
         return FEASIBLE, None, witness
     if status == UNBOUNDED:
@@ -656,46 +752,6 @@ def lp_max(sys: HPolyhedron, objective: Sequence):
     return _solve(sys, objective)
 
 
-class _Substitution:
-    """The equalities `eqs` solved for their pivot columns by `row_reduce`.
-
-    `reduce(row)` is a row's normal over the remaining free columns (each
-    normal is reduced once, memoised by id); `lift(z)` maps a direction
-    over the free columns to the full direction on which every equality
-    vanishes.
-    """
-
-    def __init__(self, eqs: list, dim: int):
-        self.eqs = eqs  # holds the rows whose ids key the memo of this object
-        eq_rows = [list(r.normal) for r in eqs]
-        pivots = row_reduce(eq_rows, [], range(dim))
-        self.pivot_rows = [i for i, _ in pivots]
-        self.pivot_data = [(col, eq_rows[i]) for i, col in pivots]
-        pivot_cols = {col for _, col in pivots}
-        self.free_cols = [j for j in range(dim) if j not in pivot_cols]
-        self.nfree = len(self.free_cols)
-        self._reduced: dict = {}
-
-    def reduce(self, row: AffineIneq) -> list:
-        entry = self._reduced.get(id(row))
-        if entry is None:
-            a = list(row.normal)
-            for col, e in self.pivot_data:
-                if a[col]:
-                    c = a[col]
-                    a = [x - c * y for x, y in zip(a, e)]
-            entry = self._reduced[id(row)] = (row, [a[j] for j in self.free_cols])
-        return entry[1]
-
-    def lift(self, z: list) -> list:
-        full = [Fraction(0)] * (len(self.free_cols) + len(self.pivot_data))
-        for j, col in enumerate(self.free_cols):
-            full[col] = z[j]
-        for col, e in self.pivot_data:
-            full[col] = -sum((e[j] * full[j] for j in self.free_cols), Fraction(0))
-        return full
-
-
 def _signs(kind: str) -> tuple:
     """The directions a row is tested in: <= once, = both ways."""
     return (1,) if kind == LE else (1, -1)
@@ -717,45 +773,28 @@ class _Frame:
 
     def __init__(self, x0: RatVec):
         self.x0 = x0
-        # Memos keyed by id(row), which is cheap where hashing a row is not;
-        # each entry holds its row, so the id stays that row's.
-        self._slacks: dict = {}
-        self._substitutions: dict = {}
+        self._substitutions: dict = {}  # keyed by the ids of the equalities
 
-    def slack(self, row: AffineIneq) -> Fraction:
-        entry = self._slacks.get(id(row))
-        if entry is None:
-            entry = self._slacks[id(row)] = (row, row.bound - row.normal.dot(self.x0))
-        return entry[1]
-
-    def program(self, rows: list) -> tuple:
-        """(substitution, LP rows, their source rows): the <= rows of `rows`
-        over the free variables of its equalities, bounded by their slacks,
-        leaving out those whose normal vanishes there."""
+    def lp(self, rows, row: AffineIneq, sign: int) -> tuple:
+        """The implication LP of `row` against the system `rows`: maximise
+        sign * <normal, z>, stopping once it passes the row's slack.
+        Returns (bounded, substitution, source row of each LP row, final
+        tableau reader)."""
         eqs = [r for r in rows if r.kind == EQ]
         key = tuple(map(id, eqs))
         sub = self._substitutions.get(key)
         if sub is None:
-            sub = self._substitutions[key] = _Substitution(eqs, self.x0.dim)
-        lp_rows, sources = [], []
-        for r in rows:
-            if r.kind == LE:
-                a = sub.reduce(r)
-                if any(a):
-                    lp_rows.append([*a, self.slack(r)])
-                    sources.append(r)
-        return sub, lp_rows, sources
+            sub = self._substitutions[key] = _Substitution(eqs, self.x0.dim, self.x0)
+        lp_rows, sources = sub.program(rows)
+        *a, t = sub.reduce(row)
+        status, _, final = _simplex_le(lp_rows, sub.nfree, [sign * c for c in a], t)
+        return status == OPTIMAL, sub, sources, final
 
     def implied(self, rows, row: AffineIneq) -> bool:
-        t = self.slack(row)
+        t = row.bound - row.normal.dot(self.x0)
         if t < 0 or (row.kind == EQ and t != 0):
             return False
-        sub, lp_rows, _ = self.program(rows)
-        a = sub.reduce(row)
-        return all(
-            _simplex_le(lp_rows, sub.nfree, [sign * c for c in a], t)[0] == OPTIMAL
-            for sign in _signs(row.kind)
-        )
+        return all(self.lp(rows, row, sign)[0] for sign in _signs(row.kind))
 
 
 def implies_all(sys: HPolyhedron, rows: Iterable[AffineIneq]) -> bool:
@@ -861,10 +900,11 @@ def fm_feasible_with_witness(sys: HPolyhedron):
     Independent of the simplex path; intended as a testing oracle for small
     dimensions.  Returns (feasible, witness RatVec or None).
     """
-    reduced = _substitute_equalities(sys)
-    if reduced is None:
+    sub = _Substitution([r for r in sys.ineqs if r.kind == EQ], sys.dim)
+    program = sub.program(sys.ineqs)
+    if program is None:
         return False, None
-    rows, nfree, recover, _ = reduced
+    rows, nfree = program[0], sub.nfree
     stages = []
     cur = rows
     for last in range(nfree - 1, -1, -1):
@@ -898,13 +938,7 @@ def fm_feasible_with_witness(sys: HPolyhedron):
             assigned[k] = lo + 1
         else:
             assigned[k] = (lo + hi) / 2
-    witness = recover(assigned)
-    return True, witness
-
-
-def fm_feasible(sys: HPolyhedron) -> bool:
-    ok, _ = fm_feasible_with_witness(sys)
-    return ok
+    return True, RatVec(sub.lift(assigned))
 
 
 def eliminate_variables(sys: HPolyhedron, keep: int) -> HPolyhedron:

@@ -1,7 +1,7 @@
 """Command line interface: verbs, formats, determinism, exit codes.
 
 `TestByteIdentity` pins stdout and the exit code of a fixed command list
-(every verb, text and json, one usage error and one domain error) to
+(every verb, text and json, two usage errors and one domain error) to
 tests/data/cli_bytes.json.  Regenerate the file (only when the output is
 meant to change) with
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitope import cli
+from orbitope import cli, polytope
 from orbitope.admissible import closed_form_admissible
 from orbitope.cli import main
 
@@ -50,6 +50,9 @@ COMMANDS = [
     ["pairs", "--group", "su:p=2,q=2", "--format", "json"],
     ["pairs", "--group", "su:p=3,q=3"],
     ["check", "--group", "su:p=2,q=2", "--lambda", "2,1,-1,-2", "--radius", "2"],
+    ["ineqs", "--group", "sp:n=2", "--lambda", "1,x"],
+    ["plot", "--group", "sp:n=2", "--lambda", "3,1", "--window", "3"],
+    ["member", "--group", "sp:n=2", "--lambda", "3,1", "--xi", "2,1", "--format", "json"],
 ]
 
 
@@ -137,6 +140,22 @@ class TestCheck:
                            "--lambda", "2,0", "--radius", "4")
         assert code == 0
         assert "0 disagreements" in out
+
+    def test_disagreement_exits_3(self, capsys, monkeypatch):
+        # an oracle that flips its answer at Lambda, the one radius-0 point
+        real = polytope.horn_oracle_member
+
+        def flipped(g, Lambda, mu, witness=False):
+            answer = real(g, Lambda, mu, witness)
+            return not answer if mu == Lambda else answer
+
+        monkeypatch.setattr(polytope, "horn_oracle_member", flipped)
+        code, out, _ = run(capsys, "check", "--group", "sp:n=2", "--lambda", "3,1",
+                           "--radius", "0", "--format", "json")
+        assert code == cli.DISAGREE_EXIT == 3
+        assert json.loads(out)["disagreements"] == [
+            {"mu": ["3", "1"], "assembled": True, "oracle": False}
+        ]
 
 
 class TestAdmHornPairs:

@@ -23,9 +23,9 @@ from orbitope.exactmath import (
     _canonical_system,
     cone_hull,
     eliminate_variables,
-    fm_feasible,
     fm_feasible_with_witness,
     implies,
+    implies_all,
     ineq_eq,
     ineq_ge,
     ineq_le,
@@ -557,3 +557,22 @@ class TestJson:
         obj = s.to_json_obj()
         assert obj["dim"] == 2
         assert obj["ineqs"][0] == {"a": ["2", "-4"], "b": "1", "eq": False}
+
+
+class TestGuards:
+    @pytest.mark.parametrize("call", [
+        lambda s: implies_all(s, [ineq_le([1], 0)]),
+        lambda s: lp_max(s, [1, 0, 0]),
+        lambda s: remove_redundant(s, known=RatVec([0])),
+        lambda s: poly_equal(s, sysd(1, ineq_le([1], 0))),
+        lambda s: eliminate_variables(s, 0),
+        lambda s: eliminate_variables(s, 3),
+    ], ids=["implies_all", "lp_max-objective", "remove_redundant-known", "poly_equal",
+            "eliminate-keep-0", "eliminate-keep-past-dim"])
+    def test_dimension_error(self, call):
+        with pytest.raises(DimensionError):
+            call(sysd(2, ineq_le([1, 0], 1), ineq_eq([0, 1], 0)))
+
+    def test_eliminating_nothing_returns_the_system(self):
+        s = sysd(2, ineq_le([1, 0], 1), ineq_eq([0, 1], 0))
+        assert eliminate_variables(s, s.dim) is s

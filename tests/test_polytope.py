@@ -234,6 +234,20 @@ class TestOracle:
         with pytest.raises(UnsupportedFamilyError):
             horn_oracle_member(g_of("so:p=5"), [2, 1, 0], [2, 1, 0])
 
+    def test_outside_the_chamber_needs_no_lp(self, monkeypatch):
+        def no_lp(sys):
+            raise AssertionError("an LP ran")
+
+        monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+        monkeypatch.setattr(polytope, "lp_witness", no_lp)
+        g = g_of("sp:n=2")  # dominant: xi1 >= xi2
+        assert horn_oracle_member(g, [3, 1], [1, 2]) is False
+        assert horn_oracle_member(g, [3, 1], [1, 2], witness=True) == (False, None)
+
+    def test_wrong_dimension_is_domain_error(self):
+        with pytest.raises(DomainError, match="dimension"):
+            horn_oracle_member(g_of("sp:n=2"), [3, 1], [3, 1, 0])
+
 
 class TestCrossCheck:
     def test_small_grids(self):
