@@ -8,10 +8,10 @@ three public data types hold Fractions:
   HPolyhedron  -- a finite system of such constraints in a fixed dimension.
 
 On top of these the module provides an exact feasibility / optimization
-solver (a dense simplex with Bland's rule), Fourier-Motzkin elimination
-(used as an independent feasibility oracle and to project parametrized
-cones), and the derived predicates `implies`, `implies_all`,
-`remove_redundant` and `poly_equal`.
+solver (a dense simplex with Bland's rule), the derived predicates
+`implies`, `implies_all`, `remove_redundant` and `poly_equal`, and the
+double description method for cones (`cone_rays`, H to V, and by polarity
+`cone_hull`, V to H).
 
 All exact elimination lives here, and all pivoting goes through one
 fraction-free kernel, `_pivot`.  It keeps each row as Python ints over one
@@ -22,19 +22,18 @@ lrs.  The rationals it represents are exactly those of Gauss-Jordan over
 Fraction, so Bland's rule takes the same pivots and every witness is the
 same.  Its two users are the simplex tableau (`_simplex_le`) and
 `row_reduce`, the single Gauss-Jordan routine, which the equality
-substitution, `eliminate_variables` and the admissible-cocharacter kernels
-and ranks (admissible.py) call; `_Substitution` reduces each further row
-with the kernel's elimination step, `_eliminate`.  `_fm_step` is the
-single Fourier-Motzkin step, shared by `fm_feasible_with_witness` and
-`eliminate_variables`; `primitive` is the single scaling to coprime
-integers.
+substitution and the admissible-cocharacter kernels and ranks
+(admissible.py) call; `_Substitution` reduces each further row with the
+kernel's elimination step, `_eliminate`.  `cone_rays` combines integer
+vectors the same way, d_p*q - d_q*p divided by the gcd; `primitive` is the
+single scaling of Fractions to coprime integers.
 
 Each step of an LP has one home.  `_Substitution` is the only equality
-elimination: `_solve` (so `lp_max`, `lp_witness` and `lp_feasible`),
-`fm_feasible_with_witness` and `_Frame` build their LP rows with it and
-map its free values back with it.  `_Final`, beside `_simplex_le`, is the
-only reader of the final tableau: the multipliers, the tight rows, the
-variables that did not move and the unbounded edge.
+elimination: `_solve` (so `lp_max`, `lp_witness` and `lp_feasible`) and
+`_Frame` build their LP rows with it and map its free values back with
+it.  `_Final`, beside `_simplex_le`, is the only reader of the final
+tableau: the multipliers, the tight rows, the variables that did not move
+and the unbounded edge.
 
 The predicates share one implication LP, `_Frame.lp`.  A batch of
 implication tests on a system starts from one point x0 of it: the caller's
@@ -890,150 +889,83 @@ def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
+# Double description
 # ---------------------------------------------------------------------------
 
 
-def fm_feasible_with_witness(sys: HPolyhedron):
-    """Fourier-Motzkin feasibility with back-substituted witness.
+def _idot(a: list, x: list) -> int:
+    return sum(p * q for p, q in zip(a, x))
 
-    Independent of the simplex path; intended as a testing oracle for small
-    dimensions.  Returns (feasible, witness RatVec or None).
+
+def _combine(s: int, p: list, t: int, q: list) -> list:
+    """The integer vector s*p + t*q divided by its content."""
+    v = [s * a + t * b for a, b in zip(p, q)]
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
+
+
+def cone_rays(sys: HPolyhedron) -> tuple:
+    """V-representation of a cone: (lineality, rays), a basis of the
+    lineality space of `sys` and its extreme rays modulo that space, each a
+    primitive integer RatVec.  Every row of `sys` must have bound 0.
+
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996) starts from the whole space and adds the
+    rows one at a time, an equality as two <= rows.  A row that cuts the
+    lineality space turns the first lineality vector it cuts into a ray.
+    Otherwise the rays the row violates go, and each adjacent pair on
+    opposite sides of it gives one ray on its hyperplane.  Two rays are
+    adjacent when no third ray is tight on every row both are tight on; the
+    rows a ray is tight on, its zero set, are an int bitmask.  All
+    arithmetic is on integers.  The lineality vectors start as the unit
+    vectors, and each stays nonzero in the coordinate it started with,
+    where every other lineality vector and every ray is 0; so the rays come
+    out reduced modulo the lineality space.
     """
-    sub = _Substitution([r for r in sys.ineqs if r.kind == EQ], sys.dim)
-    program = sub.program(sys.ineqs)
-    if program is None:
-        return False, None
-    rows, nfree = program[0], sub.nfree
-    stages = []
-    cur = rows
-    for last in range(nfree - 1, -1, -1):
-        stages.append(cur)
-        cur = [row[:last] + row[last + 1 :] for row in _fm_step(cur, last)]
-    for row in cur:
-        if row[-1] < 0:
-            return False, None
-    # Back-substitute a witness; assigned[i] holds the value of variable i.
-    # Variable k was eliminated at step nfree-1-k, so its bounds live in
-    # stages[nfree-1-k] and depend only on variables 0..k-1.
-    assigned = [Fraction(0)] * nfree
-    for k in range(nfree):
-        stage = stages[nfree - 1 - k]  # rows over variables 0..k
-        lo, hi = None, None
-        for row in stage:
-            a = row[k]
-            if a == 0:
-                continue
-            rest = sum((row[j] * assigned[j] for j in range(k)), Fraction(0))
-            bound = (row[-1] - rest) / a
-            if a > 0:
-                hi = bound if hi is None or bound < hi else hi
-            else:
-                lo = bound if lo is None or bound > lo else lo
-        if lo is None and hi is None:
-            assigned[k] = Fraction(0)
-        elif lo is None:
-            assigned[k] = hi - 1
-        elif hi is None:
-            assigned[k] = lo + 1
-        else:
-            assigned[k] = (lo + hi) / 2
-    return True, RatVec(sub.lift(assigned))
-
-
-def eliminate_variables(sys: HPolyhedron, keep: int) -> HPolyhedron:
-    """Project a system onto its first `keep` coordinates.
-
-    Equalities substitute away eliminated variables where possible
-    (`row_reduce` pivoting on eliminated columns, last first); the remaining
-    eliminated variables go through Fourier-Motzkin with light redundancy
-    pruning between steps.  Result rows are over the first `keep` variables.
-    """
-    dim = sys.dim
-    if not 1 <= keep <= dim:
-        raise DimensionError("keep out of range")
-    if keep == dim:
-        return sys
-    eq_rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == EQ]
-    rows = [[*r.normal, r.bound] for r in sys.ineqs if r.kind == LE]
-    pivots = row_reduce(eq_rows, rows, range(dim - 1, keep - 1, -1))
-    # Equalities that took no pivot touch only kept variables.
-    pivot_rows = {i for i, _ in pivots}
-    kept_eqs = [row for i, row in enumerate(eq_rows) if i not in pivot_rows]
-
-    # Fourier-Motzkin on remaining eliminated columns of the <= rows.
-    for col in range(dim - 1, keep - 1, -1):
-        rows = [row[:col] + row[col + 1 :] for row in _fm_step(rows, col)]
-        rows = _prune_rows(rows, col)
-
-    out = [ineq_eq(row[:keep], row[-1]) for row in kept_eqs]
-    out += [ineq_le(row[:-1], row[-1]) for row in rows]
-    return HPolyhedron(keep, out)
-
-
-def _fm_step(rows, col: int):
-    """One Fourier-Motzkin step on column `col` of rows [coefficients...,
-    bound]: rows zero there pass through, then every positive/negative pair
-    is scaled to +-1 and summed.  The column stays, zeroed."""
-    pos, neg, zero = [], [], []
-    for row in rows:
-        a = row[col]
-        if a > 0:
-            pos.append([c / a for c in row])
-        elif a < 0:
-            neg.append([c / -a for c in row])
-        else:
-            zero.append(row)
-    out = list(zero)
-    for p in pos:
-        for n in neg:
-            merged = [x + y for x, y in zip(p, n)]
-            merged[col] = Fraction(0)
-            out.append(merged)
-    return out
-
-
-def _prune_rows(rows, nvars: int):
-    """Cheap syntactic pruning after an elimination step: canonicalize,
-    deduplicate and drop rows dominated by an identical-normal row."""
-    best = {}
-    order = []
-    for row in rows:
-        if all(c == 0 for c in row[:-1]):
-            if row[-1] < 0:
-                return [[Fraction(0)] * nvars + [Fraction(-1)]]
+    if any(r.bound != 0 for r in sys.ineqs):
+        raise DomainError("cone_rays needs every bound to be 0")
+    rows = []
+    for r in sys.ineqs:
+        a = _int_row(r.normal)[0]
+        rows += [a] if r.kind == LE else [a, [-c for c in a]]
+    n = sys.dim
+    lineality = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays: list = []  # (vector, zero set of the rows added so far)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((k for k, l in enumerate(lineality) if _idot(a, l)), None)
+        if k is not None:
+            v = lineality.pop(k)
+            if _idot(a, v) > 0:
+                v = [-c for c in v]
+            # a.v = -d < 0; adding multiples of v puts the rest on a.x = 0
+            d = -_idot(a, v)
+            lineality = [_combine(d, l, _idot(a, l), v) for l in lineality]
+            rays = [(_combine(d, r, _idot(a, r), v), z | bit) for r, z in rays]
+            rays.append((v, bit - 1))
             continue
-        canon = ineq_le(row[:-1], row[-1]).canonical()
-        key = canon.normal.entries
-        if key not in best:
-            best[key] = canon.bound
-            order.append(key)
-        elif canon.bound < best[key]:
-            best[key] = canon.bound
-    return [[*k, best[k]] for k in order]
+        sides = [_idot(a, r) for r, _ in rays]
+        kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, sides) if s <= 0]
+        for p, (rp, zp) in enumerate(rays):
+            if sides[p] <= 0:
+                continue
+            for q, (rq, zq) in enumerate(rays):
+                if sides[q] >= 0:
+                    continue
+                common = zp & zq
+                if all(z & common != common for o, (_, z) in enumerate(rays) if o != p and o != q):
+                    kept.append((_combine(sides[p], rq, -sides[q], rp), common | bit))
+        rays = kept
+    return [RatVec(l) for l in lineality], [RatVec(r) for r, _ in rays]
 
 
 def cone_hull(generators: Sequence[RatVec], dim: int) -> HPolyhedron:
-    """H-representation of the convex cone spanned by `generators`.
-
-    Built by eliminating the nonnegative coefficients from
-    { x = sum c_i g_i, c_i >= 0 }.  For no generators this is {0}.
-    """
-    gens = list(generators)
-    if not gens:
-        return HPolyhedron(dim, [ineq_eq([1 if j == i else 0 for j in range(dim)], 0) for i in range(dim)])
-    k = len(gens)
-    rows = []
-    ext = dim + k
-    for j in range(dim):
-        coeffs = [Fraction(0)] * ext
-        coeffs[j] = Fraction(1)
-        for i, g in enumerate(gens):
-            coeffs[dim + i] = -g[j]
-        rows.append(ineq_eq(coeffs, 0))
-    for i in range(k):
-        coeffs = [Fraction(0)] * ext
-        coeffs[dim + i] = Fraction(-1)
-        rows.append(ineq_le(coeffs, 0))
-    projected = eliminate_variables(HPolyhedron(ext, rows), dim)
-    return remove_redundant(projected)
+    """H-representation of the convex cone spanned by `generators` (the
+    origin when there are none), by polarity.  With (L, R) the lineality
+    basis and extreme rays of the polar cone { y : <g, y> <= 0 }, the cone
+    is { x : <l, x> = 0 for l in L, <r, x> <= 0 for r in R }, and each ray
+    is a facet, so no row is redundant."""
+    lineality, rays = cone_rays(HPolyhedron(dim, [AffineIneq(g, 0) for g in generators]))
+    return HPolyhedron(
+        dim, [*(AffineIneq(l, 0, EQ) for l in lineality), *(AffineIneq(r, 0) for r in rays)]
+    )

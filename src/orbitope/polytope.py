@@ -476,7 +476,6 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
 # Geometric property helpers (used by tests)
 # ---------------------------------------------------------------------------
 
-@cache
 def noncompact_cone(g: GroupData) -> HPolyhedron:
     """H-representation of the cone spanned by the noncompact positive
     roots (facets used for the shifted-cone inclusion test)."""

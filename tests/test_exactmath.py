@@ -1,4 +1,5 @@
-"""Exact LP, canonicalization, redundancy and the Fourier-Motzkin oracle."""
+"""Exact LP, canonicalization, redundancy, and the double description method
+with the feasibility oracle built on it, independent of the simplex."""
 
 import json
 import random
@@ -18,12 +19,12 @@ from orbitope.exactmath import (
     LE,
     AffineIneq,
     DimensionError,
+    DomainError,
     HPolyhedron,
     RatVec,
     _canonical_system,
     cone_hull,
-    eliminate_variables,
-    fm_feasible_with_witness,
+    cone_rays,
     implies,
     implies_all,
     ineq_eq,
@@ -506,6 +507,17 @@ class TestPolyEqual:
                           sysd(2, ineq_le([1, 0], 0), ineq_ge([1, 0], 1)))
 
 
+def _dd_feasible(s):
+    """(feasible, witness) from the rays of the homogenised cone
+    { (x, t) : a.x - b t <= 0 (= for equalities), -t <= 0 }: s has a point
+    iff some ray has t > 0, and then x = r[:n] / r[n] is one."""
+    n = s.dim
+    rows = [AffineIneq(RatVec([*r.normal, -r.bound]), 0, r.kind) for r in s.ineqs]
+    _, rays = cone_rays(HPolyhedron(n + 1, rows + [ineq_le([0] * n + [-1], 0)]))
+    r = next((r for r in rays if r[n] > 0), None)
+    return (False, None) if r is None else (True, RatVec(c / r[n] for c in r[:n]))
+
+
 class TestFourierMotzkin:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -519,24 +531,60 @@ class TestFourierMotzkin:
             kind = data.draw(st.sampled_from([LE, LE, LE, EQ]))
             rows.append(AffineIneq(RatVec(coeffs), bound, kind))
         s = HPolyhedron(dim, rows)
-        feasible, witness = fm_feasible_with_witness(s)
+        feasible, witness = _dd_feasible(s)
         assert feasible == lp_feasible(s)
         if feasible:
             assert s.contains(witness)
-
-    def test_projection(self):
-        # project {x = y + z, 0 <= z <= 1, y >= 0} onto (x, y)
-        s = sysd(3, ineq_eq([1, -1, -1], 0), ineq_ge([0, 0, 1], 0),
-                 ineq_le([0, 0, 1], 1), ineq_ge([0, 1, 0], 0))
-        p = eliminate_variables(s, 2)
-        expect = sysd(2, ineq_ge([0, 1], 0), ineq_ge([1, -1], 0), ineq_le([1, -1], 1))
-        assert poly_equal(p, expect)
 
     def test_cone_hull(self):
         cone = cone_hull([RatVec([2, 0]), RatVec([1, 1]), RatVec([0, 2])], 2)
         assert poly_equal(cone, sysd(2, ineq_ge([1, 0], 0), ineq_ge([0, 1], 0)))
         origin = cone_hull([], 2)
         assert origin.contains(RatVec([0, 0])) and not origin.contains(RatVec([1, 0]))
+
+
+class TestConeRays:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rays_generate_the_cone(self, data):
+        dim = data.draw(st.integers(1, 4))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 7))):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            rows.append(AffineIneq(RatVec(coeffs), 0, data.draw(st.sampled_from([LE, LE, LE, EQ]))))
+        s = HPolyhedron(dim, rows)
+        lineality, rays = cone_rays(s)
+        for v in [*rays, *lineality, *(-l for l in lineality)]:
+            assert s.contains(v)
+            assert v.is_integral() and v.content_gcd() == 1
+        assert _rank([list(l) for l in lineality]) == len(lineality)
+        tight_sets = []
+        for r in rays:
+            tight = [row for row in s.ineqs if row.normal.dot(r) == 0]
+            assert _rank([list(row.normal) for row in tight]) == dim - len(lineality) - 1
+            tight_sets.append(frozenset(tight))
+        assert len(set(tight_sets)) == len(rays)  # no ray twice
+        assert poly_equal(cone_hull([*rays, *lineality, *(-l for l in lineality)], dim), s)
+
+    def test_whole_space(self):
+        lineality, rays = cone_rays(HPolyhedron(3, []))
+        assert sorted(lineality, key=lambda v: v.entries) == [
+            RatVec([0, 0, 1]), RatVec([0, 1, 0]), RatVec([1, 0, 0])]
+        assert rays == []
+
+    def test_half_space(self):
+        lineality, rays = cone_rays(sysd(3, ineq_le([1, 1, 0], 0)))
+        assert len(lineality) == 2 and len(rays) == 1
+        assert all(l.dot(RatVec([1, 1, 0])) == 0 for l in lineality)
+        assert rays[0].dot(RatVec([1, 1, 0])) < 0
+
+    def test_line(self):
+        lineality, rays = cone_rays(sysd(2, ineq_eq([1, -1], 0)))
+        assert lineality in ([RatVec([1, 1])], [RatVec([-1, -1])]) and rays == []
+
+    def test_pointed_quadrant(self):
+        lineality, rays = cone_rays(sysd(2, ineq_ge([1, 0], 0), ineq_ge([0, 1], 0)))
+        assert lineality == [] and set(rays) == {RatVec([1, 0]), RatVec([0, 1])}
 
 
 class TestJson:
@@ -565,14 +613,14 @@ class TestGuards:
         lambda s: lp_max(s, [1, 0, 0]),
         lambda s: remove_redundant(s, known=RatVec([0])),
         lambda s: poly_equal(s, sysd(1, ineq_le([1], 0))),
-        lambda s: eliminate_variables(s, 0),
-        lambda s: eliminate_variables(s, 3),
+        lambda s: cone_hull([RatVec([1, 0, 0])], s.dim),
+        lambda s: cone_hull([RatVec([1])], s.dim),
     ], ids=["implies_all", "lp_max-objective", "remove_redundant-known", "poly_equal",
-            "eliminate-keep-0", "eliminate-keep-past-dim"])
+            "cone_hull-long-generator", "cone_hull-short-generator"])
     def test_dimension_error(self, call):
         with pytest.raises(DimensionError):
             call(sysd(2, ineq_le([1, 0], 1), ineq_eq([0, 1], 0)))
 
-    def test_eliminating_nothing_returns_the_system(self):
-        s = sysd(2, ineq_le([1, 0], 1), ineq_eq([0, 1], 0))
-        assert eliminate_variables(s, s.dim) is s
+    def test_cone_rays_needs_bound_zero(self):
+        with pytest.raises(DomainError):
+            cone_rays(sysd(2, ineq_le([1, 0], 1), ineq_eq([0, 1], 0)))
