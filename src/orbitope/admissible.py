@@ -11,18 +11,17 @@ indivisible when its entries have gcd 1.
 `closed_form_admissible` returns the literal per-family lists.  The two
 must agree as sets, which the test suite verifies across the supported
 desk-scale ranges.  Kernel lines and root-span ranks come from
-`exactmath.row_reduce`, the package's one Gauss-Jordan routine, and kernel
-generators are scaled by `exactmath.primitive`.
+`exactmath.row_reduce`, the package's one Gauss-Jordan routine; kernel
+generators are read off its integer rows and divided by their gcd.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .exactmath import DomainError, RatVec, primitive, row_reduce
+from .exactmath import DomainError, RatVec, row_reduce
 from .rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
 
 SUBSET_CAP = 10**5
@@ -79,24 +78,28 @@ def _torus_rank(g: GroupData) -> int:
 def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
     """A primitive integer generator of the kernel of the row system, or
     None when the kernel is not a line."""
-    mat = [list(r.entries) for r in rows]
-    pivots = row_reduce(mat, [], range(dim))
+    ints, dens, pivots = row_reduce([r.entries for r in rows], range(dim))
     if len(pivots) != dim - 1:
         return None
     pivot_cols = {col for _, col in pivots}
     free_col = next(c for c in range(dim) if c not in pivot_cols)
-    vec = [Fraction(0)] * dim
-    vec[free_col] = Fraction(1)
+    # 1 at the free column, times the lcm of the pivot rows' denominators.
+    den = 1
+    for i, _ in pivots:
+        den = den * dens[i] // gcd(den, dens[i])
+    vec = [0] * dim
+    vec[free_col] = den
     for i, col in pivots:
-        vec[col] = -mat[i][free_col]
-    return RatVec(primitive(vec))
+        vec[col] = -ints[i][free_col] * (den // dens[i])
+    g = gcd(*vec)
+    return RatVec(a // g for a in vec)
 
 
 def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
     """Rank of { b in noncompact_pos : <lam, b> = 0 } (plain matrix rank;
     the roots already lie in the torus-rank subspace for su(p, q))."""
-    mat = [list(b.entries) for b in g.noncompact_pos if pairing(lam, b) == 0]
-    return len(row_reduce(mat, [], range(g.dim)))
+    mat = [b.entries for b in g.noncompact_pos if pairing(lam, b) == 0]
+    return len(row_reduce(mat, range(g.dim))[2])
 
 
 def is_admissible(g: GroupData, lam: RatVec) -> bool:

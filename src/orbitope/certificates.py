@@ -61,10 +61,9 @@ class _Rows:
         self.rows = rows
         self.x0 = x0
         self.frame = _Frame(x0)
-        self.alive = [True] * len(rows)
         self.ints, self.keys, self.scales, self.slacks = [], [], [], []
         self.index = {id(row): j for j, row in enumerate(rows)}
-        self.by_key: dict = {}
+        self.tightest_of: dict = {}  # key -> its row with the least slack
         point, point_den = _int_row(x0.entries)
         self.feasible = True
         for j, row in enumerate(rows):
@@ -78,16 +77,18 @@ class _Rows:
             self.keys.append(key)
             self.scales.append(Fraction(g, den))
             self.slacks.append(Fraction(excess, g * point_den))
-            self.by_key.setdefault(key, []).append(j)
+            best = self.tightest_of.get(key)
+            if best is None or self.slacks[j] < self.slacks[best]:
+                self.tightest_of[key] = j
+        self.alive = [self.tightest_of[key] == j for j, key in enumerate(self.keys)]
 
     def tightest(self, key) -> Optional[int]:
-        """The row still in the system with this key and the least slack,
-        or None when the system has none."""
-        best = None
-        for j in self.by_key.get(key, ()):
-            if self.alive[j] and (best is None or self.slacks[j] < self.slacks[best]):
-                best = j
-        return best
+        """The row of this key with the least slack while it is in the
+        system, else None.  It is the key's one row: the others never are,
+        since at a point of the system it implies them and they help imply
+        no other row."""
+        j = self.tightest_of.get(key)
+        return j if j is not None and self.alive[j] else None
 
     def violated(self, x: list, scale: int) -> bool:
         """Whether a row still in the system fails at the point x / scale
@@ -171,11 +172,15 @@ class Witness:
         units = [list(unit) for unit, _ in self.keys]
         units += [[1 if j == c else 0 for j in range(dim)] for c in self.coords]
         rows = [u + [1 if k == r else 0 for k in range(dim)] for r, u in enumerate(units)]
+        ints, dens, pivots = row_reduce(rows, range(dim))
+        # Row r is [unit vector of col, row col of A_B^-1] over dens[r].
+        den = 1
+        for r, _ in pivots:
+            den = den * dens[r] // gcd(den, dens[r])
         inverse = [None] * dim
-        for r, col in row_reduce(rows, [], range(dim)):
-            inverse[col] = rows[r][dim:]
-        ints, den = _int_row([a for row in inverse for a in row])
-        return [ints[k * dim : (k + 1) * dim] for k in range(dim)], den
+        for r, col in pivots:
+            inverse[col] = [a * (den // dens[r]) for a in ints[r][dim:]]
+        return inverse, den
 
     def decide(self, rows: _Rows, i: int, sign: int) -> Optional[bool]:
         bounds = []

@@ -24,9 +24,13 @@ same.  Its two users are the simplex tableau (`_simplex_le`) and
 `row_reduce`, the single Gauss-Jordan routine, which the equality
 substitution and the admissible-cocharacter kernels and ranks
 (admissible.py) call; `_Substitution` reduces each further row with the
-kernel's elimination step, `_eliminate`.  `cone_rays` combines integer
-vectors the same way, d_p*q - d_q*p divided by the gcd; `primitive` is the
-single scaling of Fractions to coprime integers.
+kernel's elimination step, `_eliminate`.  Inside the layer a row is only
+ever integers over a reduced row denominator: `row_reduce` returns such
+rows and `_Substitution` hands them on to the tableau.  Fractions are made
+only for what leaves it: witness points, optimal values, multipliers and
+edges.  `cone_rays` combines integer vectors the same way, d_p*q - d_q*p
+divided by the gcd; `primitive` is the single scaling of Fractions to
+coprime integers.
 
 Each step of an LP has one home.  `_Substitution` is the only equality
 elimination: `_solve` (so `lp_max`, `lp_witness` and `lp_feasible`) and
@@ -50,7 +54,8 @@ pivot path that tests/test_lp_path.py pins (phase 1 from the origin).
 
 `remove_redundant` proves each decision with a certificate that later
 systems with the same normals can reuse (certificates.py), read off the
-same implication LP.
+same implication LP.  One key, the primitive normal and the kind, rules
+it: of the rows of a key only the tightest is ever tested.
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -413,37 +418,33 @@ def _pivot(rows: list, dens: list, i: int, col: int) -> None:
             rows[k], dens[k] = _eliminate(row, dens[k], prow, col)
 
 
-def row_reduce(rows: list, others: list, order) -> list:
-    """Gauss-Jordan elimination in place; returns the (row index, column)
-    pivots in the order they were taken.
+def row_reduce(rows: list, order) -> tuple:
+    """Gauss-Jordan elimination: (ints, dens, pivots), where reduced row k
+    is the rational row ints[k] / dens[k] and pivots are the (row index,
+    column) pairs in the order they were taken.
 
-    Each row of `rows` in turn pivots on its first nonzero column in
-    `order`: it is scaled to a unit pivot and that column is cleared from
-    every other row of `rows` and of `others`.  Rows zero on `order` take no
-    pivot and keep their values.  Columns outside `order` (an appended
-    bound, say) are carried along.  All rows are lists of equal length of
-    ints or Fractions; on return they hold Fractions.  The work is done by
-    `_pivot` on integer rows.
+    Each row in turn pivots on its first nonzero column in `order`: it is
+    scaled to a unit pivot, ints[k][col] == dens[k], and that column is
+    cleared from every other row.  Rows zero on `order` take no pivot.
+    Columns outside `order` (an appended bound, say) are carried along.
+    The input rows are lists of equal length of ints or Fractions and are
+    left as they are.  The work is done by `_pivot` on integer rows, so
+    every row comes back reduced, gcd(dens[k], *ints[k]) == 1, and no
+    Fraction is built.
     """
-    order = list(order)
     ints, dens = [], []
-    for row in (*rows, *others):
+    for row in rows:
         a, d = _int_row(row)
         ints.append(a)
         dens.append(d)
     pivots = []
-    for i in range(len(rows)):
+    for i in range(len(ints)):
         row = ints[i]
         col = next((j for j in order if row[j] != 0), None)
         if col is not None:
             _pivot(ints, dens, i, col)
             pivots.append((i, col))
-    out = [
-        [Fraction(a) for a in row] if d == 1 else [Fraction(a, d) for a in row]
-        for row, d in zip(ints, dens)
-    ]
-    rows[:], others[:] = out[: len(rows)], out[len(rows) :]
-    return pivots
+    return ints, dens, pivots
 
 
 class _Substitution:
@@ -453,24 +454,24 @@ class _Substitution:
     slack at x0 and the equalities are homogeneous.
 
     `consistent` says whether the equalities have a solution.
-    `reduce(row)` is a row as [normal..., bound] over the free columns with
-    the equalities substituted (once per row, memoised by id),
-    `program(rows)` the LP rows of the <= rows, and `lift(y)` the full
-    vector with free values y on which every equality holds: a point, or,
-    in the frame of x0, a direction.  The reduced rows are the rationals
-    Gauss-Jordan gives, since the reduced row echelon form is unique.
+    `reduce(row)` is a row [normal..., bound] over the free columns with
+    the equalities substituted, as integers and their reduced denominator
+    (once per row, memoised by id); `program(rows)` the LP rows of the <=
+    rows; and `lift(y)` the full vector of Fractions with free values y on
+    which every equality holds: a point, or, in the frame of x0, a
+    direction.  The rows are integer rows from `row_reduce` to the tableau,
+    and the rationals they stand for are those Gauss-Jordan gives.
     """
 
     def __init__(self, eqs: list, dim: int, x0: Optional[RatVec] = None):
         self.eqs = eqs  # holds the rows whose ids key memos of this object
         self.x0 = x0
-        eq_rows = [[*r.normal, self.bound(r)] for r in eqs]
-        pivots = row_reduce(eq_rows, [], range(dim))
+        ints, _, pivots = row_reduce([[*r.normal, self.bound(r)] for r in eqs], range(dim))
         self.pivot_rows = [i for i, _ in pivots]
-        # Each pivot row as integers e over a denominator, so e[col] > 0.
-        self.pivots = [(col, _int_row(eq_rows[i])[0]) for i, col in pivots]
+        # Each pivot row as integers e over its denominator e[col] > 0.
+        self.pivots = [(col, ints[i]) for i, col in pivots]
         taken = set(self.pivot_rows)
-        self.consistent = all(row[-1] == 0 for i, row in enumerate(eq_rows) if i not in taken)
+        self.consistent = all(row[-1] == 0 for i, row in enumerate(ints) if i not in taken)
         pivot_cols = {col for _, col in pivots}
         self.free_cols = [j for j in range(dim) if j not in pivot_cols]
         self.nfree = len(self.free_cols)
@@ -480,33 +481,34 @@ class _Substitution:
     def bound(self, row: AffineIneq) -> Fraction:
         return row.bound if self.x0 is None else row.bound - row.normal.dot(self.x0)
 
-    def reduce(self, row: AffineIneq) -> list:
+    def reduce(self, row: AffineIneq) -> tuple:
         entry = self._reduced.get(id(row))
         if entry is None:
             a, den = _int_row([*row.normal, self.bound(row)])
             for col, e in self.pivots:
                 if a[col]:
                     a, den = _eliminate(a, den, e, col)
-            entry = self._reduced[id(row)] = (
-                row, [Fraction(a[j], den) for j in (*self.free_cols, self.dim)]
-            )
+            # The pivot columns are 0 now, so the row stays reduced.
+            reduced = [a[j] for j in (*self.free_cols, self.dim)], den
+            entry = self._reduced[id(row)] = (row, reduced)
         return entry[1]
 
     def program(self, rows) -> Optional[tuple]:
         """(LP rows, their source rows): the <= rows of `rows` reduced,
         leaving out those whose normal vanishes.  None when the system is
         infeasible: the equalities are inconsistent, or a row left out has a
-        negative bound."""
+        negative bound.  With no free column every normal vanishes, so the
+        LP has no rows."""
         if not self.consistent:
             return None
         lp_rows, sources = [], []
         for r in rows:
             if r.kind == LE:
                 reduced = self.reduce(r)
-                if any(reduced[:-1]):
+                if any(reduced[0][:-1]):
                     lp_rows.append(reduced)
                     sources.append(r)
-                elif reduced[-1] < 0:
+                elif reduced[0][-1] < 0:
                     return None
         return lp_rows, sources
 
@@ -532,7 +534,8 @@ OPTIMAL = "optimal"
 def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
     """Maximize <objective, x> over {rows: <a,x> <= b} with x free.
 
-    rows: lists [coefficients..., bound] of rationals.  Returns
+    rows and objective: integer rows (ints, den) as `_Substitution` gives
+    them, each row [coefficients..., bound] with a nonzero normal.  Returns
     (status, x, final) with status in {INFEASIBLE, UNBOUNDED, OPTIMAL}; for
     UNBOUNDED x is a feasible point.  Free variables are split x = u - v
     internally.  Bland's rule everywhere, so termination is guaranteed.  The
@@ -543,25 +546,20 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
     None when the LP is infeasible.
     """
     m = len(rows)
-    if nvars == 0:
-        if all(row[-1] >= 0 for row in rows):
-            return OPTIMAL, [], _Final(None, None, [], nvars, None, objective)
-        return INFEASIBLE, None, None
     if m == 0:
-        status = OPTIMAL if all(c == 0 for c in objective) else UNBOUNDED
+        status = OPTIMAL if not any(objective[0]) else UNBOUNDED
         return status, [Fraction(0)] * nvars, _Final(None, None, [], nvars, None, objective)
 
     # Columns: u_1..u_n, v_1..v_n, s_1..s_m, one artificial per row with a
     # negative bound, then the bound.  Row m is the reduced-cost row.
     n_struct = 2 * nvars + m
     art_col = {}
-    for i, row in enumerate(rows):
-        if row[-1] < 0:
+    for i, (ints, _) in enumerate(rows):
+        if ints[-1] < 0:
             art_col[i] = n_struct + len(art_col)
     n_total = n_struct + len(art_col)
     tableau, dens, basis = [], [], []
-    for i, coeffs in enumerate(rows):
-        ints, den = _int_row(coeffs)
+    for i, (ints, den) in enumerate(rows):
         row = [0] * (n_total + 1)
         row[:nvars] = ints[:-1]
         row[nvars : 2 * nvars] = [-a for a in ints[:-1]]
@@ -585,9 +583,10 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
         optimal, False if unbounded or, with `stop`, once the cost exceeds
         it."""
         nonlocal ray
-        # Seed the reduced-cost row c_j - c_B B^-1 A_j once; pivots keep it
-        # current after that.  Its last entry is minus the current cost.
-        obj, den = cost + [0], cost_den
+        # Seed the reduced-cost row c_j - c_B B^-1 A_j once, reduced like
+        # every row of the tableau; pivots keep it current after that.  Its
+        # last entry is minus the current cost.
+        obj, den = _reduce(cost + [0], cost_den)
         for i in range(m):
             if obj[basis[i]]:
                 obj, den = _eliminate(obj, den, tableau[i], basis[i])
@@ -633,7 +632,7 @@ def _simplex_le(rows, nvars: int, objective, stop: Optional[Fraction] = None):
         # Any row still basic in an artificial is all-zero in structurals:
         # redundant; artificials never re-enter below.
 
-    obj, obj_den = _int_row(objective)
+    obj, obj_den = objective
     bounded = run(obj + [-a for a in obj] + [0] * (n_total - 2 * nvars), obj_den, n_struct, stop)
     x = [Fraction(0)] * nvars
     for i in range(m):
@@ -652,8 +651,8 @@ class _Final:
     rows <a_p, x> <= b_p, p < m, over n free variables.  Only `_simplex_le`
     and this reader know the column layout: u_1..u_n, v_1..v_n with
     x = u - v, the slacks s_1..s_m, the artificials, then the bound; the
-    reduced-cost row comes last.  Without rows or variables no tableau was
-    built, and `tableau` is None."""
+    reduced-cost row comes last.  Without rows no tableau was built, and
+    `tableau` is None.  `objective` is the LP's, as (ints, den)."""
 
     __slots__ = ("tableau", "dens", "basis", "nvars", "entering", "objective")
 
@@ -690,7 +689,8 @@ class _Final:
         when the LP had no rows.  None when the run did not prove the
         objective unbounded."""
         if self.tableau is None:
-            return list(self.objective) if any(self.objective) else None
+            ints, den = self.objective
+            return [Fraction(a, den) for a in ints] if any(ints) else None
         entering = self.entering
         if entering is None:
             return None
@@ -719,11 +719,8 @@ def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
     program = sub.program(sys.ineqs)
     if program is None:
         return INFEASIBLE, None, None
-    if obj is None:
-        obj_free = [Fraction(0)] * sub.nfree
-    else:
-        obj_free = sub.reduce(AffineIneq(obj, 0))[:-1]
-    status, y, _ = _simplex_le(program[0], sub.nfree, obj_free)
+    ints, den = sub.reduce(AffineIneq(RatVec([0] * sys.dim) if obj is None else obj, 0))
+    status, y, _ = _simplex_le(program[0], sub.nfree, (ints[:-1], den))
     if status == INFEASIBLE:
         return INFEASIBLE, None, None
     witness = RatVec(sub.lift(y))
@@ -785,8 +782,9 @@ class _Frame:
         if sub is None:
             sub = self._substitutions[key] = _Substitution(eqs, self.x0.dim, self.x0)
         lp_rows, sources = sub.program(rows)
-        *a, t = sub.reduce(row)
-        status, _, final = _simplex_le(lp_rows, sub.nfree, [sign * c for c in a], t)
+        (*a, t), den = sub.reduce(row)
+        objective = ([sign * c for c in a], den)
+        status, _, final = _simplex_le(lp_rows, sub.nfree, objective, Fraction(t, den))
         return status == OPTIMAL, sub, sources, final
 
     def implied(self, rows, row: AffineIneq) -> bool:
@@ -824,26 +822,18 @@ def remove_redundant(
     row is dropped when the rows still kept, without it, imply it.
 
     `known` is a point of sys, if the caller has one; it is checked, and a
-    witness LP finds a point when it is missing or fails a row.  Each
-    decision first tries the certificates in `store` (a fresh store when
-    none is given) and only then solves the implication LP, whose
-    certificate it adds to the store.
+    witness LP finds a point when it is missing or fails a row.  One key
+    rules the decisions: rows whose primitive normals and kinds agree
+    (x <= 3 and 2x <= 7, say) are one key, and only its row with the least
+    slack at that point is tested; the others are implied by it and go at
+    once (`certificates._Rows`).  Each decision first tries the
+    certificates in `store` (a fresh store when none is given) and only
+    then solves the implication LP, whose certificate it adds to the store.
     """
     # certificates.py builds on this module, so it is imported here.
     from .certificates import CertificateStore, _Rows
 
-    # Cheap prepass: among <= rows sharing a normal only the least bound
-    # can survive.
-    tightest: dict = {}
-    for row in sys.ineqs:
-        if row.kind == LE:
-            cur = tightest.get(row.normal.entries)
-            if cur is None or row.bound < cur:
-                tightest[row.normal.entries] = row.bound
-    rows = [
-        r for r in sys.ineqs
-        if r.kind != LE or r.bound == tightest[r.normal.entries]
-    ]
+    rows = sys.ineqs
     if known is not None and known.dim != sys.dim:
         raise DimensionError(f"point dim {known.dim} vs system dim {sys.dim}")
     checked = _Rows(rows, known) if known is not None else None
@@ -854,8 +844,9 @@ def remove_redundant(
         checked = _Rows(rows, x0)
     store = CertificateStore() if store is None else store
     for i, row in enumerate(rows):
-        checked.alive[i] = False
-        checked.alive[i] = not all(store.bounded(checked, i, sign) for sign in _signs(row.kind))
+        if checked.alive[i]:
+            checked.alive[i] = False
+            checked.alive[i] = not all(store.bounded(checked, i, sign) for sign in _signs(row.kind))
     return _canonical_system(sys.dim, [r for r, alive in zip(rows, checked.alive) if alive])
 
 

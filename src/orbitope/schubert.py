@@ -175,10 +175,6 @@ def expand_in_schubert(f: Poly) -> Dict[Tuple[int, ...], int]:
 def _factor_cup(n: int, u_images: Tuple[int, ...], v_images: Tuple[int, ...]):
     """sigma_u . sigma_v inside H*(GL_n/B): multiply the Schubert
     polynomials, expand stably, drop permutations outside S_n."""
-    if not u_images:
-        u_images = (1,)
-    if not v_images:
-        v_images = (1,)
     prod = poly_mul(dict(schubert_poly(_trim_images(u_images))),
                     dict(schubert_poly(_trim_images(v_images))))
     terms = expand_in_schubert(prod)

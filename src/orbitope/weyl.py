@@ -197,9 +197,6 @@ class WeylElt:
             start = stop
         return RatVec(out)
 
-    def inverse(self) -> "WeylElt":
-        return WeylElt(f.inverse() for f in self.factors)
-
 
 @dataclass(frozen=True)
 class WeylDescriptor:

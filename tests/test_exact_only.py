@@ -8,6 +8,11 @@ coordinates are floats.
 One memo idiom: no module-level empty `{}`, `[]`, `dict()` or `set()`, the
 shape of a hand-rolled cache.  Memos are `functools.cache`, `lru_cache` or
 `cached_property`.
+
+An integer core in the exact layer: the pivot kernel, `row_reduce` and the
+equality substitution pass rows to each other and to the simplex as ints
+over a row denominator.  They never call `Fraction`, and `_simplex_le`
+never converts its rows with `_int_row`.
 """
 
 import ast
@@ -63,6 +68,43 @@ def _module_containers(path: Path) -> list[str]:
     return found
 
 
+# Function (or Class.method) of exactmath.py -> the names it must not call.
+INTEGER_CORE = {
+    "_reduce": {"Fraction"},
+    "_eliminate": {"Fraction"},
+    "_pivot": {"Fraction"},
+    "row_reduce": {"Fraction"},
+    "_Substitution.reduce": {"Fraction"},
+    "_Substitution.program": {"Fraction"},
+    "_simplex_le": {"_int_row"},
+}
+
+
+def _core_calls(path: Path) -> tuple[set, list[str]]:
+    """(the INTEGER_CORE functions defined in path, the banned calls they
+    make)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    functions += [
+        (f"{cls.name}.{fn.name}", fn)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+    ]
+    seen, found = set(), []
+    for name, fn in functions:
+        banned = INTEGER_CORE.get(name)
+        if banned is None:
+            continue
+        seen.add(name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in banned:
+                    found.append(f"{path.name}:{node.lineno} {name} calls {called}")
+    return seen, found
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -94,3 +136,27 @@ def test_scan_catches_module_containers(tmp_path):
     bad.write_text("A = {}\nB: dict = {}\nC = []\nD = dict()\nE = set()\n"
                    "F = {1: 2}\nG = [1]\nH = dict(a=1)\n\ndef f():\n    x = {}\n")
     assert [v.split()[1] for v in _module_containers(bad)] == ["A", "B:", "C", "D", "E"]
+
+
+def test_integer_core():
+    seen, found = _core_calls(PACKAGE / "exactmath.py")
+    assert seen == set(INTEGER_CORE)
+    assert found == []
+
+
+def test_scan_catches_core_conversions(tmp_path):
+    bad = tmp_path / "exactmath.py"
+    bad.write_text(
+        "import fractions\n\n"
+        "def row_reduce(rows, order):\n    return Fraction(1)\n\n"
+        "def _simplex_le(rows):\n    return _int_row(rows), Fraction(0)\n\n"
+        "class _Substitution:\n    def program(self):\n        return fractions.Fraction(2)\n\n"
+        "    def lift(self):\n        return Fraction(3)\n"
+    )
+    seen, found = _core_calls(bad)
+    assert seen == {"row_reduce", "_simplex_le", "_Substitution.program"}
+    assert [v.split(" ", 1)[1] for v in found] == [
+        "row_reduce calls Fraction",
+        "_simplex_le calls _int_row",
+        "_Substitution.program calls Fraction",
+    ]

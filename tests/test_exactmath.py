@@ -139,10 +139,22 @@ class TestLP:
         status, val, w = lp_max(s, [0, 0, 1])
         assert status == "optimal" and val == -2
         assert s.contains(w)
+        # Equalities that fix every variable leave the LP no free variable.
+        fixed = sysd(2, ineq_eq([1, 1], 1), ineq_eq([1, -1], 0), ineq_le([1, 1], 5),
+                     ineq_ge([0, 1], 0))
+        point = RatVec([F(1, 2), F(1, 2)])
+        assert lp_max(fixed, [1, 2]) == ("optimal", F(3, 2), point)
+        assert lp_witness(fixed) == point
+        assert implies(fixed, ineq_le([1, 0], F(1, 2)))
 
     def test_inconsistent_equalities(self):
         s = sysd(2, ineq_eq([1, 1], 0), ineq_eq([2, 2], 1))
         assert not lp_feasible(s)
+        # Consistent equalities that fix every variable, and a <= row the
+        # point they fix violates.
+        s = sysd(2, ineq_eq([1, 1], 1), ineq_eq([1, -1], 0), ineq_le([1, 0], 0))
+        assert not lp_feasible(s)
+        assert lp_max(s, [1, 0]) == ("infeasible", None, None)
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
@@ -186,24 +198,60 @@ class TestLP:
 class TestElimination:
     def test_row_reduce_pivot_rule(self):
         # Rows pivot in turn on their first nonzero column of `order`; the
-        # bound column outside `order` is carried along, `others` reduced.
+        # bound column outside `order` is carried along.
         rows = [[F(0), F(2), F(2), F(4)], [F(1), F(1), F(0), F(1)], [F(1), F(0), F(-1), F(-1)]]
-        others = [[F(1), F(1), F(1), F(0)]]
-        pivots = row_reduce(rows, others, range(3))
+        ints, dens, pivots = row_reduce(rows, range(3))
         assert pivots == [(0, 1), (1, 0)]
-        assert rows == [[0, 1, 1, 2], [1, 0, -1, -1], [0, 0, 0, 0]]
-        assert others == [[0, 0, 1, -1]]
+        assert ints == [[0, 1, 1, 2], [1, 0, -1, -1], [0, 0, 0, 0]]
+        assert dens == [1, 1, 1]
 
     def test_row_reduce_respects_order(self):
         rows = [[F(1), F(2), F(3)]]
-        assert row_reduce(rows, [], [1, 0]) == [(0, 1)]
-        assert rows == [[F(1, 2), 1, F(3, 2)]]
+        assert row_reduce(rows, [1, 0]) == ([[1, 2, 3]], [2], [(0, 1)])
+        assert rows == [[1, 2, 3]]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_reduce_matches_fraction_gauss_jordan(self, data):
+        ncols = data.draw(st.integers(1, 5))
+        entry = st.integers(-4, 4) | st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+        row = st.lists(entry, min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(row, max_size=4))
+        order = data.draw(st.permutations(range(ncols)))[: data.draw(st.integers(0, ncols))]
+        given_rows = [list(r) for r in rows]
+        ints, dens, pivots = row_reduce(rows, order)
+        want, want_pivots = _gauss_jordan(rows, order)
+        assert rows == given_rows
+        assert pivots == want_pivots
+        for k, (a, d) in enumerate(zip(ints, dens)):
+            assert all(type(c) is int for c in a) and type(d) is int and d > 0
+            assert gcd(d, *a) == 1
+            assert [F(c, d) for c in a] == want[k]
+        assert all(ints[i][col] == dens[i] for i, col in pivots)
 
     def test_primitive(self):
         assert primitive([F(1, 2), F(-1, 3), F(0)]) == [3, -2, 0]
         assert primitive([F(4), F(-6)]) == [2, -3]
         assert primitive([F(0), F(0)]) == [0, 0]
         assert all(isinstance(a, F) for a in primitive([F(2, 3), F(4)]))
+
+
+def _gauss_jordan(rows, order) -> tuple:
+    """(rows, pivots) of Gauss-Jordan over Fractions, each row in turn
+    pivoting on its first nonzero column of `order`."""
+    m = [[F(a) for a in row] for row in rows]
+    pivots = []
+    for i in range(len(m)):
+        col = next((j for j in order if m[i][j]), None)
+        if col is None:
+            continue
+        m[i] = [a / m[i][col] for a in m[i]]
+        for k in range(len(m)):
+            f = m[k][col]
+            if k != i and f:
+                m[k] = [a - f * b for a, b in zip(m[k], m[i])]
+        pivots.append((i, col))
+    return m, pivots
 
 
 class TestRedundancy:
