@@ -15,6 +15,9 @@ the polyhedron iff some point of the strongly-orthogonal-family cone is a
 Horn-admissible "difference spectrum" between mu and the dual of Lambda,
 blockwise over the unitary factors.  That condition is one exact LP
 feasibility test; `cross_check` compares the two routes over a grid.
+Every route's rows are <a, x> (<=|=) <c, p>, a fixed normal and a bound
+linear in the parameter p: Lambda, or mu then Lambda for the oracle, whose
+x is the cone's (m, k).  One evaluator, `_LinearRows`, makes them canonical.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from typing import Optional
 
 from . import horn
@@ -35,13 +39,13 @@ from .exactmath import (
     HPolyhedron,
     RatVec,
     _canonical_system,
+    _fraction,
+    _int_row,
     cone_hull,
     implies_all,
     ineq_ge,
-    ineq_le,
     lp_feasible,
     lp_witness,
-    primitive,
     rat_str,
     remove_redundant,
 )
@@ -53,7 +57,6 @@ from .rootdata import (
     UnsupportedFamilyError,
     dual_weight,
     in_hol_chamber,
-    pairing,
 )
 from .wellcover import enumerate_m0, enumerate_m0_dominant, require_pairs
 
@@ -141,37 +144,101 @@ def _validate_lambda(g: GroupData, Lambda: RatVec):
         raise DomainError(f"Lambda {Lambda!r} is not strictly holomorphic for {g.label()}")
 
 
+class _LinearRows:
+    """Rows <a, x> (<=|=) <c, p>: a fixed normal a, a RatVec over the nvars
+    coordinates of x, and a bound linear in a parameter p; `rows` holds them
+    as given, (a, c, kind).  Each row is worked out once: a = scale * unit
+    with unit primitive (sign-normalised for an equality), rows with one
+    unit and kind share a class, and c is kept as integer terms.  At p, over
+    one denominator of p, bound / scale is an integer fraction n/d, and the
+    canonical row is <d unit, x> (<=|=) n, keyed (class, n, d)."""
+
+    def __init__(self, nvars: int, rows):
+        self.nvars, self.rows = nvars, tuple(rows)
+        # (unit as ints, unit, kind); classes 0 and 1 are the zero normal's.
+        zero, zero_vec = (0,) * nvars, RatVec([0] * nvars)
+        self._classes = [(zero, zero_vec, LE), (zero, zero_vec, EQ)]
+        index = {(zero, LE): 0, (zero, EQ): 1}
+        self._forms = []  # (class, terms of c, qn, qd) per row
+        for a, c, kind in self.rows:
+            c_ints, cd = _int_row(c)
+            a_ints, ad = _int_row(a)
+            g = gcd(*a_ints)  # a = (g / ad) unit; g = 0 for a zero normal
+            unit = tuple(x // g for x in a_ints) if g > 1 else tuple(a_ints)
+            sign = -1 if kind == EQ and next((x for x in unit if x), 0) < 0 else 1
+            if sign < 0:
+                unit = tuple(-x for x in unit)
+            if (unit, kind) not in index:
+                index[unit, kind] = len(self._classes)
+                vec = a if g == ad == sign == 1 else RatVec([_fraction(x) for x in unit])
+                self._classes.append((unit, vec, kind))
+            # With c = C / cd and p = P / D, bound / scale = <C, P> qd / (D qn)
+            # for qn / qd = cd * scale = sign cd g / ad; the sign goes to C.
+            terms = tuple((j, sign * v) for j, v in enumerate(c_ints) if v)
+            self._forms.append((index[unit, kind], terms, cd * g, ad))
+
+    def at(self, p) -> list[AffineIneq]:
+        """The canonical row of each row at p; equal rows are one object."""
+        ints, den = _int_row(p)
+        made: dict = {}
+        out = []
+        for cls, terms, qn, qd in self._forms:
+            s = sum(v * ints[j] for j, v in terms)
+            if qn:
+                g = gcd(s * qd, den * qn)
+                n, d = s * qd // g, den * qn // g
+            else:  # 0 <= s or 0 = s holds, or the row is the marker {0 <= -1}
+                cls, n, d = (cls, 0, 1) if s == 0 or (s > 0 and cls == 0) else (0, -1, 1)
+            if (cls, n, d) not in made:
+                ints_unit, unit, kind = self._classes[cls]
+                normal = unit if d == 1 else RatVec([_fraction(d * a) for a in ints_unit])
+                made[cls, n, d] = AffineIneq(normal, _fraction(n), kind)
+            out.append(made[cls, n, d])
+        return out
+
+    def system(self, p) -> HPolyhedron:
+        """HPolyhedron(nvars, the rows at p), built from `at`."""
+        rows = {id(row): row for row in self.at(p) if not row.is_trivial()}
+        return _canonical_system(self.nvars, list(rows.values()))
+
+
+def _assembly_rows(g: GroupData, relaxed: bool = False) -> tuple:
+    """The rows `assemble` offers, over Lambda, and each row's source and
+    labels: the chamber's, then one row per m = 0 well-covering pair
+    (dominant pair when relaxed=True).  Not memoised: it holds the scan."""
+    require_pairs(g)
+    enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
+    pairs = [pair for lam in sorted_admissible(enumerate_admissible(g))
+             for pair in enumerate_pairs(g, lam)]
+    rows = [(row.normal, [0] * g.dim, row.kind) for row in g.chamber.ineqs]
+    sources = [("chamber", (None, None, None))] * len(rows)
+    rows += [(*pair.row_vectors, LE) for pair in pairs]
+    return _LinearRows(g.dim, rows), sources + [("pair", pair.labels) for pair in pairs]
+
+
 def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
     """The moment polyhedron from admissible cocharacters and their m = 0
     well-covering pairs (dominant pairs instead when relaxed=True).
 
-    Each row is canonicalized once, and equal rows are one object, shared
-    by the provenance records and the system.  Rows already canonical keep
-    their pair's normal vector, so answers to different Lambdas share it.
+    Equal rows are one object, shared by the provenance records and the
+    system.  A row whose pair's normal is primitive keeps that normal
+    vector, so answers to different Lambdas share it.
     """
     _require_assemblable(g)
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     _validate_lambda(g, Lambda)
-    require_pairs(g)
-    enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
-    pair_rows = []
-    for lam in sorted_admissible(enumerate_admissible(g)):
-        for pair in enumerate_pairs(g, lam):
-            normal, c = pair.row_vectors
-            pair_rows.append((AffineIneq(normal, pairing(c, Lambda)).canonical(), pair.labels))
-    pair_rows.sort(key=lambda t: (t[0].normal.entries, t[0].bound))
-    sources = [(row, "chamber", (None, None, None)) for row in g.chamber.ineqs]
-    sources += [(row, "pair", labels) for row, labels in pair_rows]
-    shared: dict = {}
-    rows = [shared.setdefault(row, row) for row, _, _ in sources]
+    offered, sources = _assembly_rows(g, relaxed)
+    rows = list(zip(offered.at(Lambda), sources))
+    pairs = slice(len(g.chamber.ineqs), None)
+    rows[pairs] = sorted(rows[pairs], key=lambda t: (t[0].normal.entries, t[0].bound))
+    distinct = {id(row): row for row, _ in rows}
     # Lambda lies in the polyhedron, so it is the known point.
     system = remove_redundant(
-        _canonical_system(g.dim, list(shared.values())), Lambda, _certificates(g)
+        _canonical_system(g.dim, list(distinct.values())), Lambda, _certificates(g)
     )
     kept = {id(row) for row in system.ineqs}
     records = tuple(
-        Provenance(row, source, *labels, kept=id(row) in kept)
-        for row, (_, source, labels) in zip(rows, sources)
+        Provenance(row, source, *labels, kept=id(row) in kept) for row, (source, labels) in rows
     )
     return OrbitPolytope(g, Lambda, system, records)
 
@@ -197,77 +264,51 @@ def member(p: OrbitPolytope, xi) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _closed_form_rows(g: GroupData) -> _LinearRows:
+    """The literal closed-form lists as rows over Lambda: the chamber's, then
+    the family's rows <xi coefficients, xi> >= <Lambda coefficients, Lambda>
+    (`ge`), then its rows with <= (`le`)."""
+    tag, params, n = g.family.tag, g.family.params, g.dim
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    signs = [[1 - 2 * x for x in e_k] for e_k in e]  # all but one positive
+    if tag == SP:
+        ge, le = [(e_i, e_i) for e_i in e], []
+    elif tag == SU and params[1] == 1 and g.unitary_coords:
+        lams = [[(n + 1) * x - 1 for x in e_k] for e_k in e]
+        ge, le = [(lam, lam) for lam in lams], [(lams[k + 1], lams[k]) for k in range(n - 1)]
+    elif tag == SO_STAR and params[0] == 3:
+        ge = [(s, s) for s in signs] + [((1, -1, -1), (-1, 1, -1)), ((-1, 1, -1), (-1, -1, 1))]
+        le = []
+    elif tag == SO_STAR and params[0] == 4:
+        # The affine-cone rows, all-but-one positive and coordinatewise, and
+        # the six extra rows.
+        ge = [(s, s) for s in signs] + [(e_i, e_i) for e_i in e]
+        le = [((1, -1, 1, -1), (1, 1, -1, -1)), ((-1, 1, 1, -1), (1, -1, 1, -1)),
+              ((1, -1, -1, 1), (1, -1, 1, -1)), ((-1, 1, -1, 1), (-1, 1, 1, -1)),
+              ((-1, 1, -1, 1), (1, -1, -1, 1)), ((-1, -1, 1, 1), (-1, 1, -1, 1))]
+    elif tag == SU and params == (2, 2):
+        ge = [(e[0], e[0]), (e[1], e[1])]
+        le = [(e[2], e[2]), (e[3], e[3])]
+        # |xi1 - xi2 - xi3 + xi4| <= c1, and -xi1 + xi2 - xi3 + xi4 <= -|c2|.
+        le += [((1, -1, -1, 1), (1, -1, 1, -1)), ((-1, 1, 1, -1), (1, -1, 1, -1))]
+        le += [((-1, 1, -1, 1), (1, -1, -1, 1)), ((-1, 1, -1, 1), (-1, 1, 1, -1))]
+    else:
+        raise DomainError(f"no closed-form polytope for {g.label()}")
+    rows = [(row.normal, [0] * n, row.kind) for row in g.chamber.ineqs]
+    rows += [(-RatVec(xi), [-c for c in lam], LE) for xi, lam in ge]
+    rows += [(RatVec(xi), lam, LE) for xi, lam in le]
+    return _LinearRows(n, rows)
+
+
 def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
-    """The literal inequality lists known in closed form."""
+    """The literal inequality lists known in closed form, kept as stated
+    (canonicalized and deduplicated but not redundancy-reduced)."""
     _require_assemblable(g)
     Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     _validate_lambda(g, Lambda)
-    tag, params = g.family.tag, g.family.params
-    rows: list[AffineIneq] = list(g.chamber.ineqs)
-    n = g.dim
-
-    if tag == SP:
-        for i in range(n):
-            e_i = [1 if j == i else 0 for j in range(n)]
-            rows.append(ineq_ge(e_i, Lambda[i]))
-    elif tag == SU and params[1] == 1 and g.unitary_coords:
-        lams = [RatVec([(n + 1 if j == k else 0) - 1 for j in range(n)]) for k in range(n)]
-        for k in range(n):
-            rows.append(ineq_ge(list(lams[k]), pairing(lams[k], Lambda)))
-        for k in range(n - 1):
-            rows.append(ineq_le(list(lams[k + 1]), pairing(lams[k], Lambda)))
-    elif tag == SO_STAR and params[0] == 3:
-        L1, L2, L3 = Lambda
-        for signs in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1, -1), (-1, 1, -1)]:
-            rhs = {
-                (-1, 1, 1): -L1 + L2 + L3,
-                (1, -1, 1): L1 - L2 + L3,
-                (1, 1, -1): L1 + L2 - L3,
-                (1, -1, -1): -L1 + L2 - L3,
-                (-1, 1, -1): -L1 - L2 + L3,
-            }[signs]
-            rows.append(ineq_ge(list(signs), rhs))
-    elif tag == SO_STAR and params[0] == 4:
-        L = Lambda
-        # The affine-cone rows: all-but-one positive, and coordinatewise.
-        for k in range(4):
-            signs = [1] * 4
-            signs[k] = -1
-            rows.append(ineq_ge(signs, sum(s * x for s, x in zip(signs, L))))
-        for i in range(4):
-            e_i = [1 if j == i else 0 for j in range(4)]
-            rows.append(ineq_ge(e_i, L[i]))
-        # The six extra rows.
-        extra = [
-            ((1, -1, 1, -1), (1, 1, -1, -1)),
-            ((-1, 1, 1, -1), (1, -1, 1, -1)),
-            ((1, -1, -1, 1), (1, -1, 1, -1)),
-            ((-1, 1, -1, 1), (-1, 1, 1, -1)),
-            ((-1, 1, -1, 1), (1, -1, -1, 1)),
-            ((-1, -1, 1, 1), (-1, 1, -1, 1)),
-        ]
-        for lhs, lam_coeff in extra:
-            rows.append(ineq_le(lhs, sum(c * x for c, x in zip(lam_coeff, L))))
-    elif tag == SU and params == (2, 2):
-        L1, L2, L3, L4 = Lambda
-        rows.append(ineq_ge([1, 0, 0, 0], L1))
-        rows.append(ineq_ge([0, 1, 0, 0], L2))
-        rows.append(ineq_le([0, 0, 1, 0], L3))
-        rows.append(ineq_le([0, 0, 0, 1], L4))
-        c1 = L1 - L2 + L3 - L4
-        rows.append(ineq_le([1, -1, -1, 1], c1))
-        rows.append(ineq_le([-1, 1, 1, -1], c1))
-        c2 = L1 - L2 - L3 + L4
-        rows.append(ineq_le([-1, 1, -1, 1], c2))
-        rows.append(ineq_le([-1, 1, -1, 1], -c2))
-    else:
-        raise DomainError(f"no closed-form polytope for {g.label()}")
-
-    # The literal lists are kept as stated (canonicalized and deduplicated
-    # but not redundancy-reduced).
-    system = HPolyhedron(g.dim, rows)
-    records = tuple(Provenance(r.canonical(), "closed-form") for r in rows)
-    return OrbitPolytope(g, Lambda, system, records)
+    rows = _closed_form_rows(g)
+    records = tuple(Provenance(row, "closed-form") for row in rows.at(Lambda))
+    return OrbitPolytope(g, Lambda, rows.system(Lambda), records)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +317,7 @@ def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
 
 
 @cache
-def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
+def _oracle_rows(g: GroupData) -> _LinearRows:
     """The Horn oracle's rows for g, which depend on neither Lambda nor mu.
 
     Variables: the chain coefficients m_1 >= ... >= m_r >= 0 of the
@@ -285,13 +326,10 @@ def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
     the Horn trace equality and all T inequalities for the triple
     (mu_block, dual(Lambda)_block, gamma(m)_block + k).
 
-    Returns (number of variables, rows).  A row is (unit, scale, kind, I,
-    J, cls): its bound is the sum of mu over the coordinates I plus the sum
-    of dual(Lambda) over the coordinates J, and its normal is scale * unit,
-    with unit primitive (sign-normalised for an equality; None for a zero
-    normal).  Rows with the same unit and kind share the class number cls.
+    The parameter is mu followed by Lambda: a row's bound is the sum of mu
+    over coordinates I plus the sum of dual(Lambda) over coordinates J.
     """
-    r = len(g.schmid)
+    r, n = len(g.schmid), g.dim
     nvars = r + (1 if g.trace_zero else 0)
 
     def gamma_sum(coords) -> RatVec:
@@ -301,69 +339,29 @@ def _oracle_rows(g: GroupData) -> tuple[int, tuple]:
             form.append(Fraction(len(coords)))  # the central shift k on every coordinate
         return RatVec(form)
 
+    duals = [dual_weight(g, RatVec([int(j == k) for j in range(n)])) for k in range(n)]  # dual(e_k)
+
+    def bound(I, J) -> list:
+        """sum(mu_I) + sum(dual(Lambda)_J) as coefficients over (mu, Lambda)."""
+        return [int(i in I) for i in range(n)] + [sum(duals[k][j] for j in J) for k in range(n)]
+
     rows = []
     # Chain: m_1 >= m_2 >= ... >= m_r >= 0.
     for i in range(r):
-        c = [Fraction(0)] * nvars
-        c[i] = Fraction(-1)
+        a = [Fraction(0)] * nvars
+        a[i] = Fraction(-1)
         if i + 1 < r:
-            c[i + 1] = Fraction(1)
-        rows.append((RatVec(c), LE, (), ()))
+            a[i + 1] = Fraction(1)
+        rows.append((RatVec(a), bound((), ()), LE))
     for start, stop in g.weyl.block_ranges():
         block = tuple(range(start, stop))
         # Trace equality: sum(mu) + sum(lam*) = sum(gamma + k) over the block.
-        rows.append((gamma_sum(block), EQ, block, block))
+        rows.append((gamma_sum(block), bound(block, block), EQ))
         for rr in range(1, len(block)):
             for t in horn.enum_T(rr, len(block)):
                 I, J, L = (tuple(block[i - 1] for i in part) for part in (t.I, t.J, t.L))
-                rows.append((gamma_sum(L), LE, I, J))
-    classes: dict = {}
-    out = []
-    for normal, kind, I, J in rows:
-        if normal.is_zero():
-            out.append((None, None, kind, I, J, None))
-            continue
-        unit = primitive(list(normal))
-        if kind == EQ and next(a for a in unit if a) < 0:
-            unit = [-a for a in unit]
-        k = next(j for j, a in enumerate(unit) if a)
-        cls = classes.setdefault((tuple(unit), kind), len(classes))
-        out.append((RatVec(unit), normal[k] / unit[k], kind, I, J, cls))
-    return nvars, tuple(out)
-
-
-def _oracle_system(g: GroupData, Lambda: RatVec, mu: RatVec) -> HPolyhedron:
-    """The feasibility system deciding mu in Delta via the Horn route: the
-    rows of `_oracle_rows` with their bounds filled in.
-
-    The rows come out as the HPolyhedron constructor would make them, in
-    the same order: a row <normal, x> <= b with normal = scale * unit and
-    b / scale = p/q in lowest terms is canonically <q unit, x> <= p, a row
-    that always holds is dropped, and repeats are dropped.
-    """
-    nvars, rows = _oracle_rows(g)
-    m, ls = mu.entries, dual_weight(g, Lambda).entries
-    seen = set()
-    out = []
-    for unit, scale, kind, I, J, cls in rows:
-        b = sum(m[i] for i in I) + sum(ls[j] for j in J)
-        if unit is None:
-            if b >= 0 if kind == LE else b == 0:
-                continue
-            key = None
-        else:
-            b = b / scale
-            key = (cls, b.numerator, b.denominator)
-        if key in seen:
-            continue
-        seen.add(key)
-        if unit is None:
-            out.append(HPolyhedron.empty(nvars).ineqs[0])
-        elif b.denominator == 1:
-            out.append(AffineIneq(unit, b, kind))
-        else:
-            out.append(AffineIneq(unit.scale(b.denominator), b.numerator, kind))
-    return _canonical_system(nvars, out)
+                rows.append((gamma_sum(L), bound(I, J), LE))
+    return _LinearRows(nvars, rows)
 
 
 def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
@@ -381,7 +379,7 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
         raise DomainError(f"mu dimension {mu.dim} != {g.dim}")
     if not g.chamber.contains(mu):
         return (False, None) if witness else False
-    sys = _oracle_system(g, Lambda, mu)
+    sys = _oracle_rows(g).system((*mu, *Lambda))
     if not witness:
         return lp_feasible(sys)
     point = lp_witness(sys)
@@ -399,8 +397,8 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
 # ---------------------------------------------------------------------------
 
 
-# Most half-integer box points, (4 radius + 1)^dim, one cross-check may
-# enumerate before filtering; su(2, 2) at radius 4 needs 17^4 = 83521.
+# Most half-integer box points, (4 radius + 1)^dim, one cross-check may span; a trace-zero
+# group fixes its last offset and enumerates (4 radius + 1)^(dim - 1) (su(2, 2), radius 4: 17^3).
 GRID_CAP = 10**5
 
 

@@ -19,10 +19,23 @@ from orbitope.admissible import (
     enumerate_admissible,
     sorted_admissible,
 )
-from orbitope.exactmath import HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal
+from orbitope.exactmath import (
+    AffineIneq,
+    HPolyhedron,
+    RatVec,
+    cone_rays,
+    implies_all,
+    ineq_eq,
+    ineq_ge,
+    lp_feasible,
+    poly_equal,
+)
 from orbitope.horn import enum_T, enum_U, family_bar, family_bar_star, family_L, \
     family_L_tilde, triple_via_eigen
 from orbitope.polytope import (
+    _assembly_rows,
+    _closed_form_rows,
+    _oracle_rows,
     assemble,
     closed_form,
     contained_in_hol_closure,
@@ -393,4 +406,75 @@ def test_criterion_7_geometry():
                 ok = False
                 detail.append(f"{spec}: relaxed assembly differs")
     report(7, "geometric properties", ok, time.perf_counter() - t0, 120.0,
+           "; ".join(detail[:4]))
+
+
+# -- 8 and 9. the routes agree for every Lambda ------------------------------
+#
+# Every route's rows are <a, x> (<=|=) <c, p> with p ending in Lambda, so
+# read over (x, p) each route is one cone and no Lambda needs sampling.
+# The cones are closed, with Lambda in the closed holomorphic chamber;
+# equal closed cones agree on the open chamber too.
+
+
+def joint_cone(g, rows):
+    """The rows of a polytope._LinearRows as the cone <a, x> - <c, p>
+    (<=|=) 0 in (x, p).  The last two blocks of (x, p) are a point (xi, or
+    mu for the oracle) and Lambda: the point is dominant, and Lambda lies
+    in the closed holomorphic chamber."""
+    n = g.dim
+    dim = rows.nvars + len(rows.rows[0][1])
+
+    def placed(normal, start):
+        return [0] * start + list(normal) + [0] * (dim - start - n)
+
+    out = [AffineIneq(RatVec([*a, *(-c for c in cs)]), 0, kind) for a, cs, kind in rows.rows]
+    for start in (dim - 2 * n, dim - n):
+        out += [AffineIneq(RatVec(placed(r.normal, start)), 0, r.kind) for r in g.chamber.ineqs]
+    out += [ineq_ge(placed(beta, dim - n), 0) for beta in g.noncompact_pos]
+    return HPolyhedron(dim, out)
+
+
+def test_criterion_8_closed_forms_every_lambda():
+    t0 = time.perf_counter()
+    ok = True
+    detail = []
+    for spec, *_ in CLOSED_FORM_CASES:
+        g = g_of(spec)
+        if not poly_equal(joint_cone(g, _assembly_rows(g)[0]), joint_cone(g, _closed_form_rows(g))):
+            ok = False
+            detail.append(spec)
+    report(8, "closed forms for every Lambda", ok, time.perf_counter() - t0, 10.0,
+           "; ".join(detail))
+
+
+# The closed-form groups and su(3, 2) cover five of the six assemble-mix
+# groups; sp:n=5 would add about 7 s of implication LPs.
+HORN_EVERY_LAMBDA = [spec for spec, *_ in CLOSED_FORM_CASES] + ["su:p=3,q=2"]
+
+
+def test_criterion_9_horn_every_lambda():
+    t0 = time.perf_counter()
+    ok = True
+    detail = []
+    for spec in HORN_EVERY_LAMBDA:
+        g = g_of(spec)
+        assembled = joint_cone(g, _assembly_rows(g)[0])
+        oracle = _oracle_rows(g)
+        # Horn inside assembly: the lifted cone in (m, k, mu, Lambda)
+        # implies every assembled row.
+        lifted = [AffineIneq(RatVec([0] * oracle.nvars + list(r.normal)), 0, r.kind)
+                  for r in assembled.ineqs]
+        if not implies_all(joint_cone(g, oracle), lifted):
+            ok = False
+            detail.append(f"{spec}: an assembled row fails on the Horn cone")
+        # Assembly inside Horn: every extreme ray (xi, Lambda) of the
+        # assembled cone, and both directions of each lineality vector,
+        # passes the oracle's LP at p = (mu, Lambda) = the ray.
+        lineality, rays = cone_rays(assembled)
+        for ray in [*rays, *lineality, *(-l for l in lineality)]:
+            if not lp_feasible(oracle.system(ray)):
+                ok = False
+                detail.append(f"{spec}: ray {ray!r} fails the oracle")
+    report(9, "Horn route for every Lambda", ok, time.perf_counter() - t0, 10.0,
            "; ".join(detail[:4]))

@@ -18,8 +18,9 @@ from orbitope.exactmath import (
 )
 from orbitope.polytope import (
     DomainError,
+    _assembly_rows,
+    _closed_form_rows,
     _oracle_rows,
-    _oracle_system,
     assemble,
     closed_form,
     contained_in_hol_closure,
@@ -35,7 +36,6 @@ from orbitope.rootdata import (
     GroupFamily,
     UnsupportedFamilyError,
     build,
-    dual_weight,
     in_hol_chamber,
 )
 from orbitope.wellcover import enumerate_m0
@@ -210,25 +210,36 @@ class TestOracle:
         for mu in ([F(5, 2), F(1, 2)], [F(7, 2), 1], [2, F(1, 2)]):
             assert horn_oracle_member(g, [2, 0], mu) == member(p, mu)
 
-    @pytest.mark.parametrize("spec", ["sp:n=4", "su:p=6,q=1", "su:p=3,q=2",
-                                      "so_star:n=3", "so_star:n=5"])
-    def test_system_is_the_constructors(self, spec):
-        # Per point only the bounds are new; the rows must be exactly those
-        # HPolyhedron makes of the raw rows: scaling, order, repeats dropped,
-        # and rows with a zero normal dropped or turned into the marker.
-        g = g_of(spec)
-        nvars, rows = _oracle_rows(g)
+    ROUTES = {
+        "oracle": _oracle_rows,
+        "closed-form": _closed_form_rows,
+        "assembly": lambda g: _assembly_rows(g)[0],
+    }
+
+    CASES = [("oracle", spec) for spec in
+             ("sp:n=4", "su:p=6,q=1", "su:p=3,q=2", "so_star:n=3", "so_star:n=5")]
+    CASES += [("closed-form", spec) for spec in
+              ("sp:n=3", "su:p=3,q=1", "so_star:n=3", "so_star:n=4", "su:p=2,q=2")]
+    CASES += [("assembly", "su:p=2,q=2"), ("assembly", "so_star:n=4")]
+
+    @pytest.mark.parametrize("route, spec", CASES, ids=[
+        spec if route == "oracle" else f"{route}-{spec}" for route, spec in CASES])
+    def test_system_is_the_constructors(self, route, spec):
+        # Per parameter p only the bounds are new; the rows must be exactly
+        # those HPolyhedron makes of the raw rows: scaling, order, repeats
+        # dropped, and rows with a zero normal (five for so_star:n=5)
+        # dropped or turned into the marker.  `at` gives each raw row's
+        # canonical form, equal rows as one object.
+        rows = self.ROUTES[route](g_of(spec))
         rnd = random.Random(spec)
         for _ in range(20):
-            Lambda, mu = (RatVec([F(rnd.randint(-9, 9), rnd.choice((1, 2, 3)))
-                                  for _ in range(g.dim)]) for _ in range(2))
-            ls = dual_weight(g, Lambda)
-            raw = [
-                AffineIneq(RatVec([0] * nvars) if unit is None else unit.scale(scale),
-                           sum(mu[i] for i in I) + sum(ls[j] for j in J), kind)
-                for unit, scale, kind, I, J, _ in rows
-            ]
-            assert _oracle_system(g, Lambda, mu).ineqs == HPolyhedron(nvars, raw).ineqs
+            p = [F(rnd.randint(-9, 9), rnd.choice((1, 2, 3))) for _ in rows.rows[0][1]]
+            raw = [AffineIneq(a, sum(c * x for c, x in zip(cs, p)), kind)
+                   for a, cs, kind in rows.rows]
+            assert rows.system(p).ineqs == HPolyhedron(rows.nvars, raw).ineqs
+            at = rows.at(p)
+            assert at == [row.canonical() for row in raw]
+            assert len({id(row) for row in at}) == len(set(at))
 
     def test_so_family_rejected(self):
         with pytest.raises(UnsupportedFamilyError):
