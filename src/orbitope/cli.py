@@ -11,6 +11,11 @@ Verbs:
   pairs    m = 0 well-covering pairs per admissible cocharacter
   plot     SVG of a rank-2 polyhedron with cone rays and chamber wall
 
+`--group` parses straight to the group's root data.  Each verb computes its
+answer once and returns it as two renderings, JSON and text; one writer,
+`_write`, emits the one --format asks for to stdout or --out.  `plot` has
+no JSON form and writes SVG in both formats.
+
 Exit codes: 0 ok, 1 domain error, 2 usage error (an output that cannot be
 written among them), 3 cross-check disagreement.  Output is deterministic:
 identical inputs give identical bytes.
@@ -34,7 +39,7 @@ from .polytope import (
     horn_oracle_member,
     member,
 )
-from .rootdata import GroupFamily, UnsupportedFamilyError, build
+from .rootdata import GroupData, GroupFamily, UnsupportedFamilyError, build
 from .wellcover import enumerate_m0, require_pairs
 
 USAGE_EXIT = 2
@@ -59,131 +64,89 @@ def _parse_window(text: str) -> int:
     return window
 
 
-def _parse_group(text: str) -> GroupFamily:
+def _parse_group(text: str) -> GroupData:
     try:
-        return GroupFamily.parse(text)
+        family = GroupFamily.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    return build(family)
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as f:
+def _write(args, to_json, to_text) -> None:
+    """The one writer of a verb's answer: JSON through `_json_dumps` for
+    --format json, else the verb's text, newline-terminated, to --out or
+    stdout.  A verb with no JSON form (plot) passes to_json=None, and its
+    text is written in either format."""
+    text = _json_dumps(to_json()) if args.format == "json" and to_json else to_text()
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.out:
+        with open(args.out, "w") as f:
             f.write(text)
-            if not text.endswith("\n"):
-                f.write("\n")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=False)
 
 
-def cmd_ineqs(args) -> int:
-    g = build(args.group)
-    pol = assemble(g, args.lam)
-    if args.format == "json":
-        _emit(_json_dumps(pol.to_json_obj()), args.out)
-    else:
-        _emit(pol.pretty(), args.out)
-    return 0
+# Each verb returns its answer as (to_json, to_text, exit code), two
+# callables that render it; `main` hands them to `_write`.
 
 
-def cmd_member(args) -> int:
-    g = build(args.group)
-    pol = assemble(g, args.lam)
-    xi = args.xi
-    ok = member(pol, xi)
-    detail = None
-    if not ok:
-        for row in pol.system.ineqs:
-            if not row.satisfied_by(xi):
-                detail = display_ineq(row)
-                break
-    if args.format == "json":
-        obj = {"member": ok}
-        if detail:
-            obj["violated"] = detail
-        _emit(_json_dumps(obj), args.out)
-    else:
-        _emit(f"member: {str(ok).lower()}"
-              + (f"\nviolated: {detail}" if detail else ""), args.out)
-    return 0
+def cmd_ineqs(args):
+    pol = assemble(args.group, args.lam)
+    return pol.to_json_obj, pol.pretty, 0
 
 
-def cmd_oracle(args) -> int:
-    g = build(args.group)
-    ok, gamma = horn_oracle_member(g, args.lam, args.mu, witness=True)
-    if args.format == "json":
-        obj = {"member": ok}
-        if gamma is not None:
-            obj["cone_witness"] = [rat_str(x) for x in gamma]
-        _emit(_json_dumps(obj), args.out)
-    else:
-        lines = [f"member: {str(ok).lower()}"]
-        if gamma is not None:
-            lines.append("cone witness: " + ",".join(rat_str(x) for x in gamma))
-        _emit("\n".join(lines), args.out)
-    return 0
+def cmd_member(args):
+    pol = assemble(args.group, args.lam)
+    obj = {"member": member(pol, args.xi)}
+    lines = [f"member: {str(obj['member']).lower()}"]
+    if not obj["member"]:
+        obj["violated"] = next(
+            display_ineq(row) for row in pol.system.ineqs if not row.satisfied_by(args.xi)
+        )
+        lines.append(f"violated: {obj['violated']}")
+    return lambda: obj, lambda: "\n".join(lines), 0
 
 
-def cmd_check(args) -> int:
-    g = build(args.group)
-    report = cross_check(g, args.lam, args.radius)
-    if args.format == "json":
-        obj = {
-            "group": report.group,
-            "Lambda": list(report.Lambda),
-            "radius": report.radius,
-            "points_checked": report.points_checked,
-            "disagreements": report.disagreements,
-        }
-        _emit(_json_dumps(obj), args.out)
-    else:
-        _emit(report.summary(), args.out)
-    return 0 if report.ok else DISAGREE_EXIT
+def cmd_oracle(args):
+    ok, gamma = horn_oracle_member(args.group, args.lam, args.mu, witness=True)
+    obj = {"member": ok}
+    lines = [f"member: {str(ok).lower()}"]
+    if gamma is not None:
+        obj["cone_witness"] = [rat_str(x) for x in gamma]
+        lines.append("cone witness: " + ",".join(obj["cone_witness"]))
+    return lambda: obj, lambda: "\n".join(lines), 0
 
 
-def cmd_adm(args) -> int:
-    g = build(args.group)
-    lams = sorted_admissible(enumerate_admissible(g))
-    if args.format == "json":
-        _emit(_json_dumps([list(l.ints()) for l in lams]), args.out)
-    else:
-        _emit("\n".join(",".join(str(c) for c in l.ints()) for l in lams), args.out)
-    return 0
+def cmd_check(args):
+    report = cross_check(args.group, args.lam, args.radius)
+    return report.to_json_obj, report.summary, 0 if report.ok else DISAGREE_EXIT
 
 
-def cmd_horn(args) -> int:
+def cmd_adm(args):
+    lams = [l.ints() for l in sorted_admissible(enumerate_admissible(args.group))]
+    return (lambda: [list(l) for l in lams],
+            lambda: "\n".join(",".join(str(c) for c in l) for l in lams), 0)
+
+
+def cmd_horn(args):
     triples = enum_T(args.r, args.n)
-    obj = [t.to_json_obj() for t in triples]
-    if args.format == "json":
-        _emit(_json_dumps(obj), args.out)
-    else:
-        _emit("\n".join(
-            "I={} J={} L={}".format(list(t.I), list(t.J), list(t.L)) for t in triples
-        ), args.out)
-    return 0
+    return (lambda: [t.to_json_obj() for t in triples],
+            lambda: "\n".join(f"I={list(t.I)} J={list(t.J)} L={list(t.L)}" for t in triples), 0)
 
 
-def cmd_pairs(args) -> int:
-    g = build(args.group)
+def cmd_pairs(args):
+    g = args.group
     require_pairs(g)
-    records = []
-    for lam in sorted_admissible(enumerate_admissible(g)):
-        for pair in enumerate_m0(g, lam):
-            records.append(pair.to_json_obj())
-    if args.format == "json":
-        _emit(_json_dumps(records), args.out)
-    else:
-        _emit("\n".join(
-            "lambda={} w={} w'={} m={}".format(r["lambda"], r["w"], r["w_prime"], r["m"])
-            for r in records
-        ), args.out)
-    return 0
+    records = [pair.to_json_obj() for lam in sorted_admissible(enumerate_admissible(g))
+               for pair in enumerate_m0(g, lam)]
+    return (lambda: records,
+            lambda: "\n".join("lambda={} w={} w'={} m={}".format(
+                r["lambda"], r["w"], r["w_prime"], r["m"]) for r in records), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +248,9 @@ def render_svg(pol: OrbitPolytope, window: int = 0) -> str:
     return "\n".join(parts)
 
 
-def cmd_plot(args) -> int:
-    g = build(args.group)
-    pol = assemble(g, args.lam)
-    svg = render_svg(pol, window=args.window)
-    _emit(svg, args.out)
-    return 0
+def cmd_plot(args):
+    svg = render_svg(assemble(args.group, args.lam), window=args.window)
+    return None, lambda: svg, 0
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +322,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize others.
         return USAGE_EXIT if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        to_json, to_text, code = args.func(args)
+        _write(args, to_json, to_text)
+        return code
     except (DomainError, UnsupportedFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

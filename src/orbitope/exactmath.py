@@ -275,6 +275,11 @@ class AffineIneq:
         v = self.normal.dot(x)
         return v == self.bound if self.kind == EQ else v <= self.bound
 
+    def to_json_obj(self) -> dict:
+        """The JSON wire form of one row: {"a": normal, "b": bound, "eq": is equality}."""
+        return {"a": [rat_str(a) for a in self.normal], "b": rat_str(self.bound),
+                "eq": self.kind == EQ}
+
 
 def ineq_le(coeffs: Sequence, bound) -> AffineIneq:
     return AffineIneq(RatVec(coeffs), rat(bound), LE)
@@ -345,17 +350,7 @@ class HPolyhedron:
 
     # -- JSON wire format ------------------------------------------------
     def to_json_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "ineqs": [
-                {
-                    "a": [rat_str(a) for a in row.normal],
-                    "b": rat_str(row.bound),
-                    "eq": row.kind == EQ,
-                }
-                for row in self.ineqs
-            ],
-        }
+        return {"dim": self.dim, "ineqs": [row.to_json_obj() for row in self.ineqs]}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "HPolyhedron":

@@ -18,12 +18,17 @@ feasibility test; `cross_check` compares the two routes over a grid.
 Every route's rows are <a, x> (<=|=) <c, p>, a fixed normal and a bound
 linear in the parameter p: Lambda, or mu then Lambda for the oracle, whose
 x is the cone's (m, k).  One evaluator, `_LinearRows`, makes them canonical.
+
+The entry points `assemble`, `closed_form` and `horn_oracle_member` check
+the family and Lambda in one place, `_checked_lambda`.  Their answers
+serialise themselves (`to_json_obj`), each row through
+`AffineIneq.to_json_obj`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -74,13 +79,7 @@ class Provenance:
     kept: bool = True
 
     def to_json_obj(self):
-        obj = {
-            "a": [rat_str(c) for c in self.ineq.normal],
-            "b": rat_str(self.ineq.bound),
-            "eq": self.ineq.kind == EQ,
-            "source": self.source,
-            "kept": self.kept,
-        }
+        obj = {**self.ineq.to_json_obj(), "source": self.source, "kept": self.kept}
         if self.lam is not None:
             obj["lambda"] = list(self.lam)
             obj["w"] = self.w
@@ -99,7 +98,7 @@ class OrbitPolytope:
         return {
             "group": self.group.label(),
             "Lambda": [rat_str(c) for c in self.Lambda],
-            "ineqs": self.system.to_json_obj()["ineqs"],
+            "ineqs": [row.to_json_obj() for row in self.system.ineqs],
             "provenance": [p.to_json_obj() for p in self.provenance],
         }
 
@@ -130,18 +129,19 @@ def display_ineq(row: AffineIneq) -> str:
     return f"{lhs} {op} {rat_str(bound)}"
 
 
-def _require_assemblable(g: GroupData):
+def _checked_lambda(g: GroupData, Lambda) -> RatVec:
+    """Lambda as a RatVec, once g is known to have a polytope pipeline and
+    Lambda to be a strictly holomorphic weight of g."""
     if not g.schubert_carrier:
         raise UnsupportedFamilyError(
             f"{g.label()}: no polytope pipeline for the orthogonal family"
         )
-
-
-def _validate_lambda(g: GroupData, Lambda: RatVec):
+    Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     if Lambda.dim != g.dim:
         raise DomainError(f"Lambda dimension {Lambda.dim} != {g.dim}")
     if not in_hol_chamber(g, Lambda):
         raise DomainError(f"Lambda {Lambda!r} is not strictly holomorphic for {g.label()}")
+    return Lambda
 
 
 class _LinearRows:
@@ -224,9 +224,7 @@ def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
     system.  A row whose pair's normal is primitive keeps that normal
     vector, so answers to different Lambdas share it.
     """
-    _require_assemblable(g)
-    Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
-    _validate_lambda(g, Lambda)
+    Lambda = _checked_lambda(g, Lambda)
     offered, sources = _assembly_rows(g, relaxed)
     rows = list(zip(offered.at(Lambda), sources))
     pairs = slice(len(g.chamber.ineqs), None)
@@ -303,9 +301,7 @@ def _closed_form_rows(g: GroupData) -> _LinearRows:
 def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
     """The literal inequality lists known in closed form, kept as stated
     (canonicalized and deduplicated but not redundancy-reduced)."""
-    _require_assemblable(g)
-    Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
-    _validate_lambda(g, Lambda)
+    Lambda = _checked_lambda(g, Lambda)
     rows = _closed_form_rows(g)
     records = tuple(Provenance(row, "closed-form") for row in rows.at(Lambda))
     return OrbitPolytope(g, Lambda, rows.system(Lambda), records)
@@ -371,10 +367,8 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
     witness=True.  Points outside the dominant chamber are rejected
     outright (the polyhedron lives inside it).
     """
-    _require_assemblable(g)
-    Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
+    Lambda = _checked_lambda(g, Lambda)
     mu = mu if isinstance(mu, RatVec) else RatVec(mu)
-    _validate_lambda(g, Lambda)
     if mu.dim != g.dim:
         raise DomainError(f"mu dimension {mu.dim} != {g.dim}")
     if not g.chamber.contains(mu):
@@ -414,6 +408,9 @@ class CrossCheckReport:
     def ok(self) -> bool:
         return not self.disagreements
 
+    def to_json_obj(self) -> dict:
+        return asdict(self)
+
     def summary(self) -> str:
         return (
             f"{self.group} Lambda={self.Lambda} radius={self.radius}: "
@@ -449,8 +446,8 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
         raise DomainError(
             f"cross-check box of (4*{radius}+1)^{g.dim} points exceeds the cap {GRID_CAP}"
         )
-    Lambda = Lambda if isinstance(Lambda, RatVec) else RatVec(Lambda)
     pol = assemble(g, Lambda)
+    Lambda = pol.Lambda
     count = 0
     disagreements = []
     for mu in _grid_candidates(g, Lambda, radius):

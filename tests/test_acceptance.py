@@ -449,8 +449,10 @@ def test_criterion_8_closed_forms_every_lambda():
 
 
 # The closed-form groups and su(3, 2) cover five of the six assemble-mix
-# groups; sp:n=5 would add about 7 s of implication LPs.
-HORN_EVERY_LAMBDA = [spec for spec, *_ in CLOSED_FORM_CASES] + ["su:p=3,q=2"]
+# groups; su(4, 2) and su(3, 3) complete the two-block groups with admissible
+# goldens (Thm 7.2.10).  sp:n=5 would add about 7 s of implication LPs.
+HORN_EVERY_LAMBDA = [spec for spec, *_ in CLOSED_FORM_CASES] + [
+    "su:p=3,q=2", "su:p=4,q=2", "su:p=3,q=3"]
 
 
 def test_criterion_9_horn_every_lambda():

@@ -1,11 +1,16 @@
 """Admissible one-parameter subgroups: generic enumeration, closed forms,
 golden lists."""
 
+from itertools import combinations
+
 import pytest
 
 from orbitope import goldens
 from orbitope.admissible import (
     OneParamSubgroup,
+    _ambient_constraints,
+    _primitive_kernel_vector,
+    _torus_rank,
     closed_form_admissible,
     enumerate_admissible,
     is_admissible,
@@ -105,6 +110,34 @@ def test_indivisible_dominant_kernel_invariants():
             assert is_dominant_ops(g, lam.coords)
             assert is_admissible(g, lam.coords)
             assert kernel_root_span_dim(g, lam.coords) == torus_rank - 1
+
+
+# sp, su(p, q) with p <= 4 in both su(n, 1) conventions, so* and so; su(4, 4)
+# (5632 lines, about 1.9 s) is left out for time.
+KERNEL_LINE_GROUPS = (
+    [(f"sp:n={n}", True) for n in range(1, 5)]
+    + [(f"su:p={p},q={q}", unitary) for p in range(1, 5) for q in range(1, min(p, 3) + 1)
+       for unitary in ((True, False) if q == 1 else (True,))]
+    + [(f"so_star:n={n}", True) for n in range(3, 6)]
+    + [(f"so:p={p}", True) for p in range(3, 8)]
+)
+
+
+def test_every_kernel_line_is_admissible():
+    # Why the scan's is_admissible call cannot fail: the need roots that cut
+    # a line out vanish on it, so the vanishing roots have rank >= need, and
+    # they lie in the line's orthogonal complement (inside the trace-zero
+    # space for su(p, q)), of dimension need.  Both signs of a line have the
+    # same vanishing roots.
+    lines = 0
+    for spec, unitary in KERNEL_LINE_GROUPS:
+        g = build(GroupFamily.parse(spec), su_n1_unitary_coords=unitary)
+        for subset in combinations(g.noncompact_pos, _torus_rank(g) - 1):
+            vec = _primitive_kernel_vector(list(subset) + _ambient_constraints(g), g.dim)
+            if vec is not None:
+                lines += 1
+                assert is_admissible(g, vec), (spec, unitary, vec)
+    assert lines == 1297
 
 
 def test_one_param_subgroup_validation():

@@ -203,6 +203,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", "1,3")
         assert code == 1 and "error:" in err
 
+    def test_lambda_dimension(self, capsys):
+        code, out, err = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", "1,2,3")
+        assert (code, out, err) == (1, "", "error: Lambda dimension 3 != 2\n")
+
     def test_unsupported_family(self, capsys):
         code, _, err = run(capsys, "ineqs", "--group", "so:p=5",
                            "--lambda", "2,1,0")

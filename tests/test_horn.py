@@ -125,6 +125,14 @@ class TestEnumT:
             for r in range(1, n):
                 assert set(enum_T(r, n)) <= set(enum_U(r, n))
 
+    def test_lexicographic_order(self):
+        # enum_U does not sort: its loops already yield (I, J, L) in order
+        for n in range(2, 7):
+            for r in range(1, n):
+                for triples in (enum_U(r, n), enum_T(r, n)):
+                    keys = [t.sort_key() for t in triples]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             enum_T(0, 3)

@@ -14,6 +14,7 @@ from orbitope.exactmath import (
     ineq_eq,
     ineq_ge,
     ineq_le,
+    lp_max,
     poly_equal,
 )
 from orbitope.polytope import (
@@ -157,13 +158,11 @@ class TestClosedFormAgainstGoldens:
             closed_form(g_of("su:p=3,q=2"), [4, 2, 0, -2, -4])
 
     def test_su22_abs_value_bound(self):
-        # |x1 - x2 - x3 + x4| <= 4 at Lambda = (3, 1, -1, -3)
+        # max |x1 - x2 - x3 + x4| = 4 at Lambda = (3, 1, -1, -3), attained both ways
         cf = closed_form(g_of("su:p=2,q=2"), [3, 1, -1, -3])
-        xi_in = RatVec([3, 1, -1, -3])
-        for row in (ineq_le([1, -1, -1, 1], 4), ineq_ge([1, -1, -1, 1], -4)):
-            sys2 = HPolyhedron(4, [row])
-            from orbitope.exactmath import implies
-            assert implies(cf.system, row)
+        for objective in ([1, -1, -1, 1], [-1, 1, 1, -1]):
+            status, value, _ = lp_max(cf.system, objective)
+            assert (status, value) == ("optimal", 4)
 
 
 class TestMember:
