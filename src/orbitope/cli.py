@@ -11,10 +11,11 @@ Verbs:
   pairs    m = 0 well-covering pairs per admissible cocharacter
   plot     SVG of a rank-2 polyhedron with cone rays and chamber wall
 
-`--group` parses straight to the group's root data.  Each verb computes its
-answer once and returns it as two renderings, JSON and text; one writer,
-`_write`, emits the one --format asks for to stdout or --out.  `plot` has
-no JSON form and writes SVG in both formats.
+`--group` parses to a family, and `main` builds its root data right after
+parsing, so an oversized family exits 1 before any work.  Each verb computes
+its answer once and returns it as two renderings, JSON and text; one
+writer, `_write`, emits the one --format asks for to stdout or --out.
+`plot` has no JSON form and writes SVG in both formats.
 
 Exit codes: 0 ok, 1 domain error, 2 usage error (an output that cannot be
 written among them), 3 cross-check disagreement.  Output is deterministic:
@@ -39,7 +40,7 @@ from .polytope import (
     horn_oracle_member,
     member,
 )
-from .rootdata import GroupData, GroupFamily, UnsupportedFamilyError, build
+from .rootdata import GroupFamily, UnsupportedFamilyError, build
 from .wellcover import enumerate_m0, require_pairs
 
 USAGE_EXIT = 2
@@ -64,12 +65,11 @@ def _parse_window(text: str) -> int:
     return window
 
 
-def _parse_group(text: str) -> GroupData:
+def _parse_group(text: str) -> GroupFamily:
     try:
-        family = GroupFamily.parse(text)
+        return GroupFamily.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return build(family)
 
 
 def _write(args, to_json, to_text) -> None:
@@ -322,6 +322,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize others.
         return USAGE_EXIT if exc.code not in (0,) else 0
     try:
+        if getattr(args, "group", None) is not None:
+            args.group = build(args.group)
         to_json, to_text, code = args.func(args)
         _write(args, to_json, to_text)
         return code

@@ -108,35 +108,12 @@ def _check_bounds(r: int, n: int):
         raise DomainError(f"n={n} exceeds the desk cap {DESK_CAP}")
 
 
-class Spectrum:
-    """A weakly decreasing list of rationals."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence):
-        vals = tuple(rat(v) for v in values)
-        for a, b in zip(vals, vals[1:]):
-            if a < b:
-                raise ValueError(f"not weakly decreasing: {vals}")
-        self.values = vals
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, Spectrum) and self.values == other.values
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def __repr__(self):
-        return f"Spectrum{self.values}"
+def _spectrum(values: Sequence) -> tuple:
+    """values as rationals; ValueError unless they are weakly decreasing."""
+    vals = tuple(rat(v) for v in values)
+    if any(a < b for a, b in zip(vals, vals[1:])):
+        raise ValueError(f"not weakly decreasing: {vals}")
+    return vals
 
 
 def horn_member(alpha, beta, gamma) -> bool:
@@ -145,11 +122,11 @@ def horn_member(alpha, beta, gamma) -> bool:
     Requires the trace equality and every T_r^n inequality; inputs may be
     any weakly decreasing rational sequences of one common length.
     """
-    a, b, c = Spectrum(alpha), Spectrum(beta), Spectrum(gamma)
+    a, b, c = _spectrum(alpha), _spectrum(beta), _spectrum(gamma)
     n = len(a)
     if not len(b) == len(c) == n:
         raise ValueError("spectra must have equal lengths")
-    if sum(a.values) + sum(b.values) != sum(c.values):
+    if sum(a) + sum(b) != sum(c):
         return False
     for r in range(1, n):
         for t in enum_T(r, n):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import DimensionError, HPolyhedron, RatVec, cone_hull, ineq_eq, ineq_ge
+from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, cone_hull, ineq_eq, ineq_ge
 from .weyl import WeylDescriptor
 
 SP = "sp"
@@ -41,6 +41,8 @@ SU = "su"
 SO_STAR = "so_star"
 SO = "so"
 
+# The largest torus dimension whose root data are built.
+DIM_CAP = 32
 
 # Parameter keys of each family, in GroupFamily.params order, with the
 # least value of each.  The one rule across keys is su's p >= q.
@@ -193,14 +195,20 @@ def _unitary_blocks(degrees: tuple[int, ...], trace_zero: bool = False):
 
 
 def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
-    """Instantiate the root data of one family."""
+    """Instantiate the root data of one family; DomainError, before any
+    root is made, when its torus dimension is past DIM_CAP."""
     tag, params = family.tag, family.params
+    unitary = tag == SU and params[1] == 1 and su_n1_unitary_coords
+    if tag == SO:
+        dim = params[0] // 2 + 1
+    else:
+        dim = params[0] + (params[1] if tag == SU and not unitary else 0)
+    if dim > DIM_CAP:
+        raise DomainError(f"{family.spec_string()} has torus dimension {dim} > {DIM_CAP}")
     if tag == SO:
         return _build_so(family)
-    unitary = tag == SU and params[1] == 1 and su_n1_unitary_coords
     if tag == SU and not unitary:
         p, q = params
-        dim = p + q
         compact, chamber, weyl = _unitary_blocks((p, q), trace_zero=True)
         noncompact = [_unit(dim, (i, 1), (p + j, -1)) for i in range(p) for j in range(q)]
         # Strongly orthogonal family (b_{1,p+q}, b_{2,p+q-1}, ..., b_{q,p+1}).

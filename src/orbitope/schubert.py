@@ -9,11 +9,15 @@ polynomial is x^code(w) with coefficient 1 in the reverse-reading
 lexicographic order; permutations that do not fit in S_n are then
 truncated away.  The degree-2 multiplication rule (Chevalley / Monk)
 
-    Theta(mu) . s_w = sum over positive roots a with l(w t_a) = l(w) + 1
-                      of  mu(a^) . s_{w t_a}
+    Theta(mu) . s_w = sum over a < b with l(w t_ab) = l(w) + 1
+                      of  (mu_a - mu_b) . s_{w t_ab}
 
 is implemented independently of the polynomial model and serves as its
-cross-check throughout the test suite.
+cross-check throughout the test suite.  The covers w t_ab are read off the
+one-line notation: l(w t_ab) = l(w) + 1 exactly when w(a) < w(b) and no
+position between a and b holds a value between w(a) and w(b) (Monk 1959,
+"The geometry of flag manifolds"; Bjorner-Brenti, Combinatorics of Coxeter
+Groups, ch. 2).
 
 Products of factors are handled factor-wise: a class of
 H*(prod GL_{n_f}/B) is a Z-combination of tuples of factor permutations,
@@ -26,7 +30,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from .exactmath import RatVec, rat
+from .exactmath import RatVec
 from .weyl import ParabolicData, Perm, WeylDescriptor, WeylElt
 
 Mono = Tuple[int, ...]
@@ -301,48 +305,40 @@ class SchubertRing:
 
     # -- degree-2 classes and the Chevalley rule ---------------------------
     def theta(self, mu: RatVec) -> CohClass:
-        """The degree-2 class of a weight: expand over the factor simple
-        reflections with coefficients mu(a^) = mu_i - mu_{i+1} blockwise.
-        Central (trace) parts of mu contribute nothing."""
-        blocks = self._blocks(mu)
-        terms: Dict[WeylElt, int] = {}
-        for f, blk in enumerate(blocks):
-            for i in range(1, len(blk)):
-                c = blk[i - 1] - blk[i]
-                if c != 0:
-                    if rat(c).denominator != 1:
-                        raise ValueError("theta needs an integral weight")
-                    w = self.group.simple(f, i)
-                    terms[w] = terms.get(w, 0) + int(c)
-        return CohClass(terms)
+        """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
+        blockwise: Monk's rule on the unit class, whose covers are the simple
+        reflections.  Central (trace) parts of mu contribute nothing."""
+        return self.chevalley_mult(self.one(), mu)
 
     def chevalley_mult(self, c: CohClass, mu: RatVec) -> CohClass:
-        """Theta(mu) . c by the degree-2 multiplication rule."""
-        blocks = self._blocks(mu)
+        """Theta(mu) . c by Monk's rule (see the module docstring): in each
+        factor, every cover w t_ab of a term w gains mu_a - mu_b of that
+        factor's block."""
+        offsets = []  # per block: mu_a - mu_b = off[a] - off[b], in integers
+        for blk in self._blocks(mu):
+            shifted = [x - blk[0] for x in blk]
+            if any(x.denominator != 1 for x in shifted):
+                raise ValueError("chevalley needs an integral weight")
+            offsets.append([int(x) for x in shifted])
         out: Dict[WeylElt, int] = {}
         for w, coeff in c.terms.items():
-            for f, d in enumerate(self.degrees):
-                blk = blocks[f]
-                wf = w.factors[f]
-                lf = wf.length()
-                for a in range(1, d):
-                    for b in range(a + 1, d + 1):
-                        cv = blk[a - 1] - blk[b - 1]
-                        if cv == 0:
+            for f, off in enumerate(offsets):
+                imgs = w.factors[f].images
+                for a in range(len(imgs) - 1):
+                    low = imgs[a]
+                    # The least value above low seen between a and b so far.
+                    ceiling = len(imgs) + 1
+                    for b in range(a + 1, len(imgs)):
+                        high = imgs[b]
+                        if not low < high < ceiling:
                             continue
-                        if rat(cv).denominator != 1:
-                            raise ValueError("chevalley needs an integral weight")
-                        wt = wf * Perm.transposition(d, a, b)
-                        if wt.length() != lf + 1:
-                            continue
-                        nw = WeylElt(
-                            wt if k == f else w.factors[k] for k in range(len(self.degrees))
-                        )
-                        nc = out.get(nw, 0) + coeff * int(cv)
-                        if nc:
-                            out[nw] = nc
-                        else:
-                            out.pop(nw, None)
+                        ceiling = high
+                        cv = off[a] - off[b]
+                        if cv:
+                            swapped = list(imgs)
+                            swapped[a], swapped[b] = high, low
+                            nw = WeylElt(w.factors[:f] + (Perm(swapped),) + w.factors[f + 1:])
+                            out[nw] = out.get(nw, 0) + coeff * cv
         return CohClass(out)
 
     # -- full cup product (polynomial model) -------------------------------

@@ -21,8 +21,10 @@ well-covering pair is dominant.  `enumerate_m0` lists the m = 0
 well-covering pairs after the length prefilter
 l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}.
 
-The pairs live on their context: `context` is memoised on (g, lam), and
-its `pairs` and `dominant_pairs` are enumerated once, for every orbit
+The pairs live on their context: `context` is memoised on (g, lam) and
+states each Weyl fact of the pair layer once: w0, the target class
+s_{w0 w_lam} and the length of each representative, keyed by it.  Its
+`pairs` and `dominant_pairs` are enumerated once, for every orbit
 parameter.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
-from .admissible import OneParamSubgroup, is_dominant_ops
+from .admissible import OneParamSubgroup
 from .exactmath import RatVec
 from .rootdata import GroupData, UnsupportedFamilyError, pairing
 from .schubert import CohClass, SchubertRing
@@ -135,12 +137,26 @@ class LambdaContext:
     ring: SchubertRing
 
     @cached_property
+    def w0(self) -> WeylElt:
+        return self.ring.group.longest()
+
+    @cached_property
+    def target(self) -> CohClass:
+        """s_{w0 w_lam}, the class criterion (i) asks for."""
+        return self.ring.basis_class(self.w0 * self.pd.w_lambda)
+
+    @cached_property
+    def lengths(self) -> dict[WeylElt, int]:
+        """l(w) of each representative w, in the order of reps."""
+        return {w: w.length() for w in self.reps}
+
+    @cached_property
     def pairs(self) -> tuple[WCPair, ...]:
         """The m = 0 well-covering pairs, in sorted order (see enumerate_m0)."""
-        w0 = self.ring.group.longest()
-        target_len = w0.length() + self.pd.w_lambda.length() + self.graded.dim_below(0)
-        candidates = (WCPair(w, w_prime, 0, self.lam) for w in self.reps for w_prime in self.reps
-                      if w.length() + w_prime.length() == target_len)
+        target_len = self.w0.length() + self.pd.w_lambda.length() + self.graded.dim_below(0)
+        lengths = self.lengths.items()
+        candidates = (WCPair(w, w_prime, 0, self.lam) for w, lw in lengths for w_prime, lwp in lengths
+                      if lw + lwp == target_len)
         return _sorted_pairs(p for p in candidates if is_well_covering(self.g, p))
 
     @cached_property
@@ -168,37 +184,28 @@ def require_pairs(g: GroupData) -> None:
 
 @cache
 def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
-    """The one LambdaContext of (g, lam), memoised on that pair."""
+    """The one LambdaContext of (g, lam), memoised on that pair.  For the
+    families with pairs a dominant lam is one that is blockwise weakly
+    decreasing, and `stabilizer_parabolic` refuses any other."""
     require_pairs(g)
-    if not is_dominant_ops(g, lam.coords):
-        raise ValueError(f"cocharacter {lam!r} is not dominant for {g.label()}")
     pd = stabilizer_parabolic(g.weyl, lam.coords)
     reps = tuple(max_coset_reps(g.weyl, pd))
     return LambdaContext(g, lam, pd, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
 
 
-def grade(g: GroupData, lam: OneParamSubgroup) -> GradedModule:
-    """The level decomposition of the module under lam."""
-    if not is_dominant_ops(g, lam.coords):
-        raise ValueError("grade needs a dominant cocharacter")
-    return GradedModule(g, lam)
-
-
 def _criterion_product(ctx: LambdaContext, pair: WCPair) -> CohClass:
     """s_{w0 w} . s_{w0 w'} . prod Theta(-b) over weights of M_{<m}."""
     ring = ctx.ring
-    w0 = ring.group.longest()
-    below = ctx.graded.weights_below(pair.m)
-    acc = ring.basis_class(w0 * pair.w_prime)
-    for beta in below:
+    acc = ring.basis_class(ctx.w0 * pair.w_prime)
+    for beta in ctx.graded.weights_below(pair.m):
         acc = ring.chevalley_mult(acc, -beta)
         if acc.is_zero():
             return acc
-    return ring.cup(ring.basis_class(w0 * pair.w), acc)
+    return ring.cup(ring.basis_class(ctx.w0 * pair.w), acc)
 
 
 def _check_pair_shape(ctx: LambdaContext, pair: WCPair):
-    if pair.w not in ctx.reps or pair.w_prime not in ctx.reps:
+    if pair.w not in ctx.lengths or pair.w_prime not in ctx.lengths:
         raise ValueError("w and w' must be longest coset representatives mod W_lambda")
 
 
@@ -208,20 +215,15 @@ def is_well_covering(g: GroupData, pair: WCPair) -> bool:
     _check_pair_shape(ctx, pair)
     if not ctx.graded.level_nonempty(pair.m):
         return False
-    ring = ctx.ring
-    w0 = ring.group.longest()
-    wl = ctx.pd.w_lambda
-    below_dim = ctx.graded.dim_below(pair.m)
-    if below_dim == 0:
-        return pair.w_prime == w0 * pair.w * wl
+    if ctx.graded.dim_below(pair.m) == 0:
+        return pair.w_prime == ctx.w0 * pair.w * ctx.pd.w_lambda
     # Numeric condition (ii) first, it is cheap.
     lamvec = pair.lam.coords
     s = pairing(g.weyl.act(pair.w, lamvec) + g.weyl.act(pair.w_prime, lamvec), g.rho)
     s += sum((pair.m - k) * d for k, d in ctx.graded.dims.items() if k < pair.m)
     if s != 0:
         return False
-    target = ring.basis_class(w0 * wl)
-    return _criterion_product(ctx, pair) == target
+    return _criterion_product(ctx, pair) == ctx.target
 
 
 def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
@@ -271,5 +273,4 @@ def scan_well_covering(g: GroupData, lam: OneParamSubgroup,
 def trivial_pair(g: GroupData, lam: OneParamSubgroup, w: WeylElt, m: int = 0) -> WCPair:
     """The pair (w, w0 w w_lambda, m)."""
     ctx = context(g, lam)
-    w0 = ctx.ring.group.longest()
-    return WCPair(w, w0 * w * ctx.pd.w_lambda, m, lam)
+    return WCPair(w, ctx.w0 * w * ctx.pd.w_lambda, m, lam)

@@ -42,6 +42,24 @@ def test_counter_hooks_resolve(tracer, mods):
     assert hits >= 0 and misses >= 0
 
 
+def test_m0_counters_read_the_context(tracer, mods):
+    # The enumerate_m0 hook reads context(g, lam).reps; a context that lost
+    # them would fail the traced run or count nothing.
+    t = tracer.Tracer(mods)
+    rd, wc = mods["rootdata"], mods["wellcover"]
+    g = rd.build(rd.GroupFamily.parse("sp:n=2"))
+    lams = mods["admissible"].enumerate_admissible(g)
+    t.start()
+    try:
+        for lam in lams:
+            t.run("bench.request", 0, wc.enumerate_m0, g, lam)
+    finally:
+        t.stop()
+    metrics = t.layer_metrics()
+    assert metrics["wellcover.enumerate_m0.candidates"][0] > 0
+    assert metrics["wellcover.enumerate_m0.pairs"][0] > 0
+
+
 def test_assemble_records_redundancy_spans(tracer, mods):
     # The tracer wraps the names polytope bound with `from ... import`; a
     # call that bypassed them would drop the layer from traced runs silently.

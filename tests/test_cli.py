@@ -229,6 +229,15 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert code == 1 and out == "" and "too large" in err
 
+    @pytest.mark.parametrize("spec", ["sp:n=33", "sp:n=1000000", "so:p=1000"])
+    def test_oversized_torus(self, capsys, spec):
+        # past DIM_CAP no root is made: exit 1, fast, before any verb runs
+        start = time.perf_counter()
+        code, out, err = run(capsys, "adm", "--group", spec)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and "torus dimension" in err
+        assert err.startswith("error:")
+
     def test_oversized_weyl_group_skips_the_scan(self, capsys, monkeypatch):
         # the cap is checked before the admissible scan, which never runs
         def scan(g):
@@ -257,6 +266,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "plot", "--group", "sp:n=2",
                              "--lambda", "3,1", "--window", "-5")
         assert code == 2 and out == "" and "window" in err
+
+    def test_non_integer_window(self, capsys):
+        code, out, err = run(capsys, "plot", "--group", "sp:n=2",
+                             "--lambda", "3,1", "--window", "abc")
+        assert code == 2 and out == "" and "error:" in err
 
     def test_unwritable_out(self, capsys):
         code, out, err = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", "3,1",

@@ -162,6 +162,12 @@ class TestHornMember:
         assert horn_member([F(1, 2), 0], [F(1, 2), 0], [1, 0])
         assert not horn_member([F(1, 2), 0], [F(1, 2), 0], [F(3, 2), F(-1, 2)])
 
+    def test_not_weakly_decreasing(self):
+        for spectra in (([0, 1], [1, 0], [1, 1]), ([1, 0], [F(1, 2), 1], [2, 0]),
+                        ([1, 0], [1, 0], [1, 2])):
+            with pytest.raises(ValueError, match="not weakly decreasing"):
+                horn_member(*spectra)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             horn_member([1, 0], [1, 0, 0], [1, 0])

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from orbitope.exactmath import HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal, rat_str
+from orbitope.exactmath import DomainError, HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal, rat_str
 from orbitope.rootdata import (
+    DIM_CAP,
     GroupFamily,
     UnsupportedFamilyError,
     build,
@@ -121,6 +122,24 @@ class TestGroupHash:
         for spec in ("sp:n=3", "su:p=3,q=2", "su:p=2,q=1", "so_star:n=4", "so:p=5"):
             a, b = g_of(spec), g_of(spec)
             assert a is not b and a == b and hash(a) == hash(b)
+
+
+class TestDimCap:
+    # (spec, su_n1_unitary_coords) of torus dimension DIM_CAP = 32 in each
+    # family, and the next one up.
+    AT_CAP = [("sp:n=32", True), ("su:p=32,q=1", True), ("su:p=31,q=1", False),
+              ("su:p=16,q=16", True), ("so_star:n=32", True), ("so:p=63", True)]
+    PAST_CAP = [("sp:n=33", True), ("su:p=33,q=1", True), ("su:p=32,q=1", False),
+                ("su:p=17,q=16", True), ("so_star:n=33", True), ("so:p=64", True)]
+
+    @pytest.mark.parametrize("spec, unitary", AT_CAP)
+    def test_at_cap_builds(self, spec, unitary):
+        assert g_of(spec, su_n1_unitary_coords=unitary).dim == DIM_CAP
+
+    @pytest.mark.parametrize("spec, unitary", PAST_CAP)
+    def test_past_cap_raises(self, spec, unitary):
+        with pytest.raises(DomainError, match="torus dimension 33 > 32"):
+            g_of(spec, su_n1_unitary_coords=unitary)
 
 
 class TestRootCounts:

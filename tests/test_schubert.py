@@ -318,6 +318,42 @@ class TestChevalleyAgreesWithCup:
                 assert R.cup(R.theta(v), c) == R.chevalley_mult(c, v)
 
 
+def _monk_by_definition(R, w, mu):
+    """sum of (mu_a - mu_b) s_{w t_ab} over the a < b of each factor with
+    l(w t_ab) = l(w) + 1, by composing with the transposition."""
+    out = {}
+    for f, (start, stop) in enumerate(R.group.block_ranges()):
+        wf, d = w.factors[f], stop - start
+        for a in range(1, d):
+            for b in range(a + 1, d + 1):
+                wt = wf * Perm.transposition(d, a, b)
+                if wt.length() == wf.length() + 1:
+                    nw = WeylElt(wt if k == f else p for k, p in enumerate(w.factors))
+                    out[nw] = out.get(nw, 0) + int(mu[start + a - 1] - mu[start + b - 1])
+    return CohClass(out)
+
+
+class TestMonkRule:
+    @pytest.mark.parametrize("degrees", [(1,), (2,), (3,), (4,), (5,), (6,), (3, 2), (2, 3, 1)])
+    def test_matches_definition(self, degrees):
+        R = SchubertRing(degrees)
+        rng = random.Random(str(degrees))
+        mu = RatVec([rng.randint(-4, 4) for _ in range(R.group.dim)])
+        for factors in itertools.product(*[all_perms(d) for d in degrees]):
+            w = WeylElt(factors)
+            assert R.chevalley_mult(R.basis_class(w), mu) == _monk_by_definition(R, w, mu)
+
+    def test_integral_differences(self):
+        # Only the differences inside a block need to be integers.
+        R = SchubertRing((3, 2))
+        c = R.basis_class(R.group.simple(0, 1))
+        half = RatVec([F(1, 2), F(-3, 2), F(5, 2), F(1, 2), F(7, 2)])
+        shifted = RatVec([0, -2, 2, 0, 3])
+        assert R.chevalley_mult(c, half) == R.chevalley_mult(c, shifted)
+        with pytest.raises(ValueError):
+            R.chevalley_mult(c, RatVec([F(1, 2), 0, 0, 0, 0]))
+
+
 class TestDuality:
     def test_regular_case(self):
         for n in (2, 3, 4):

@@ -12,7 +12,6 @@ from orbitope.wellcover import (
     context,
     enumerate_m0,
     enumerate_m0_dominant,
-    grade,
     is_dominant_pair,
     is_well_covering,
     scan_well_covering,
@@ -32,21 +31,21 @@ class TestGrade:
     def test_sp4_levels(self):
         # lam = (0,-1): -2e1 and the trivial line at level 0, -e1-e2 at 1,
         # -2e2 at 2; every nonzero level is >= 0
-        gm = grade(g_of("sp:n=2"), ops(0, -1))
+        gm = context(g_of("sp:n=2"), ops(0, -1)).graded
         assert gm.dims == {0: 2, 1: 1, 2: 1}
         assert [b for b in gm.levels[0]] == [RatVec([-2, 0])]
         assert gm.dim_below(0) == 0
 
     def test_su21_levels(self):
         # unitary convention, lam1 = (2,-1): <lam1, -b1> = -3, <lam1, -b2> = 0
-        gm = grade(g_of("su:p=2,q=1"), ops(2, -1))
+        gm = context(g_of("su:p=2,q=1"), ops(2, -1)).graded
         assert gm.dims == {-3: 1, 0: 2}
 
     def test_total_dimension(self):
         for spec in ("sp:n=3", "su:p=2,q=2", "so_star:n=4"):
             g = g_of(spec)
             for lam in enumerate_admissible(g):
-                gm = grade(g, lam)
+                gm = context(g, lam).graded
                 assert gm.total_dim() == len(g.noncompact_pos) + 1
                 assert gm.dims.get(0, 0) >= 1
 
@@ -55,13 +54,13 @@ class TestGrade:
         for spec in ("sp:n=2", "sp:n=3", "su:p=2,q=2", "so_star:n=3", "so_star:n=4"):
             g = g_of(spec)
             for lam in enumerate_admissible(g):
-                gm = grade(g, lam)
+                gm = context(g, lam).graded
                 min_pair = min(lam.coords.dot(b) for b in g.weights_p_minus)
                 assert (gm.dim_below(0) == 0) == (min_pair >= 0)
 
     def test_dominance_required(self):
         with pytest.raises(ValueError):
-            grade(g_of("sp:n=2"), ops(-1, 0))
+            context(g_of("sp:n=2"), ops(-1, 0))
 
 
 class TestCriterion:
@@ -101,6 +100,25 @@ class TestCriterion:
         ctx = context(g, lam)
         pair = trivial_pair(g, lam, ctx.reps[0], m=5)
         assert not is_well_covering(g, pair)
+
+    def test_empty_level_not_dominant(self):
+        g = g_of("sp:n=2")
+        lam = ops(0, -1)
+        ctx = context(g, lam)
+        assert not ctx.graded.level_nonempty(5)
+        for w in ctx.reps:
+            for w_prime in ctx.reps:
+                assert not is_dominant_pair(g, WCPair(w, w_prime, 5, lam))
+
+    def test_context_states_weyl_facts(self):
+        g = g_of("su:p=3,q=2")
+        for lam in enumerate_admissible(g):
+            ctx = context(g, lam)
+            assert list(ctx.lengths) == list(ctx.reps)
+            assert all(ctx.lengths[w] == w.length() for w in ctx.reps)
+            assert ctx.w0 == ctx.ring.group.longest()
+            assert ctx.target == ctx.ring.basis_class(ctx.w0 * ctx.pd.w_lambda)
+            assert context(g, lam).target is ctx.target
 
 
 class TestPairTables:
