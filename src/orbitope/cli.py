@@ -28,20 +28,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .admissible import enumerate_admissible, sorted_admissible
 from .exactmath import DomainError, HPolyhedron, RatVec, rat_str
-from .horn import enum_T
-from .polytope import (
-    OrbitPolytope,
-    assemble,
-    cross_check,
-    display_ineq,
-    horn_oracle_member,
-    member,
-)
 from .rootdata import GroupFamily, UnsupportedFamilyError, build
-from .wellcover import enumerate_m0, require_pairs
+
+if TYPE_CHECKING:
+    from .polytope import OrbitPolytope
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 1
@@ -92,15 +85,20 @@ def _json_dumps(obj) -> str:
 
 
 # Each verb returns its answer as (to_json, to_text, exit code), two
-# callables that render it; `main` hands them to `_write`.
+# callables that render it; `main` hands them to `_write`.  Each imports the
+# layers it runs, so a process loads only its verb's modules.
 
 
 def cmd_ineqs(args):
+    from .polytope import assemble
+
     pol = assemble(args.group, args.lam)
     return pol.to_json_obj, pol.pretty, 0
 
 
 def cmd_member(args):
+    from .polytope import assemble, display_ineq, member
+
     pol = assemble(args.group, args.lam)
     obj = {"member": member(pol, args.xi)}
     lines = [f"member: {str(obj['member']).lower()}"]
@@ -113,6 +111,8 @@ def cmd_member(args):
 
 
 def cmd_oracle(args):
+    from .polytope import horn_oracle_member
+
     ok, gamma = horn_oracle_member(args.group, args.lam, args.mu, witness=True)
     obj = {"member": ok}
     lines = [f"member: {str(ok).lower()}"]
@@ -123,23 +123,32 @@ def cmd_oracle(args):
 
 
 def cmd_check(args):
+    from .polytope import cross_check
+
     report = cross_check(args.group, args.lam, args.radius)
     return report.to_json_obj, report.summary, 0 if report.ok else DISAGREE_EXIT
 
 
 def cmd_adm(args):
+    from .admissible import enumerate_admissible, sorted_admissible
+
     lams = [l.ints() for l in sorted_admissible(enumerate_admissible(args.group))]
     return (lambda: [list(l) for l in lams],
             lambda: "\n".join(",".join(str(c) for c in l) for l in lams), 0)
 
 
 def cmd_horn(args):
+    from .horn import enum_T
+
     triples = enum_T(args.r, args.n)
     return (lambda: [t.to_json_obj() for t in triples],
             lambda: "\n".join(f"I={list(t.I)} J={list(t.J)} L={list(t.L)}" for t in triples), 0)
 
 
 def cmd_pairs(args):
+    from .admissible import enumerate_admissible, sorted_admissible
+    from .wellcover import enumerate_m0, require_pairs
+
     g = args.group
     require_pairs(g)
     records = [pair.to_json_obj() for lam in sorted_admissible(enumerate_admissible(g))
@@ -249,6 +258,8 @@ def render_svg(pol: OrbitPolytope, window: int = 0) -> str:
 
 
 def cmd_plot(args):
+    from .polytope import assemble
+
     svg = render_svg(assemble(args.group, args.lam), window=args.window)
     return None, lambda: svg, 0
 

@@ -64,41 +64,55 @@ class HornTriple:
 
 
 def enum_U(r: int, n: int) -> tuple[HornTriple, ...]:
-    """All balanced triples of cardinality r, lexicographic in (I, J, L):
+    """All balanced triples of cardinality r, lexicographic in (I, J, L)."""
+    _check_bounds(r, n)
+    return _balanced(r, n, [], [])
+
+
+@cache
+def enum_T(r: int, n: int) -> tuple[HornTriple, ...]:
+    """The Horn triples T_r^n, lexicographic in (I, J, L); memoized.
+
+    Each (F, G, H) of T_p^r, p < r, becomes one filter: the 0-based
+    positions F, G and H index into a candidate's I, J and L.  Position
+    sets recur across the filters, so each is numbered once."""
+    _check_bounds(r, n)
+    positions: dict[tuple[int, ...], int] = {}
+    filters = []
+    for p in range(1, r):
+        for f in enum_T(p, r):
+            a, b, c = (positions.setdefault(tuple(i - 1 for i in part), len(positions))
+                       for part in (f.I, f.J, f.L))
+            filters.append((a, b, c, p * (p + 1) // 2))
+    return _balanced(r, n, filters, list(positions))
+
+
+def _balanced(r: int, n: int, filters, positions) -> tuple[HornTriple, ...]:
+    """The balanced triples of cardinality r that pass every filter
+    (a, b, c, k): sum(I at positions[a]) + sum(J at positions[b]) <=
+    sum(L at positions[c]) + k.  Each subset's sums over every position set
+    are worked out once, and a candidate stops at its first failing filter.
     I and J run over `combinations`, which is lexicographic, and each sum's
     bucket of L keeps that order, so the triples need no sort."""
-    _check_bounds(r, n)
     subsets = list(itertools.combinations(range(1, n + 1), r))
+    sums = {S: [sum(S[i] for i in P) for P in positions] for S in subsets}
     shift = r * (r + 1) // 2
     by_sum: dict[int, list] = {}
     for L in subsets:
         by_sum.setdefault(sum(L), []).append(L)
     out = []
     for I in subsets:
+        sI = sums[I]
         for J in subsets:
+            sJ = sums[J]
             for L in by_sum.get(sum(I) + sum(J) - shift, ()):
-                out.append(HornTriple(n, I, J, L))
+                sL = sums[L]
+                for a, b, c, k in filters:
+                    if sI[a] + sJ[b] > sL[c] + k:
+                        break
+                else:
+                    out.append(HornTriple(n, I, J, L))
     return tuple(out)
-
-
-@cache
-def enum_T(r: int, n: int) -> tuple[HornTriple, ...]:
-    """The Horn triples T_r^n, lexicographic in (I, J, L); memoized."""
-    _check_bounds(r, n)
-    if r == 1:
-        return enum_U(1, n)
-    filters = [enum_T(p, r) for p in range(1, r)]
-    return tuple(
-        t for t in enum_U(r, n)
-        if all(_subtriple_ok(t, f) for level in filters for f in level)
-    )
-
-
-def _subtriple_ok(t: HornTriple, f: HornTriple) -> bool:
-    p = f.r
-    lhs = sum(t.I[i - 1] for i in f.I) + sum(t.J[j - 1] for j in f.J)
-    rhs = sum(t.L[k - 1] for k in f.L) + p * (p + 1) // 2
-    return lhs <= rhs
 
 
 def _check_bounds(r: int, n: int):

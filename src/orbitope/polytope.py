@@ -35,7 +35,6 @@ from math import gcd
 from typing import Optional
 
 from . import horn
-from .admissible import enumerate_admissible, sorted_admissible
 from .exactmath import (
     EQ,
     LE,
@@ -63,7 +62,6 @@ from .rootdata import (
     dual_weight,
     in_hol_chamber,
 )
-from .wellcover import enumerate_m0, enumerate_m0_dominant, require_pairs
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +203,12 @@ class _LinearRows:
 def _assembly_rows(g: GroupData, relaxed: bool = False) -> tuple:
     """The rows `assemble` offers, over Lambda, and each row's source and
     labels: the chamber's, then one row per m = 0 well-covering pair
-    (dominant pair when relaxed=True).  Not memoised: it holds the scan."""
+    (dominant pair when relaxed=True).  Not memoised: it holds the scan.
+    The assembly layers are imported here, their one user, so that the
+    Horn oracle loads without them."""
+    from .admissible import enumerate_admissible, sorted_admissible
+    from .wellcover import enumerate_m0, enumerate_m0_dominant, require_pairs
+
     require_pairs(g)
     enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
     pairs = [pair for lam in sorted_admissible(enumerate_admissible(g))
@@ -328,14 +331,18 @@ def _oracle_rows(g: GroupData) -> _LinearRows:
     r, n = len(g.schmid), g.dim
     nvars = r + (1 if g.trace_zero else 0)
 
+    schmid = [_int_row(gamma) for gamma in g.schmid]  # each root as (integers, denominator)
+
     def gamma_sum(coords) -> RatVec:
         """The sum of gamma(m)_c (+ k) over coords, as a linear form in m (and k)."""
-        form = [sum((g.schmid[i][c] for c in coords), Fraction(0)) for i in range(r)]
+        form = [Fraction(sum(ints[c] for c in coords), den) for ints, den in schmid]
         if g.trace_zero:
-            form.append(Fraction(len(coords)))  # the central shift k on every coordinate
+            form.append(len(coords))  # the central shift k on every coordinate
         return RatVec(form)
 
-    duals = [dual_weight(g, RatVec([int(j == k) for j in range(n)])) for k in range(n)]  # dual(e_k)
+    # dual(e_k), a signed unit vector, as integers.
+    duals = [[x.numerator for x in dual_weight(g, RatVec([int(j == k) for j in range(n)]))]
+             for k in range(n)]
 
     def bound(I, J) -> list:
         """sum(mu_I) + sum(dual(Lambda)_J) as coefficients over (mu, Lambda)."""

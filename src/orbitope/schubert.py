@@ -211,6 +211,15 @@ class CohClass:
         if len(lengths) > 1:
             raise ValueError("inhomogeneous cohomology class")
 
+    @classmethod
+    def _graded(cls, terms: Dict[WeylElt, int]) -> "CohClass":
+        """The class of terms that share one length by construction (one
+        term, a multiple of a class, or a product `chevalley_mult` or `cup`
+        builds), without the recount."""
+        out = cls.__new__(cls)
+        out.terms = {w: c for w, c in terms.items() if c != 0}
+        return out
+
     @property
     def degree(self) -> Optional[int]:
         """Cohomological degree 2 l(w); None for the zero class."""
@@ -240,7 +249,7 @@ class CohClass:
         return CohClass(terms)
 
     def scale(self, c: int) -> "CohClass":
-        return CohClass({w: c * v for w, v in self.terms.items()})
+        return CohClass._graded({w: c * v for w, v in self.terms.items()})
 
     def text(self) -> str:
         """Debug form '3*s1.s3.s2 + 1*s2' with factor words joined by '|'."""
@@ -290,13 +299,13 @@ class SchubertRing:
 
     # -- basic classes -----------------------------------------------------
     def one(self) -> CohClass:
-        return CohClass({self.group.identity(): 1})
+        return CohClass._graded({self.group.identity(): 1})
 
     def zero(self) -> CohClass:
-        return CohClass({})
+        return CohClass._graded({})
 
     def basis_class(self, w: WeylElt) -> CohClass:
-        return CohClass({w: 1})
+        return CohClass._graded({w: 1})
 
     def _blocks(self, mu: RatVec):
         if mu.dim != self.group.dim:
@@ -339,7 +348,7 @@ class SchubertRing:
                             swapped[a], swapped[b] = high, low
                             nw = WeylElt(w.factors[:f] + (Perm(swapped),) + w.factors[f + 1:])
                             out[nw] = out.get(nw, 0) + coeff * cv
-        return CohClass(out)
+        return CohClass._graded(out)
 
     # -- full cup product (polynomial model) -------------------------------
     def cup(self, a: CohClass, b: CohClass) -> CohClass:
@@ -371,7 +380,7 @@ class SchubertRing:
                         out[nw] = nc
                     else:
                         out.pop(nw, None)
-        return CohClass(out)
+        return CohClass._graded(out)
 
     # -- Poincare duality on a parabolic quotient ---------------------------
     def duality_check(self, w: WeylElt, w_prime: WeylElt, pd: ParabolicData) -> bool:

@@ -11,12 +11,16 @@ meant to change) with
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from orbitope import cli, polytope
+import orbitope
+from orbitope import admissible, cli, polytope
 from orbitope.admissible import closed_form_admissible
 from orbitope.cli import main
 
@@ -243,14 +247,14 @@ class TestExitCodes:
         def scan(g):
             raise AssertionError("admissible scan ran")
 
-        monkeypatch.setattr(cli, "enumerate_admissible", scan)
+        monkeypatch.setattr(admissible, "enumerate_admissible", scan)
         code, out, err = run(capsys, "pairs", "--group", "su:p=8,q=2")
         assert code == 1 and out == "" and "too large" in err
 
     def test_adm_needs_no_cosets(self, capsys, monkeypatch):
         # adm lists cocharacters only, so the Weyl order cap does not apply;
         # the closed form stands in for the scan (about 3 s for su(8, 2))
-        monkeypatch.setattr(cli, "enumerate_admissible", closed_form_admissible)
+        monkeypatch.setattr(admissible, "enumerate_admissible", closed_form_admissible)
         code, out, err = run(capsys, "adm", "--group", "su:p=8,q=2", "--format", "json")
         assert code == 0 and err == "" and len(json.loads(out)) == 11
 
@@ -288,6 +292,38 @@ class TestExitCodes:
                          "--format", "json", "--out", str(path))
         assert code == 0
         assert json.loads(path.read_text()) == [[0, -1], [1, -1], [1, 0]]
+
+
+class TestLeanImports:
+    """Each verb imports only the layers it runs, so a cold process compiles
+    no other module; a layer imported at the top of cli or polytope would
+    load for every verb."""
+
+    # verb: (argv, a layer it runs, the layers it must not load)
+    CASES = {
+        "adm": (["adm", "--group", "sp:n=3"], "admissible",
+                {"polytope", "wellcover", "schubert", "horn", "certificates"}),
+        "pairs": (["pairs", "--group", "su:p=2,q=1"], "wellcover",
+                  {"polytope", "horn", "certificates"}),
+        "oracle": (["oracle", "--group", "sp:n=4", "--lambda", "4,3,2,1", "--mu", "5,4,3,2"],
+                   "horn", {"admissible", "wellcover", "schubert", "certificates"}),
+    }
+    SCRIPT = ("import contextlib, io, sys\n"
+              "from orbitope import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('orbitope.')))\n")
+
+    @pytest.mark.parametrize("verb", sorted(CASES))
+    def test_verb_skips_other_layers(self, verb):
+        argv, ran, skipped = self.CASES[verb]
+        env = {**os.environ, "PYTHONPATH": str(Path(orbitope.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        code, *loaded = proc.stdout.split()
+        assert code == "0" and f"orbitope.{ran}" in loaded
+        assert not {f"orbitope.{m}" for m in skipped} & set(loaded), loaded
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitope import polytope
+from orbitope import admissible, polytope
 from orbitope.admissible import enumerate_admissible
 from orbitope.certificates import CertificateStore, Farkas, Ray, Witness
 from orbitope.exactmath import (
@@ -356,7 +356,7 @@ class TestRedundancy:
             monkeypatch.setattr(cls, "decide", _recording(cls.decide, applied))
         # The admissible set does not depend on Lambda; one scan per group
         # keeps sp:n=5 affordable.
-        monkeypatch.setattr(polytope, "enumerate_admissible", cache(enumerate_admissible))
+        monkeypatch.setattr(admissible, "enumerate_admissible", cache(enumerate_admissible))
         g = build(GroupFamily.parse(spec))
         rng = random.Random(f"stream:{spec}")
         hits = polytope._certificates(g).hits

@@ -7,6 +7,7 @@ combinatorial rule), implemented here and nowhere in the package.
 
 import itertools
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,29 @@ from orbitope.horn import (
     partition_of,
     triple_via_eigen,
 )
+
+# ---------------------------------------------------------------------------
+# Reference filter: the generator sums enum_T once used
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _reference_T(r, n):
+    """T_r^n as sorted (I, J, L) tuples: the balanced triples of a full
+    product of r-subsets, kept when every (F, G, H) of T_p^r, p < r, gives
+    sum(I_F) + sum(J_G) <= sum(L_H) + p(p+1)/2, summed by generators."""
+    subsets = list(itertools.combinations(range(1, n + 1), r))
+    lower = [(p, f) for p in range(1, r) for f in _reference_T(p, r)]
+    out = []
+    for I, J, L in itertools.product(subsets, repeat=3):
+        if sum(I) + sum(J) != sum(L) + r * (r + 1) // 2:
+            continue
+        if all(sum(I[i - 1] for i in F_) + sum(J[j - 1] for j in G)
+               <= sum(L[k - 1] for k in H) + p * (p + 1) // 2
+               for p, (F_, G, H) in lower):
+            out.append((I, J, L))
+    return out
+
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Littlewood-Richardson tableau counting
@@ -124,6 +148,13 @@ class TestEnumT:
         for n in range(2, 6):
             for r in range(1, n):
                 assert set(enum_T(r, n)) <= set(enum_U(r, n))
+
+    def test_filter_matches_generator_sums(self):
+        # every triple the position-sum filter keeps, against the
+        # generator-sum filter over a brute-force U_r^n
+        for n in range(2, 8):
+            for r in range(1, n):
+                assert [t.sort_key() for t in enum_T(r, n)] == _reference_T(r, n), (r, n)
 
     def test_lexicographic_order(self):
         # enum_U does not sort: its loops already yield (I, J, L) in order

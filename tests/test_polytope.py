@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitope import exactmath, goldens, polytope
+from orbitope import admissible, exactmath, goldens, polytope
 from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
@@ -282,7 +282,7 @@ class TestCrossCheck:
         def scan(g):
             raise AssertionError("admissible scan ran")
 
-        monkeypatch.setattr(polytope, "enumerate_admissible", scan)
+        monkeypatch.setattr(admissible, "enumerate_admissible", scan)
         lam = list(range(17, 9, -1)) + [-53, -55]
         with pytest.raises(DomainError, match="too large to enumerate"):
             assemble(g_of("su:p=8,q=2"), lam)

@@ -396,6 +396,26 @@ class TestCohClass:
         G = WeylDescriptor((3,))
         with pytest.raises(ValueError):
             CohClass({G.identity(): 1, G.simple(0, 1): 1})
+        R = SchubertRing((3,))
+        with pytest.raises(ValueError):
+            R.one() + R.basis_class(R.group.simple(0, 1))
+
+    def test_products_pass_the_public_check(self):
+        # chevalley_mult and cup build their classes without the recount;
+        # each must still be graded and hold no zero coefficient
+        R = SchubertRing((3, 2))
+        pool = [WeylElt(c) for c in itertools.product(all_perms(3), all_perms(2))]
+        mu = RatVec([2, 0, -1, 1, 0])
+        for u in pool:
+            a = R.basis_class(u)
+            products = [R.chevalley_mult(a, mu), R.theta(mu)]
+            products += [R.cup(a, R.basis_class(v)) for v in pool]
+            # a difference of two classes, whose common covers can cancel
+            products += [R.chevalley_mult(a - R.basis_class(v), mu) for v in pool
+                         if v.length() == u.length()]
+            for c in products:
+                assert CohClass(c.terms).terms == c.terms
+                assert 0 not in c.terms.values()
 
     def test_text_form(self):
         R = SchubertRing((4,))
