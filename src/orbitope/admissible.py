@@ -7,12 +7,12 @@ the common kernel of dim(t) - 1 linearly independent noncompact positive
 roots; dominant when it pairs >= 0 with every compact positive root;
 indivisible when its entries have gcd 1.
 
-`enumerate_admissible` runs the generic hyperplane-intersection algorithm;
-`closed_form_admissible` returns the literal per-family lists.  The two
-must agree as sets, which the test suite verifies across the supported
-desk-scale ranges.  Kernel lines and root-span ranks come from
-`exactmath.row_reduce`, the package's one Gauss-Jordan routine; kernel
-generators are read off its integer rows and divided by their gcd.
+`enumerate_admissible` runs the generic hyperplane-intersection algorithm,
+the one route assembly uses.  The tests compare it as a set with the
+literal per-family lists (`closed_form_admissible` in `tests/reference.py`)
+across the supported desk-scale ranges.  Kernel lines and root-span ranks
+come from `exactmath.row_reduce`, the package's one Gauss-Jordan routine;
+kernel generators are read off its integer rows and divided by their gcd.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import gcd
 from typing import Optional
 
 from .exactmath import DomainError, RatVec, row_reduce
-from .rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
+from .rootdata import GroupData, pairing
 
 SUBSET_CAP = 10**5
 
@@ -130,78 +130,6 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
             if is_dominant_ops(g, cand) and is_admissible(g, cand):
                 found.add(OneParamSubgroup(cand))
     return found
-
-
-def _lam_kl(n: int, k: int, l: int) -> OneParamSubgroup:
-    """(1,...,1, 0,...,0, -1,...,-1) with k ones and l minus-ones."""
-    return OneParamSubgroup([1] * k + [0] * (n - k - l) + [-1] * l)
-
-
-def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
-    """The literal admissible lists, family by family."""
-    tag = g.family.tag
-    if tag == SP:
-        n = g.family.params[0]
-        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
-        for k in range(1, n):
-            for l in range(1, n - k + 1):
-                out.add(_lam_kl(n, k, l))
-        return out
-
-    if tag == SU:
-        p, q = g.family.params
-        if q == 1 and g.unitary_coords:
-            n = p
-            return {
-                OneParamSubgroup([n] + [-1] * (n - 1)),
-                OneParamSubgroup([1] * (n - 1) + [-n]),
-            }
-        out: set[OneParamSubgroup] = set()
-        if q >= 2:
-            for k in range(1, p):
-                for l in range(1, q):
-                    d = gcd(p + q - k - l, k + l)
-                    a = (p + q - k - l) // d
-                    b = -(k + l) // d
-                    out.add(OneParamSubgroup([a] * k + [b] * (p - k) + [a] * l + [b] * (q - l)))
-        out.add(OneParamSubgroup([1] * (p + q - 1) + [1 - p - q]))          # lam_{p,q-1}
-        out.add(OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q))    # lam_{p-1,q}
-        out.add(OneParamSubgroup([-1] * p + [p + q - 1] + [-1] * (q - 1)))  # lam_{0,1}
-        out.add(OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)))         # lam_{1,0}
-        if q == 1:
-            # In full coordinates only the two kernel-spanning ones remain.
-            out = {
-                OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)),
-                OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q),
-            }
-        return out
-
-    if tag == SO_STAR:
-        n = g.family.params[0]
-        if n == 3:
-            return {OneParamSubgroup([1, -1, -1]), OneParamSubgroup([1, 1, -1])}
-        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
-        for k in range(1, n):
-            out.add(_lam_kl(n, k, n - k))
-        for k in range(1, n - 3):
-            for l in range(1, n - k - 2):
-                out.add(_lam_kl(n, k, l))
-        return out
-
-    if tag == SO:
-        p = g.family.params[0]
-        m = p // 2
-        odd = p % 2 == 1
-        lam0 = OneParamSubgroup([1] + [0] * m)
-        lam1p = OneParamSubgroup([1] * m + [1])
-        lam1m = OneParamSubgroup([1] * m + [-1])
-        if odd:
-            return {lam0, lam1p, lam1m}
-        lamm1p = OneParamSubgroup([1] * (m - 1) + [-1, 1])
-        lamm1m = OneParamSubgroup([1] * (m - 1) + [-1, -1])
-        return {lam0, lam1p, lam1m, lamm1p, lamm1m}
-
-    raise ValueError(f"unknown family {tag!r}")
 
 
 def sorted_admissible(lams) -> list[OneParamSubgroup]:

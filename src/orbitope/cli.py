@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .exactmath import DomainError, HPolyhedron, RatVec, rat_str
+from .exactmath import DomainError, HPolyhedron, RatVec, check_dim, rat_str
 from .rootdata import GroupFamily, UnsupportedFamilyError, build
 
 if TYPE_CHECKING:
@@ -99,6 +99,7 @@ def cmd_ineqs(args):
 def cmd_member(args):
     from .polytope import assemble, display_ineq, member
 
+    check_dim(args.xi, args.group.dim)  # before the assembly, which can take seconds
     pol = assemble(args.group, args.lam)
     obj = {"member": member(pol, args.xi)}
     lines = [f"member: {str(obj['member']).lower()}"]
@@ -193,12 +194,11 @@ def _clip_to_box(system: HPolyhedron, lo: Fraction, hi: Fraction):
 
 
 def render_svg(pol: OrbitPolytope, window: int = 0) -> str:
-    """Static SVG of a rank-2 moment polyhedron: shaded feasible region
-    clipped to a viewport, facet lines, chamber wall and the cone rays
-    from Lambda along the noncompact positive roots."""
+    """Static SVG of a rank-2 moment polyhedron (`cmd_plot` checks the
+    rank): shaded feasible region clipped to a viewport, facet lines,
+    chamber wall and the cone rays from Lambda along the noncompact
+    positive roots."""
     g, Lambda = pol.group, pol.Lambda
-    if g.dim != 2:
-        raise DomainError("plot supports rank-2 groups only (sp:n=2, su:p=2,q=1)")
     coords = [abs(x) for x in Lambda] + [Fraction(1)]
     span = max(coords) + (window if window else max(coords) + 4)
     lo, hi = -span, span
@@ -260,6 +260,8 @@ def render_svg(pol: OrbitPolytope, window: int = 0) -> str:
 def cmd_plot(args):
     from .polytope import assemble
 
+    if args.group.dim != 2:  # before the assembly, which can take seconds
+        raise DomainError("plot supports rank-2 groups only (sp:n=2, su:p=2,q=1)")
     svg = render_svg(assemble(args.group, args.lam), window=args.window)
     return None, lambda: svg, 0
 

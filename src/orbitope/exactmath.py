@@ -210,6 +210,12 @@ class DimensionError(ValueError):
     """Raised when vectors or constraints of unequal dimension are mixed."""
 
 
+def check_dim(x: RatVec, dim: int) -> None:
+    """DimensionError unless the point x lies in a space of dimension dim."""
+    if x.dim != dim:
+        raise DimensionError(f"point dim {x.dim} vs system dim {dim}")
+
+
 class DomainError(ValueError):
     """An argument violates a documented precondition (wrong chamber, wrong
     trace, no closed form for the family/rank, a request past a size cap,
@@ -329,8 +335,7 @@ class HPolyhedron:
         return HPolyhedron(dim, [AffineIneq(RatVec([0] * dim), Fraction(-1), LE)])
 
     def contains(self, x: RatVec) -> bool:
-        if x.dim != self.dim:
-            raise DimensionError(f"point dim {x.dim} vs system dim {self.dim}")
+        check_dim(x, self.dim)
         return all(row.satisfied_by(x) for row in self.ineqs)
 
     def __eq__(self, other):
@@ -829,8 +834,8 @@ def remove_redundant(
     from .certificates import CertificateStore, _Rows
 
     rows = sys.ineqs
-    if known is not None and known.dim != sys.dim:
-        raise DimensionError(f"point dim {known.dim} vs system dim {sys.dim}")
+    if known is not None:
+        check_dim(known, sys.dim)
     checked = _Rows(rows, known) if known is not None else None
     if checked is None or not checked.feasible:
         x0 = lp_witness(sys)

@@ -1,4 +1,4 @@
-"""Horn index triples and Horn-cone membership.
+"""Horn index triples.
 
 T_r^n is the recursively defined family of index triples (I, J, L) whose
 inequalities cut out the spectra (a, b, c) of Hermitian triples A + B = C:
@@ -7,14 +7,10 @@ T_1^n = U_1^n, and for r >= 2 a triple of U_r^n belongs to T_r^n when
 sum_{f in F} i_f + sum_{g in G} j_g <= sum_{h in H} l_h + p(p+1)/2 for
 every p < r and every (F, G, H) in T_p^r.
 
-`horn_member` decides the spectrum question for rational inputs, and via
-saturation the same inequalities decide tensor-product containment
-V_nu <= V_lam (x) V_mu for the unitary group (`lr_nonzero`).  The dual
-route `triple_via_eigen` re-derives membership of a triple in T_r^n from
-the spectrum test on the associated partitions.
-
-Everything is memoized per (r, n) and enumerated in lexicographic order so
-emitted files are reproducible byte for byte.
+The Horn oracle (`polytope._oracle_rows`) turns each triple of T_r^n into
+one row, blockwise over the unitary factors.  `enum_T` is memoized per
+(r, n) and enumerates in lexicographic order, so emitted files are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -22,9 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
 
-from .exactmath import DomainError, rat
+from .exactmath import DomainError
 
 DESK_CAP = 8
 
@@ -61,12 +56,6 @@ class HornTriple:
 
     def to_json_obj(self):
         return {"I": list(self.I), "J": list(self.J), "L": list(self.L)}
-
-
-def enum_U(r: int, n: int) -> tuple[HornTriple, ...]:
-    """All balanced triples of cardinality r, lexicographic in (I, J, L)."""
-    _check_bounds(r, n)
-    return _balanced(r, n, [], [])
 
 
 @cache
@@ -120,87 +109,3 @@ def _check_bounds(r: int, n: int):
         raise ValueError(f"need 1 <= r < n, got r={r}, n={n}")
     if n > DESK_CAP:
         raise DomainError(f"n={n} exceeds the desk cap {DESK_CAP}")
-
-
-def _spectrum(values: Sequence) -> tuple:
-    """values as rationals; ValueError unless they are weakly decreasing."""
-    vals = tuple(rat(v) for v in values)
-    if any(a < b for a, b in zip(vals, vals[1:])):
-        raise ValueError(f"not weakly decreasing: {vals}")
-    return vals
-
-
-def horn_member(alpha, beta, gamma) -> bool:
-    """True iff (alpha, beta, gamma) are spectra of Hermitian A + B = C.
-
-    Requires the trace equality and every T_r^n inequality; inputs may be
-    any weakly decreasing rational sequences of one common length.
-    """
-    a, b, c = _spectrum(alpha), _spectrum(beta), _spectrum(gamma)
-    n = len(a)
-    if not len(b) == len(c) == n:
-        raise ValueError("spectra must have equal lengths")
-    if sum(a) + sum(b) != sum(c):
-        return False
-    for r in range(1, n):
-        for t in enum_T(r, n):
-            lhs = sum(a[i - 1] for i in t.I) + sum(b[j - 1] for j in t.J)
-            if lhs < sum(c[k - 1] for k in t.L):
-                return False
-    return True
-
-
-def lr_nonzero(lam, mu, nu) -> bool:
-    """True iff V_nu appears in V_lam (x) V_mu for the unitary group.
-
-    Valid through the saturation property of GL_n: tensor containment at
-    some positive multiple already implies it on the nose, which makes the
-    Horn inequalities an exact criterion for integer highest weights.
-    """
-    for spec in (lam, mu, nu):
-        for v in spec:
-            if rat(v).denominator != 1:
-                raise ValueError("lr_nonzero expects integer weights")
-    return horn_member(lam, mu, nu)
-
-
-def partition_of(index_set: Sequence[int]) -> tuple[int, ...]:
-    """lambda(I) = (i_r - r >= ... >= i_2 - 2 >= i_1 - 1) for I increasing."""
-    idx = list(index_set)
-    r = len(idx)
-    return tuple(idx[r - 1 - k] - (r - k) for k in range(r))
-
-
-def triple_via_eigen(t: HornTriple) -> bool:
-    """Membership test of Theorem-style duality: (I, J, L) lies in T_r^n
-    exactly when (lambda(I), lambda(J), lambda(L)) is an admissible
-    Hermitian spectrum triple at size r."""
-    lam_i = partition_of(t.I)
-    lam_j = partition_of(t.J)
-    lam_l = partition_of(t.L)
-    if t.r == 1:
-        # Size-1 spectra: only the trace condition is in play.
-        return lam_i[0] + lam_j[0] == lam_l[0]
-    return horn_member(lam_i, lam_j, lam_l)
-
-
-def family_bar(I: Sequence[int], n: int) -> tuple[int, ...]:
-    """Ibar = { n - i + 1 : i in I }."""
-    return tuple(sorted(n - i + 1 for i in I))
-
-
-def family_L(r: int, n: int) -> tuple[int, ...]:
-    """L_r^n = { n-r+1, ..., n }."""
-    return tuple(range(n - r + 1, n + 1))
-
-
-def family_bar_star(I: Sequence[int], n: int) -> tuple[int, ...]:
-    """Ibar* = {1} u { n - i + 2 : i in I, i > 1 }; requires 1 in I."""
-    if 1 not in I:
-        raise ValueError("family_bar_star needs 1 in I")
-    return tuple(sorted([1] + [n - i + 2 for i in I if i != 1]))
-
-
-def family_L_tilde(r: int, n: int) -> tuple[int, ...]:
-    """Ltilde_r^n = {1, n-r+2, ..., n}."""
-    return tuple([1] + list(range(n - r + 2, n + 1)))

@@ -18,6 +18,9 @@ feasibility test; `cross_check` compares the two routes over a grid.
 Every route's rows are <a, x> (<=|=) <c, p>, a fixed normal and a bound
 linear in the parameter p: Lambda, or mu then Lambda for the oracle, whose
 x is the cone's (m, k).  One evaluator, `_LinearRows`, makes them canonical.
+The tests' reference code (`tests/reference.py`) builds one more route on
+it, assembly from the m = 0 dominant pairs, which must give the same
+polyhedron, and holds the geometric containment checks.
 
 The entry points `assemble`, `closed_form` and `horn_oracle_member` check
 the family and Lambda in one place, `_checked_lambda`.  Their answers
@@ -45,9 +48,6 @@ from .exactmath import (
     _canonical_system,
     _fraction,
     _int_row,
-    cone_hull,
-    implies_all,
-    ineq_ge,
     lp_feasible,
     lp_witness,
     rat_str,
@@ -200,35 +200,34 @@ class _LinearRows:
         return _canonical_system(self.nvars, list(rows.values()))
 
 
-def _assembly_rows(g: GroupData, relaxed: bool = False) -> tuple:
+def _assembly_rows(g: GroupData) -> tuple:
     """The rows `assemble` offers, over Lambda, and each row's source and
-    labels: the chamber's, then one row per m = 0 well-covering pair
-    (dominant pair when relaxed=True).  Not memoised: it holds the scan.
+    labels: the chamber's, then one row per m = 0 well-covering pair.  Not
+    memoised: it holds the scan.
     The assembly layers are imported here, their one user, so that the
     Horn oracle loads without them."""
     from .admissible import enumerate_admissible, sorted_admissible
-    from .wellcover import enumerate_m0, enumerate_m0_dominant, require_pairs
+    from .wellcover import enumerate_m0, require_pairs
 
     require_pairs(g)
-    enumerate_pairs = enumerate_m0_dominant if relaxed else enumerate_m0
     pairs = [pair for lam in sorted_admissible(enumerate_admissible(g))
-             for pair in enumerate_pairs(g, lam)]
+             for pair in enumerate_m0(g, lam)]
     rows = [(row.normal, [0] * g.dim, row.kind) for row in g.chamber.ineqs]
     sources = [("chamber", (None, None, None))] * len(rows)
     rows += [(*pair.row_vectors, LE) for pair in pairs]
     return _LinearRows(g.dim, rows), sources + [("pair", pair.labels) for pair in pairs]
 
 
-def assemble(g: GroupData, Lambda, relaxed: bool = False) -> OrbitPolytope:
+def assemble(g: GroupData, Lambda) -> OrbitPolytope:
     """The moment polyhedron from admissible cocharacters and their m = 0
-    well-covering pairs (dominant pairs instead when relaxed=True).
+    well-covering pairs.
 
     Equal rows are one object, shared by the provenance records and the
     system.  A row whose pair's normal is primitive keeps that normal
     vector, so answers to different Lambdas share it.
     """
     Lambda = _checked_lambda(g, Lambda)
-    offered, sources = _assembly_rows(g, relaxed)
+    offered, sources = _assembly_rows(g)
     rows = list(zip(offered.at(Lambda), sources))
     pairs = slice(len(g.chamber.ineqs), None)
     rows[pairs] = sorted(rows[pairs], key=lambda t: (t[0].normal.entries, t[0].bound))
@@ -472,27 +471,3 @@ def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
         points_checked=count,
         disagreements=disagreements,
     )
-
-
-# ---------------------------------------------------------------------------
-# Geometric property helpers (used by tests)
-# ---------------------------------------------------------------------------
-
-def noncompact_cone(g: GroupData) -> HPolyhedron:
-    """H-representation of the cone spanned by the noncompact positive
-    roots (facets used for the shifted-cone inclusion test)."""
-    return cone_hull(list(g.noncompact_pos), g.dim)
-
-
-def contained_in_shifted_cone(p: OrbitPolytope) -> bool:
-    """polyhedron(Lambda) inside Lambda + cone(noncompact positives)."""
-    g, Lambda = p.group, p.Lambda
-    return implies_all(p.system, (
-        AffineIneq(row.normal, row.bound + row.normal.dot(Lambda), row.kind)
-        for row in noncompact_cone(g).ineqs
-    ))
-
-
-def contained_in_hol_closure(p: OrbitPolytope) -> bool:
-    """polyhedron inside the closure of the holomorphic chamber."""
-    return implies_all(p.system, (ineq_ge(list(beta), 0) for beta in p.group.noncompact_pos))

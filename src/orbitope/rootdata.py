@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, cone_hull, ineq_eq, ineq_ge
+from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, ineq_eq, ineq_ge
 from .weyl import WeylDescriptor
 
 SP = "sp"
@@ -267,18 +267,6 @@ def in_hol_chamber(g: GroupData, v: RatVec) -> bool:
     if not g.chamber.contains(v):
         return False
     return all(pairing(beta, v) > 0 for beta in g.noncompact_pos)
-
-
-def schmid_cone(g: GroupData) -> HPolyhedron:
-    """H-representation of { sum m_i g_i : m_1 >= ... >= m_r >= 0 }.
-
-    That set is the cone spanned by the partial sums g_1, g_1 + g_2, ...;
-    degenerate r = 0 gives the origin.
-    """
-    sums = []
-    for gamma in g.schmid:
-        sums.append(sums[-1] + gamma if sums else gamma)
-    return cone_hull(sums, g.dim)
 
 
 def dual_weight(g: GroupData, lam: RatVec) -> RatVec:

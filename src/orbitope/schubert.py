@@ -22,6 +22,11 @@ Groups, ch. 2).
 Products of factors are handled factor-wise: a class of
 H*(prod GL_{n_f}/B) is a Z-combination of tuples of factor permutations,
 and cup products distribute over the tensor decomposition.
+
+The well-covering criterion uses two products: `chevalley_mult` for its
+Theta factors and `cup` for the last one.  Theta of a lone weight and the
+Poincare duality check on a parabolic quotient are reference code for the
+tests (`tests/reference.py`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exactmath import RatVec
-from .weyl import ParabolicData, Perm, WeylDescriptor, WeylElt
+from .weyl import Perm, WeylDescriptor, WeylElt
 
 Mono = Tuple[int, ...]
 Poly = Dict[Mono, int]
@@ -128,10 +133,6 @@ def schubert_poly(images: Tuple[int, ...]) -> "frozenset":
     # The trimmed higher permutation may live in a smaller symmetric group,
     # but the divided difference only needs exponent positions i, i+1.
     return frozenset(divided_difference(higher, i).items())
-
-
-def schubert_poly_dict(perm: Perm) -> Poly:
-    return dict(schubert_poly(perm.trim()))
 
 
 def _rev_key(mono: Mono, width: int) -> Tuple[int, ...]:
@@ -313,12 +314,6 @@ class SchubertRing:
         return [mu.entries[a:b] for a, b in self.group.block_ranges()]
 
     # -- degree-2 classes and the Chevalley rule ---------------------------
-    def theta(self, mu: RatVec) -> CohClass:
-        """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
-        blockwise: Monk's rule on the unit class, whose covers are the simple
-        reflections.  Central (trace) parts of mu contribute nothing."""
-        return self.chevalley_mult(self.one(), mu)
-
     def chevalley_mult(self, c: CohClass, mu: RatVec) -> CohClass:
         """Theta(mu) . c by Monk's rule (see the module docstring): in each
         factor, every cover w t_ab of a term w gains mu_a - mu_b of that
@@ -381,29 +376,3 @@ class SchubertRing:
                     else:
                         out.pop(nw, None)
         return CohClass._graded(out)
-
-    # -- Poincare duality on a parabolic quotient ---------------------------
-    def duality_check(self, w: WeylElt, w_prime: WeylElt, pd: ParabolicData) -> bool:
-        """Whether sigma_w . sigma_{w'} = [pt] on the quotient by the
-        parabolic of pd, for w, w' longest coset representatives with
-        l(w) + l(w') >= l(w0) + l(w_lambda).
-
-        Verified in the Borel model through the injective pullback: the
-        shortest representatives w w_lambda and w' w_lambda multiply to the
-        class of w0 w_lambda exactly when w' = w0 w w_lambda.
-        """
-        w0 = self.group.longest()
-        wl = pd.w_lambda
-        if w.length() + w_prime.length() < w0.length() + wl.length():
-            raise ValueError("duality_check needs l(w) + l(w') >= l(w0) + l(w_lambda)")
-        for u in (w, w_prime):
-            if (u * wl).length() != u.length() - wl.length():
-                raise ValueError("w and w' must be longest coset representatives")
-        com = self.cup(self.basis_class(w * wl), self.basis_class(w_prime * wl))
-        expected = w_prime == w0 * w * wl
-        got = com == self.basis_class(w0 * wl)
-        if got != expected:
-            raise AssertionError(
-                "polynomial model disagrees with the coset duality rule"
-            )
-        return got

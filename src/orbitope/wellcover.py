@@ -16,23 +16,23 @@ The combinatorial criterion implemented by `is_well_covering`:
          equals s_{w0 w_lam} in the Borel model, and
     (ii) <w lam + w' lam, rho> + sum_{k<m} (m - k) dim M_{lam,k} = 0.
 
-`is_dominant_pair` drops the equality in (i) to mere nonvanishing; every
-well-covering pair is dominant.  `enumerate_m0` lists the m = 0
-well-covering pairs after the length prefilter
-l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}.
+`enumerate_m0` lists the m = 0 well-covering pairs after the length
+prefilter l(w) + l(w') = l(w0) + l(w_lam) + dim M_{<0}, and assembly adds
+one row per pair.  Dropping the equality in (i) to mere nonvanishing gives
+the dominant pairs, a superset whose extra rows the dominant-pair theorem
+makes redundant; only the tests assemble from them, as a check
+(`tests/reference.py`).
 
 The pairs live on their context: `context` is memoised on (g, lam) and
 states each Weyl fact of the pair layer once: w0, the target class
 s_{w0 w_lam} and the length of each representative, keyed by it.  Its
-`pairs` and `dominant_pairs` are enumerated once, for every orbit
-parameter.
+`pairs` are enumerated once, for every orbit parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
 
 from .admissible import OneParamSubgroup
 from .exactmath import RatVec
@@ -117,17 +117,11 @@ class GradedModule:
         the trivial line."""
         return m == 0 or m in self.levels
 
-    def min_level(self) -> int:
-        return min(min(self.levels), 0)
-
-    def max_level(self) -> int:
-        return max(max(self.levels), 0)
-
 
 @dataclass(frozen=True)
 class LambdaContext:
     """Everything enumerate/is_well_covering needs for one (g, lam),
-    including its m = 0 pair sets, computed on first use."""
+    including its m = 0 pair set, computed on first use."""
 
     g: GroupData
     lam: OneParamSubgroup
@@ -158,12 +152,6 @@ class LambdaContext:
         candidates = (WCPair(w, w_prime, 0, self.lam) for w, lw in lengths for w_prime, lwp in lengths
                       if lw + lwp == target_len)
         return _sorted_pairs(p for p in candidates if is_well_covering(self.g, p))
-
-    @cached_property
-    def dominant_pairs(self) -> tuple[WCPair, ...]:
-        """The m = 0 dominant pairs, in sorted order."""
-        candidates = (WCPair(w, w_prime, 0, self.lam) for w in self.reps for w_prime in self.reps)
-        return _sorted_pairs(p for p in candidates if is_dominant_pair(self.g, p))
 
 
 def _sorted_pairs(pairs) -> tuple[WCPair, ...]:
@@ -226,16 +214,6 @@ def is_well_covering(g: GroupData, pair: WCPair) -> bool:
     return _criterion_product(ctx, pair) == ctx.target
 
 
-def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
-    """Nonvanishing version of the criterion; strictly weaker than
-    well-covering."""
-    ctx = context(g, pair.lam)
-    _check_pair_shape(ctx, pair)
-    if not ctx.graded.level_nonempty(pair.m):
-        return False
-    return not _criterion_product(ctx, pair).is_zero()
-
-
 def enumerate_m0(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
     """All m = 0 well-covering pairs for lam, in sorted order.
 
@@ -245,32 +223,3 @@ def enumerate_m0(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
     it is computed once per (g, lam), on the context.
     """
     return list(context(g, lam).pairs)
-
-
-def enumerate_m0_dominant(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
-    """All m = 0 dominant pairs for lam (relaxed enumeration; superset of
-    enumerate_m0)."""
-    return list(context(g, lam).dominant_pairs)
-
-
-def scan_well_covering(g: GroupData, lam: OneParamSubgroup,
-                       m_lo: Optional[int] = None, m_hi: Optional[int] = None):
-    """All well-covering triples (w, w', m) for m in [m_lo, m_hi]
-    (defaults: [min level, max level + 2])."""
-    ctx = context(g, lam)
-    lo = ctx.graded.min_level() if m_lo is None else m_lo
-    hi = ctx.graded.max_level() + 2 if m_hi is None else m_hi
-    out = []
-    for m in range(lo, hi + 1):
-        for w in ctx.reps:
-            for w_prime in ctx.reps:
-                pair = WCPair(w, w_prime, m, lam)
-                if ctx.graded.level_nonempty(m) and is_well_covering(g, pair):
-                    out.append(pair)
-    return out
-
-
-def trivial_pair(g: GroupData, lam: OneParamSubgroup, w: WeylElt, m: int = 0) -> WCPair:
-    """The pair (w, w0 w w_lambda, m)."""
-    ctx = context(g, lam)
-    return WCPair(w, ctx.w0 * w * ctx.pd.w_lambda, m, lam)

@@ -6,9 +6,8 @@ right to left.  Lengths are inversion counts, never reduced-word lengths.
 
 A WeylElt is a tuple of factor permutations, one per unitary factor of the
 maximal compact subgroup; it acts on coordinate vectors blockwise.  The
-special elements what_k = s1...s_{k-1} (the cycle (1 2 ... k)) and
-wcheck_k = s_{r-1}...s_k (the cycle (r r-1 ... k)) drive the coset
-combinatorics used everywhere downstream.
+pair layer reads only products, lengths, the longest element and this
+action off it.
 
 The parabolic data of a dominant vector lam come from its runs of equal
 coordinates inside each block, with no listing of W or W_lambda: w_lambda
@@ -79,14 +78,6 @@ class Perm:
             raise ValueError(f"simple reflection index {i} out of range for S_{n}")
         return Perm.transposition(n, i, i + 1)
 
-    @staticmethod
-    def from_word(n: int, word: Sequence[int]) -> "Perm":
-        """Product s_{a1} s_{a2} ... s_{ak}, composed right to left."""
-        w = Perm.identity(n)
-        for a in word:
-            w = w * Perm.simple(n, a)
-        return w
-
     def __mul__(self, other: "Perm") -> "Perm":
         if self.degree != other.degree:
             raise ValueError("composing permutations of different degree")
@@ -130,25 +121,6 @@ class Perm:
         return tuple(imgs)
 
 
-def special_elements(r: int):
-    """The elements what_k = s1...s_{k-1} and wcheck_k = s_{r-1}...s_k of S_r.
-
-    what_1 = wcheck_r = identity; l(what_k) = k-1 and l(wcheck_k) = r-k.
-    They satisfy w0 * wQhat * what_k = wcheck_k, where wQhat is the longest
-    element of the stabilizer of 1.
-    """
-    if r < 1:
-        raise ValueError("r >= 1 required")
-    hats = [Perm.from_word(r, list(range(1, k))) for k in range(1, r + 1)]
-    checks = [Perm.from_word(r, list(range(r - 1, k - 1, -1))) for k in range(1, r + 1)]
-    return hats, checks
-
-
-def hat_stabilizer_longest(r: int) -> Perm:
-    """Longest element of the stabilizer of 1 in S_r (S_{r-1} on {2..r})."""
-    return Perm([1] + list(range(r, 1, -1))) if r > 1 else Perm.identity(1)
-
-
 class WeylElt:
     """An element of a product of symmetric groups."""
 
@@ -171,10 +143,6 @@ class WeylElt:
     def text(self) -> str:
         """Factor one-line notations joined by '|', e.g. '2 1 3|1 2'."""
         return "|".join(f.one_line() for f in self.factors)
-
-    @staticmethod
-    def from_text(text: str) -> "WeylElt":
-        return WeylElt(Perm(int(t) for t in part.split()) for part in text.split("|"))
 
     def sort_key(self) -> tuple:
         return tuple(f.images for f in self.factors)
@@ -240,9 +208,6 @@ class WeylDescriptor:
         perms = [Perm.identity(d) for d in self.degrees]
         perms[factor] = Perm.simple(self.degrees[factor], i)
         return WeylElt(perms)
-
-    def from_words(self, words: Sequence[Sequence[int]]) -> WeylElt:
-        return WeylElt(Perm.from_word(d, w) for d, w in zip(self.degrees, words))
 
     def act(self, w: WeylElt, v: RatVec) -> RatVec:
         """Blockwise coordinate permutation action on a vector."""

@@ -1,0 +1,382 @@
+"""Reference code the tests read beside the engine.
+
+`src/orbitope` ships the engine: assembly from admissible cocharacters and
+m = 0 well-covering pairs, and the Horn oracle.  A function lives here,
+not in the package, when no CLI verb, benchmark check or engine path calls
+it and only tests do: second routes the engine is compared against (the
+spectrum test, the closed-form admissible lists, the dominant-pair
+assembly), constructors for writing test inputs, and the cones and
+containment checks of the geometric criteria.  This module imports the
+package, and the package never imports it.  `tests/test_exact_only.py`
+scans it like a package module.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+from math import gcd
+from typing import Sequence
+
+from orbitope import horn, polytope, wellcover
+from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
+from orbitope.exactmath import LE, AffineIneq, HPolyhedron, RatVec, cone_hull, implies_all, ineq_ge, rat
+from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
+from orbitope.schubert import CohClass, Poly, SchubertRing, schubert_poly
+from orbitope.weyl import ParabolicData, Perm, WeylDescriptor, WeylElt
+from orbitope.wellcover import WCPair, context
+
+# ---------------------------------------------------------------------------
+# Horn: spectra, saturation and the explicit triple families
+# ---------------------------------------------------------------------------
+
+
+def enum_U(r: int, n: int) -> tuple[horn.HornTriple, ...]:
+    """All balanced triples of cardinality r, lexicographic in (I, J, L):
+    `enum_T`'s loop with no filters."""
+    horn._check_bounds(r, n)
+    return horn._balanced(r, n, [], [])
+
+
+def _spectrum(values: Sequence) -> tuple:
+    """values as rationals; ValueError unless they are weakly decreasing."""
+    vals = tuple(rat(v) for v in values)
+    if any(a < b for a, b in zip(vals, vals[1:])):
+        raise ValueError(f"not weakly decreasing: {vals}")
+    return vals
+
+
+def horn_member(alpha, beta, gamma) -> bool:
+    """True iff (alpha, beta, gamma) are spectra of Hermitian A + B = C.
+
+    Requires the trace equality and every T_r^n inequality; inputs may be
+    any weakly decreasing rational sequences of one common length.
+    """
+    a, b, c = _spectrum(alpha), _spectrum(beta), _spectrum(gamma)
+    n = len(a)
+    if not len(b) == len(c) == n:
+        raise ValueError("spectra must have equal lengths")
+    if sum(a) + sum(b) != sum(c):
+        return False
+    for r in range(1, n):
+        for t in horn.enum_T(r, n):
+            lhs = sum(a[i - 1] for i in t.I) + sum(b[j - 1] for j in t.J)
+            if lhs < sum(c[k - 1] for k in t.L):
+                return False
+    return True
+
+
+def lr_nonzero(lam, mu, nu) -> bool:
+    """True iff V_nu appears in V_lam (x) V_mu for the unitary group.
+
+    Valid through the saturation property of GL_n: tensor containment at
+    some positive multiple already implies it on the nose, which makes the
+    Horn inequalities an exact criterion for integer highest weights.
+    """
+    for spec in (lam, mu, nu):
+        for v in spec:
+            if rat(v).denominator != 1:
+                raise ValueError("lr_nonzero expects integer weights")
+    return horn_member(lam, mu, nu)
+
+
+def partition_of(index_set: Sequence[int]) -> tuple[int, ...]:
+    """lambda(I) = (i_r - r >= ... >= i_2 - 2 >= i_1 - 1) for I increasing."""
+    idx = list(index_set)
+    r = len(idx)
+    return tuple(idx[r - 1 - k] - (r - k) for k in range(r))
+
+
+def triple_via_eigen(t: horn.HornTriple) -> bool:
+    """Membership test of Theorem-style duality: (I, J, L) lies in T_r^n
+    exactly when (lambda(I), lambda(J), lambda(L)) is an admissible
+    Hermitian spectrum triple at size r."""
+    lam_i = partition_of(t.I)
+    lam_j = partition_of(t.J)
+    lam_l = partition_of(t.L)
+    if t.r == 1:
+        # Size-1 spectra: only the trace condition is in play.
+        return lam_i[0] + lam_j[0] == lam_l[0]
+    return horn_member(lam_i, lam_j, lam_l)
+
+
+def family_bar(I: Sequence[int], n: int) -> tuple[int, ...]:
+    """Ibar = { n - i + 1 : i in I }."""
+    return tuple(sorted(n - i + 1 for i in I))
+
+
+def family_L(r: int, n: int) -> tuple[int, ...]:
+    """L_r^n = { n-r+1, ..., n }."""
+    return tuple(range(n - r + 1, n + 1))
+
+
+def family_bar_star(I: Sequence[int], n: int) -> tuple[int, ...]:
+    """Ibar* = {1} u { n - i + 2 : i in I, i > 1 }; requires 1 in I."""
+    if 1 not in I:
+        raise ValueError("family_bar_star needs 1 in I")
+    return tuple(sorted([1] + [n - i + 2 for i in I if i != 1]))
+
+
+def family_L_tilde(r: int, n: int) -> tuple[int, ...]:
+    """Ltilde_r^n = {1, n-r+2, ..., n}."""
+    return tuple([1] + list(range(n - r + 2, n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# Weyl: words, text and the special elements
+# ---------------------------------------------------------------------------
+
+
+def from_word(n: int, word: Sequence[int]) -> Perm:
+    """The product s_{a1} s_{a2} ... s_{ak} of S_n, composed right to left."""
+    w = Perm.identity(n)
+    for a in word:
+        w = w * Perm.simple(n, a)
+    return w
+
+
+def from_words(group: WeylDescriptor, words: Sequence[Sequence[int]]) -> WeylElt:
+    """The element of group with one word per factor."""
+    return WeylElt(from_word(d, w) for d, w in zip(group.degrees, words))
+
+
+def from_text(text: str) -> WeylElt:
+    """The inverse of `WeylElt.text`."""
+    return WeylElt(Perm(int(t) for t in part.split()) for part in text.split("|"))
+
+
+def special_elements(r: int):
+    """The elements what_k = s1...s_{k-1} and wcheck_k = s_{r-1}...s_k of S_r.
+
+    what_1 = wcheck_r = identity; l(what_k) = k-1 and l(wcheck_k) = r-k.
+    They satisfy w0 * wQhat * what_k = wcheck_k, where wQhat is the longest
+    element of the stabilizer of 1.
+    """
+    if r < 1:
+        raise ValueError("r >= 1 required")
+    hats = [from_word(r, list(range(1, k))) for k in range(1, r + 1)]
+    checks = [from_word(r, list(range(r - 1, k - 1, -1))) for k in range(1, r + 1)]
+    return hats, checks
+
+
+def hat_stabilizer_longest(r: int) -> Perm:
+    """Longest element of the stabilizer of 1 in S_r (S_{r-1} on {2..r})."""
+    return Perm([1] + list(range(r, 1, -1))) if r > 1 else Perm.identity(1)
+
+
+# ---------------------------------------------------------------------------
+# Schubert: the polynomial of a permutation, Theta, Poincare duality
+# ---------------------------------------------------------------------------
+
+
+def schubert_poly_dict(perm: Perm) -> Poly:
+    return dict(schubert_poly(perm.trim()))
+
+
+def theta(ring: SchubertRing, mu: RatVec) -> CohClass:
+    """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
+    blockwise: Monk's rule on the unit class, whose covers are the simple
+    reflections.  Central (trace) parts of mu contribute nothing."""
+    return ring.chevalley_mult(ring.one(), mu)
+
+
+def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, pd: ParabolicData) -> bool:
+    """Whether sigma_w . sigma_{w'} = [pt] on the quotient by the
+    parabolic of pd, for w, w' longest coset representatives with
+    l(w) + l(w') >= l(w0) + l(w_lambda).
+
+    Verified in the Borel model through the injective pullback: the
+    shortest representatives w w_lambda and w' w_lambda multiply to the
+    class of w0 w_lambda exactly when w' = w0 w w_lambda.
+    """
+    w0 = ring.group.longest()
+    wl = pd.w_lambda
+    if w.length() + w_prime.length() < w0.length() + wl.length():
+        raise ValueError("duality_check needs l(w) + l(w') >= l(w0) + l(w_lambda)")
+    for u in (w, w_prime):
+        if (u * wl).length() != u.length() - wl.length():
+            raise ValueError("w and w' must be longest coset representatives")
+    com = ring.cup(ring.basis_class(w * wl), ring.basis_class(w_prime * wl))
+    expected = w_prime == w0 * w * wl
+    got = com == ring.basis_class(w0 * wl)
+    if got != expected:
+        raise AssertionError("polynomial model disagrees with the coset duality rule")
+    return got
+
+
+# ---------------------------------------------------------------------------
+# Root data and admissible cocharacters: the closed forms
+# ---------------------------------------------------------------------------
+
+
+def schmid_cone(g: GroupData) -> HPolyhedron:
+    """H-representation of { sum m_i g_i : m_1 >= ... >= m_r >= 0 }.
+
+    That set is the cone spanned by the partial sums g_1, g_1 + g_2, ...;
+    degenerate r = 0 gives the origin.
+    """
+    sums = []
+    for gamma in g.schmid:
+        sums.append(sums[-1] + gamma if sums else gamma)
+    return cone_hull(sums, g.dim)
+
+
+def _lam_kl(n: int, k: int, l: int) -> OneParamSubgroup:
+    """(1,...,1, 0,...,0, -1,...,-1) with k ones and l minus-ones."""
+    return OneParamSubgroup([1] * k + [0] * (n - k - l) + [-1] * l)
+
+
+def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
+    """The literal admissible lists, family by family; they must equal
+    `enumerate_admissible` as sets."""
+    tag = g.family.tag
+    if tag == SP:
+        n = g.family.params[0]
+        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
+        for k in range(1, n):
+            for l in range(1, n - k + 1):
+                out.add(_lam_kl(n, k, l))
+        return out
+
+    if tag == SU:
+        p, q = g.family.params
+        if q == 1 and g.unitary_coords:
+            n = p
+            return {
+                OneParamSubgroup([n] + [-1] * (n - 1)),
+                OneParamSubgroup([1] * (n - 1) + [-n]),
+            }
+        out: set[OneParamSubgroup] = set()
+        if q >= 2:
+            for k in range(1, p):
+                for l in range(1, q):
+                    d = gcd(p + q - k - l, k + l)
+                    a = (p + q - k - l) // d
+                    b = -(k + l) // d
+                    out.add(OneParamSubgroup([a] * k + [b] * (p - k) + [a] * l + [b] * (q - l)))
+        out.add(OneParamSubgroup([1] * (p + q - 1) + [1 - p - q]))          # lam_{p,q-1}
+        out.add(OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q))    # lam_{p-1,q}
+        out.add(OneParamSubgroup([-1] * p + [p + q - 1] + [-1] * (q - 1)))  # lam_{0,1}
+        out.add(OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)))         # lam_{1,0}
+        if q == 1:
+            # In full coordinates only the two kernel-spanning ones remain.
+            out = {
+                OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)),
+                OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q),
+            }
+        return out
+
+    if tag == SO_STAR:
+        n = g.family.params[0]
+        if n == 3:
+            return {OneParamSubgroup([1, -1, -1]), OneParamSubgroup([1, 1, -1])}
+        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
+        for k in range(1, n):
+            out.add(_lam_kl(n, k, n - k))
+        for k in range(1, n - 3):
+            for l in range(1, n - k - 2):
+                out.add(_lam_kl(n, k, l))
+        return out
+
+    if tag == SO:
+        p = g.family.params[0]
+        m = p // 2
+        odd = p % 2 == 1
+        lam0 = OneParamSubgroup([1] + [0] * m)
+        lam1p = OneParamSubgroup([1] * m + [1])
+        lam1m = OneParamSubgroup([1] * m + [-1])
+        if odd:
+            return {lam0, lam1p, lam1m}
+        lamm1p = OneParamSubgroup([1] * (m - 1) + [-1, 1])
+        lamm1m = OneParamSubgroup([1] * (m - 1) + [-1, -1])
+        return {lam0, lam1p, lam1m, lamm1p, lamm1m}
+
+    raise ValueError(f"unknown family {tag!r}")
+
+
+# ---------------------------------------------------------------------------
+# Well-covering: dominant pairs, the full scan, the trivial pair
+# ---------------------------------------------------------------------------
+
+
+def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
+    """The criterion with the equality in (i) dropped to nonvanishing;
+    every well-covering pair is dominant."""
+    ctx = context(g, pair.lam)
+    wellcover._check_pair_shape(ctx, pair)
+    if not ctx.graded.level_nonempty(pair.m):
+        return False
+    return not wellcover._criterion_product(ctx, pair).is_zero()
+
+
+def enumerate_m0_dominant(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
+    """All m = 0 dominant pairs for lam, in sorted order (a superset of
+    `enumerate_m0`)."""
+    ctx = context(g, lam)
+    candidates = (WCPair(w, w_prime, 0, lam) for w in ctx.reps for w_prime in ctx.reps)
+    return list(wellcover._sorted_pairs(p for p in candidates if is_dominant_pair(g, p)))
+
+
+def level_bounds(graded: wellcover.GradedModule) -> tuple[int, int]:
+    """The lowest and the highest weight level of the module; the trivial
+    line sits at level 0."""
+    levels = (*graded.levels, 0)
+    return min(levels), max(levels)
+
+
+def scan_well_covering(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
+    """All well-covering triples (w, w', m) for m from the lowest level to
+    the highest plus 2."""
+    ctx = context(g, lam)
+    lowest, highest = level_bounds(ctx.graded)
+    out = []
+    for m in range(lowest, highest + 3):
+        for w in ctx.reps:
+            for w_prime in ctx.reps:
+                pair = WCPair(w, w_prime, m, lam)
+                if ctx.graded.level_nonempty(m) and wellcover.is_well_covering(g, pair):
+                    out.append(pair)
+    return out
+
+
+def trivial_pair(g: GroupData, lam: OneParamSubgroup, w: WeylElt, m: int) -> WCPair:
+    """The pair (w, w0 w w_lambda, m)."""
+    ctx = context(g, lam)
+    return WCPair(w, ctx.w0 * w * ctx.pd.w_lambda, m, lam)
+
+
+# ---------------------------------------------------------------------------
+# Polytope: the dominant-pair assembly and the geometric inclusions
+# ---------------------------------------------------------------------------
+
+
+@cache
+def relaxed_rows(g: GroupData) -> polytope._LinearRows:
+    """The rows assembly would offer with dominant pairs in place of
+    well-covering ones: the chamber's, then one row per m = 0 dominant pair
+    of each admissible cocharacter.  Every well-covering pair is dominant,
+    and by the dominant-pair theorem the extra rows are implied: both row
+    sets cut out one polyhedron for every Lambda."""
+    rows = [(row.normal, [0] * g.dim, row.kind) for row in g.chamber.ineqs]
+    for lam in sorted_admissible(enumerate_admissible(g)):
+        rows += [(*pair.row_vectors, LE) for pair in enumerate_m0_dominant(g, lam)]
+    return polytope._LinearRows(g.dim, rows)
+
+
+def noncompact_cone(g: GroupData) -> HPolyhedron:
+    """H-representation of the cone spanned by the noncompact positive
+    roots (facets used for the shifted-cone inclusion test)."""
+    return cone_hull(list(g.noncompact_pos), g.dim)
+
+
+def contained_in_shifted_cone(p: polytope.OrbitPolytope) -> bool:
+    """polyhedron(Lambda) inside Lambda + cone(noncompact positives)."""
+    g, Lambda = p.group, p.Lambda
+    return implies_all(p.system, (
+        AffineIneq(row.normal, row.bound + row.normal.dot(Lambda), row.kind)
+        for row in noncompact_cone(g).ineqs
+    ))
+
+
+def contained_in_hol_closure(p: polytope.OrbitPolytope) -> bool:
+    """polyhedron inside the closure of the holomorphic chamber."""
+    return implies_all(p.system, (ineq_ge(list(beta), 0) for beta in p.group.noncompact_pos))

@@ -11,7 +11,6 @@ from orbitope.admissible import (
     _ambient_constraints,
     _primitive_kernel_vector,
     _torus_rank,
-    closed_form_admissible,
     enumerate_admissible,
     is_admissible,
     is_dominant_ops,
@@ -20,6 +19,7 @@ from orbitope.admissible import (
 )
 from orbitope.exactmath import DomainError, RatVec
 from orbitope.rootdata import GroupFamily, build
+from reference import closed_form_admissible
 
 GOLDEN_BY_SPEC = {
     "su:p=2,q=1": "Thm7.2.1", "su:p=3,q=1": "Thm7.2.1",

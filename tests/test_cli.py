@@ -21,8 +21,8 @@ import pytest
 
 import orbitope
 from orbitope import admissible, cli, polytope
-from orbitope.admissible import closed_form_admissible
 from orbitope.cli import main
+from reference import closed_form_admissible
 
 CLI_BYTES = Path(__file__).parent / "data" / "cli_bytes.json"
 COMMANDS = [
@@ -257,6 +257,21 @@ class TestExitCodes:
         monkeypatch.setattr(admissible, "enumerate_admissible", closed_form_admissible)
         code, out, err = run(capsys, "adm", "--group", "su:p=8,q=2", "--format", "json")
         assert code == 0 and err == "" and len(json.loads(out)) == 11
+
+    @pytest.mark.parametrize("argv, message", [
+        (["member", "--xi", "1,2"], "error: point dim 2 vs system dim 6\n"),
+        (["plot"], "error: plot supports rank-2 groups only (sp:n=2, su:p=2,q=1)\n"),
+    ], ids=["member", "plot"])
+    def test_bad_request_skips_the_assembly(self, capsys, monkeypatch, argv, message):
+        # a point of the wrong dimension, or a plot past rank 2, exits 1
+        # before the assembly (about 3.5 s for sp:n=6), which never runs
+        def assembly(g, Lambda):
+            raise AssertionError("assembly ran")
+
+        monkeypatch.setattr(polytope, "assemble", assembly)
+        code, out, err = run(capsys, argv[0], "--group", "sp:n=6",
+                             "--lambda", "7,6,5,4,3,2", *argv[1:])
+        assert (code, out, err) == (1, "", message)
 
     def test_zero_window(self, capsys):
         # a window of minus the largest |coordinate| left a zero-width box

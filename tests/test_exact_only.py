@@ -1,4 +1,6 @@
-"""Static guards over every module under src/orbitope.
+"""Static guards over every module under src/orbitope.  The exactness and
+memo guards also scan tests/reference.py, the code the tests compare the
+package against.
 
 Exactness: no floating point in the package.  Modules are scanned for
 float literals, any use of the name `float`, and `math` imports other than
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orbitope"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 ALLOWED = {("cli.py", "render_svg")}
 
 
@@ -106,13 +109,14 @@ def _core_calls(path: Path) -> tuple[set, list[str]]:
 
 
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCANNED = MODULES + [REFERENCE]
 
 
 def test_package_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name)
 def test_no_floating_point(path):
     assert _violations(path) == []
 
@@ -126,7 +130,7 @@ def test_scan_catches_floats(tmp_path):
     assert _violations(ok) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name)
 def test_no_hand_rolled_cache(path):
     assert _module_containers(path) == []
 

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 from orbitope import goldens
 from orbitope.exactmath import DomainError
-from orbitope.horn import (
-    HornTriple,
-    enum_T,
+from orbitope.horn import HornTriple, enum_T
+from reference import (
     enum_U,
     family_bar,
     family_bar_star,

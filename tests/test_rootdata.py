@@ -23,8 +23,8 @@ from orbitope.rootdata import (
     dual_weight,
     in_hol_chamber,
     pairing,
-    schmid_cone,
 )
+from reference import schmid_cone
 
 
 ROOTDATA = Path(__file__).parent / "data" / "rootdata.json"

