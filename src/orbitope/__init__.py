@@ -13,7 +13,8 @@ Subpackages / modules:
   admissible  -- dominant indivisible admissible one-parameter subgroups
   wellcover   -- the cohomological well-covering criterion for pairs
   polytope    -- assembly, closed forms, membership, oracle cross-checks
-  goldens     -- checked-in ground-truth tables used by the test suite
+  goldens     -- checked-in ground-truth tables used by the tests and the
+                 benchmark
   cli         -- command line front end
 """
 

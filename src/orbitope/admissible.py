@@ -8,11 +8,16 @@ roots; dominant when it pairs >= 0 with every compact positive root;
 indivisible when its entries have gcd 1.
 
 `enumerate_admissible` runs the generic hyperplane-intersection algorithm,
-the one route assembly uses.  The tests compare it as a set with the
-literal per-family lists (`closed_form_admissible` in `tests/reference.py`)
-across the supported desk-scale ranges.  Kernel lines and root-span ranks
-come from `exactmath.row_reduce`, the package's one Gauss-Jordan routine;
-kernel generators are read off its integer rows and divided by their gcd.
+the one route assembly uses.  Each candidate is the kernel line of
+dim(t) - 1 independent noncompact roots, so it is admissible by
+construction and the scan keeps it on dominance alone, with no recount of
+the roots vanishing on it (the argument is in its docstring).  The
+admissibility predicate itself lives in `tests/reference.py`: the tests
+check it on every kernel line of the groups they scan, and compare the
+scan as a set with the literal per-family lists (`closed_form_admissible`)
+across the supported desk-scale ranges.  Kernel lines come from
+`exactmath.row_reduce`, the package's one Gauss-Jordan routine; kernel
+generators are read off its integer rows and divided by their gcd.
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ class OneParamSubgroup:
         if vec.content_gcd() != 1:
             raise ValueError(f"not indivisible: {vec!r}")
         self.coords = vec
-
-    @property
-    def dim(self) -> int:
-        return self.coords.dim
 
     def __eq__(self, other):
         return isinstance(other, OneParamSubgroup) and self.coords == other.coords
@@ -95,24 +96,18 @@ def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
     return RatVec(a // g for a in vec)
 
 
-def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
-    """Rank of { b in noncompact_pos : <lam, b> = 0 } (plain matrix rank;
-    the roots already lie in the torus-rank subspace for su(p, q))."""
-    mat = [b.entries for b in g.noncompact_pos if pairing(lam, b) == 0]
-    return len(row_reduce(mat, range(g.dim))[2])
-
-
-def is_admissible(g: GroupData, lam: RatVec) -> bool:
-    """The defining property: the roots vanishing on lam span a hyperplane
-    of the torus (rank dim(t) - 1)."""
-    return kernel_root_span_dim(g, lam) == _torus_rank(g) - 1
-
-
 def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
     """All dominant indivisible admissible cocharacters, by scanning the
     full-rank (rank-1-short) subsets of the noncompact positive roots and
     taking primitive kernel generators of both signs.  A rank-1 torus
-    needs no root: its one empty subset leaves the whole torus line."""
+    needs no root: its one empty subset leaves the whole torus line.
+
+    Every kernel line is admissible, so only dominance is checked: the
+    need roots that cut the line out vanish on it, so the roots vanishing
+    on it have rank >= need; they all lie in the line's orthogonal
+    complement (inside the trace-zero space for su(p, q)), of dimension
+    need, so their rank is exactly need.  Both signs of a line have the
+    same vanishing roots."""
     roots = list(g.noncompact_pos)
     extra = _ambient_constraints(g)
     need = _torus_rank(g) - 1
@@ -127,7 +122,7 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
         if vec is None:
             continue
         for cand in (vec, -vec):
-            if is_dominant_ops(g, cand) and is_admissible(g, cand):
+            if is_dominant_ops(g, cand):
                 found.add(OneParamSubgroup(cand))
     return found
 

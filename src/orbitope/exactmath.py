@@ -33,7 +33,7 @@ divided by the gcd; `primitive` is the single scaling of Fractions to
 coprime integers.
 
 Each step of an LP has one home.  `_Substitution` is the only equality
-elimination: `_solve` (so `lp_max`, `lp_witness` and `lp_feasible`) and
+elimination: `_solve` (so `lp_witness` and `lp_feasible`) and
 `_Frame` build their LP rows with it and map its free values back with
 it.  `_Final`, beside `_simplex_le`, is the only reader of the final
 tableau: the multipliers, the tight rows, the variables that did not move
@@ -49,8 +49,9 @@ homogeneous and are substituted once per equality set, not once per LP;
 and each phase-2 run stops as soon as the objective passes the tested
 row's slack, or proves it unbounded.  x0 lies in every subsystem of the
 system, so `remove_redundant` tests all its candidates with one point.
-`lp_max`, `lp_witness` and `lp_feasible`, and so the Horn oracle, keep the
-pivot path that tests/test_lp_path.py pins (phase 1 from the origin).
+`_solve`, and so `lp_witness`, `lp_feasible` and the Horn oracle, keep the
+pivot path that tests/test_lp_path.py pins (phase 1 from the origin); the
+tests read its optimum through `lp_max` in tests/reference.py.
 
 `remove_redundant` proves each decision with a certificate that later
 systems with the same normals can reuse (certificates.py), read off the
@@ -273,9 +274,6 @@ class AffineIneq:
     def is_trivial(self) -> bool:
         """0 <= b with b >= 0 or 0 = 0."""
         return self.normal.is_zero() and (self.bound >= 0 if self.kind == LE else self.bound == 0)
-
-    def is_infeasible_marker(self) -> bool:
-        return self.normal.is_zero() and (self.bound < 0 if self.kind == LE else self.bound != 0)
 
     def satisfied_by(self, x: RatVec) -> bool:
         v = self.normal.dot(x)
@@ -741,11 +739,6 @@ def lp_witness(sys: HPolyhedron) -> Optional[RatVec]:
     """A rational point of sys, or None if infeasible."""
     status, _, w = _solve(sys, None)
     return w if status != INFEASIBLE else None
-
-
-def lp_max(sys: HPolyhedron, objective: Sequence):
-    """(status, value, witness) for max <objective, x> on sys."""
-    return _solve(sys, objective)
 
 
 def _signs(kind: str) -> tuple:

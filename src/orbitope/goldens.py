@@ -1,4 +1,4 @@
-"""Checked-in ground-truth tables used by the test suite.
+"""Checked-in ground-truth tables used by the test suite and the benchmark.
 
 Each golden record is one JSON file under goldens/<chapter>/<id>.json with
 the shape {"id": ..., "kind": ..., "payload": ...}.  The payload formats:
@@ -15,6 +15,11 @@ the shape {"id": ..., "kind": ..., "payload": ...}.  The payload formats:
 Inequality templates keep Lambda symbolic exactly so parametric statements
 are instantiated at test time; tests never read expected data from the
 code under test.
+
+The package keeps two readers, `load` and `admissible_vectors`, because
+the benchmark's check of the `adm` verb (perfbench/workloads.py) reads
+them.  The other readers (every id, Horn triples, inequality systems at
+a given Lambda) only tests call, so they live in `tests/reference.py`.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
-
-from .exactmath import AffineIneq, HPolyhedron, RatVec, ineq_eq, ineq_ge, ineq_le
-from .horn import HornTriple
 
 _KINDS = {"horn_triples", "admissible_sets", "polytope_rows", "coset_table", "pair_table"}
 
@@ -62,59 +63,7 @@ def load(golden_id: str) -> GoldenRecord:
     return GoldenRecord(golden_id, kind, obj["payload"])
 
 
-def all_ids() -> list[str]:
-    ids = []
-    root = resources.files(__package__).joinpath("goldens")
-    for chapter in root.iterdir():
-        if not chapter.is_dir():
-            continue
-        for f in chapter.iterdir():
-            name = f.name
-            if name.endswith(".json"):
-                ids.append(name[: -len(".json")])
-    return sorted(ids)
-
-
-# -- typed payload accessors -------------------------------------------------
-
-
-def triples(rec: GoldenRecord, r: int, n: int) -> list[HornTriple]:
-    if rec.kind != "horn_triples":
-        raise ValueError(f"{rec.id} is not a horn_triples golden")
-    key = f"{r},{n}"
-    return [
-        HornTriple(n, tuple(t["I"]), tuple(t["J"]), tuple(t["L"]))
-        for t in rec.payload["sets"][key]
-    ]
-
-
 def admissible_vectors(rec: GoldenRecord, spec: str) -> set[tuple[int, ...]]:
     if rec.kind != "admissible_sets":
         raise ValueError(f"{rec.id} is not an admissible_sets golden")
     return {tuple(v) for v in rec.payload["instances"][spec]}
-
-
-def instantiate_rows(rows: Iterable[dict], Lambda: RatVec, dim: int) -> HPolyhedron:
-    """Turn symbolic rows into a concrete inequality system at Lambda."""
-    out: list[AffineIneq] = []
-    for row in rows:
-        xi = row["xi"]
-        lamc = row.get("lam", [0] * dim)
-        bound = RatVec(lamc).dot(Lambda) if any(c != 0 for c in lamc) else 0
-        op = row["op"]
-        if op == ">=":
-            out.append(ineq_ge(xi, bound))
-        elif op == "<=":
-            out.append(ineq_le(xi, bound))
-        elif op == "=":
-            out.append(ineq_eq(xi, bound))
-        else:
-            raise ValueError(f"bad op {op!r}")
-    return HPolyhedron(dim, out)
-
-
-def polytope_system(rec: GoldenRecord, instance: str, Lambda: RatVec) -> HPolyhedron:
-    if rec.kind != "polytope_rows":
-        raise ValueError(f"{rec.id} is not a polytope_rows golden")
-    rows = rec.payload["instances"][instance]
-    return instantiate_rows(rows, Lambda, Lambda.dim)

@@ -43,17 +43,6 @@ class HornTriple:
             if list(part) != sorted(set(part)) or part[0] < 1 or part[-1] > self.n:
                 raise ValueError(f"not a strictly increasing subset of 1..{self.n}: {part}")
 
-    @property
-    def r(self) -> int:
-        return len(self.I)
-
-    def balanced(self) -> bool:
-        r = self.r
-        return sum(self.I) + sum(self.J) == sum(self.L) + r * (r + 1) // 2
-
-    def sort_key(self):
-        return (self.I, self.J, self.L)
-
     def to_json_obj(self):
         return {"I": list(self.I), "J": list(self.J), "L": list(self.L)}
 

@@ -215,8 +215,8 @@ class CohClass:
     @classmethod
     def _graded(cls, terms: Dict[WeylElt, int]) -> "CohClass":
         """The class of terms that share one length by construction (one
-        term, a multiple of a class, or a product `chevalley_mult` or `cup`
-        builds), without the recount."""
+        term, or a product `chevalley_mult` or `cup` builds), without the
+        recount."""
         out = cls.__new__(cls)
         out.terms = {w: c for w, c in terms.items() if c != 0}
         return out
@@ -248,9 +248,6 @@ class CohClass:
         for w, c in other.terms.items():
             terms[w] = terms.get(w, 0) - c
         return CohClass(terms)
-
-    def scale(self, c: int) -> "CohClass":
-        return CohClass._graded({w: c * v for w, v in self.terms.items()})
 
     def text(self) -> str:
         """Debug form '3*s1.s3.s2 + 1*s2' with factor words joined by '|'."""
@@ -299,9 +296,6 @@ class SchubertRing:
         self.top_length = sum(d * (d - 1) // 2 for d in self.degrees)
 
     # -- basic classes -----------------------------------------------------
-    def one(self) -> CohClass:
-        return CohClass._graded({self.group.identity(): 1})
-
     def zero(self) -> CohClass:
         return CohClass._graded({})
 

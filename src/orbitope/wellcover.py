@@ -38,14 +38,7 @@ from .admissible import OneParamSubgroup
 from .exactmath import RatVec
 from .rootdata import GroupData, UnsupportedFamilyError, pairing
 from .schubert import CohClass, SchubertRing
-from .weyl import (
-    ParabolicData,
-    Perm,
-    WeylElt,
-    check_order_cap,
-    max_coset_reps,
-    stabilizer_parabolic,
-)
+from .weyl import Perm, WeylElt, check_order_cap, max_coset_reps, stabilizer_parabolic
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,6 @@ class GradedModule:
         dims[0] = dims.get(0, 0) + 1  # the trivial line
         self.dims = dict(sorted(dims.items()))
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def weights_below(self, m: int) -> list[RatVec]:
         """Module weights of level < m, with multiplicity, including the
         zero weight of the trivial line when m > 0."""
@@ -125,7 +115,7 @@ class LambdaContext:
 
     g: GroupData
     lam: OneParamSubgroup
-    pd: ParabolicData
+    w_lambda: WeylElt
     reps: tuple[WeylElt, ...]
     graded: GradedModule
     ring: SchubertRing
@@ -137,7 +127,7 @@ class LambdaContext:
     @cached_property
     def target(self) -> CohClass:
         """s_{w0 w_lam}, the class criterion (i) asks for."""
-        return self.ring.basis_class(self.w0 * self.pd.w_lambda)
+        return self.ring.basis_class(self.w0 * self.w_lambda)
 
     @cached_property
     def lengths(self) -> dict[WeylElt, int]:
@@ -147,7 +137,7 @@ class LambdaContext:
     @cached_property
     def pairs(self) -> tuple[WCPair, ...]:
         """The m = 0 well-covering pairs, in sorted order (see enumerate_m0)."""
-        target_len = self.w0.length() + self.pd.w_lambda.length() + self.graded.dim_below(0)
+        target_len = self.w0.length() + self.w_lambda.length() + self.graded.dim_below(0)
         lengths = self.lengths.items()
         candidates = (WCPair(w, w_prime, 0, self.lam) for w, lw in lengths for w_prime, lwp in lengths
                       if lw + lwp == target_len)
@@ -176,9 +166,9 @@ def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
     families with pairs a dominant lam is one that is blockwise weakly
     decreasing, and `stabilizer_parabolic` refuses any other."""
     require_pairs(g)
-    pd = stabilizer_parabolic(g.weyl, lam.coords)
-    reps = tuple(max_coset_reps(g.weyl, pd))
-    return LambdaContext(g, lam, pd, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
+    w_lambda = stabilizer_parabolic(g.weyl, lam.coords)
+    reps = tuple(max_coset_reps(g.weyl, lam.coords))
+    return LambdaContext(g, lam, w_lambda, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
 
 
 def _criterion_product(ctx: LambdaContext, pair: WCPair) -> CohClass:
@@ -204,7 +194,7 @@ def is_well_covering(g: GroupData, pair: WCPair) -> bool:
     if not ctx.graded.level_nonempty(pair.m):
         return False
     if ctx.graded.dim_below(pair.m) == 0:
-        return pair.w_prime == ctx.w0 * pair.w * ctx.pd.w_lambda
+        return pair.w_prime == ctx.w0 * pair.w * ctx.w_lambda
     # Numeric condition (ii) first, it is cheap.
     lamvec = pair.lam.coords
     s = pairing(g.weyl.act(pair.w, lamvec) + g.weyl.act(pair.w_prime, lamvec), g.rho)

@@ -9,10 +9,12 @@ maximal compact subgroup; it acts on coordinate vectors blockwise.  The
 pair layer reads only products, lengths, the longest element and this
 action off it.
 
-The parabolic data of a dominant vector lam come from its runs of equal
-coordinates inside each block, with no listing of W or W_lambda: w_lambda
-reverses every run, and the longest representative of each coset
-w W_lambda is read off the orbit point w . lam (`max_coset_reps`).
+The parabolic data of a dominant vector lam are just w_lambda, the longest
+element of its stabilizer W_lambda, and both come from the runs of equal
+coordinates of lam inside each block, with no listing of W or W_lambda:
+w_lambda reverses every run (`stabilizer_parabolic`), and the longest
+representative of each coset w W_lambda is read off the orbit point
+w . lam (`max_coset_reps`).
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class Perm:
         return " ".join(str(i) for i in self.images)
 
     @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(range(1, n + 1))
-
-    @staticmethod
     def longest(n: int) -> "Perm":
         return Perm(range(n, 0, -1))
 
@@ -99,12 +97,6 @@ class Perm:
                 if imgs[i] > imgs[j]:
                     inv += 1
         return inv
-
-    def code(self) -> tuple[int, ...]:
-        """Lehmer code c_i = #{j > i : w(j) < w(i)}."""
-        imgs = self.images
-        n = self.degree
-        return tuple(sum(1 for j in range(i + 1, n) if imgs[j] < imgs[i]) for i in range(n))
 
     def act_tuple(self, values: Sequence) -> tuple:
         """Coordinate action: (w . v)_{w(i)} = v_i."""
@@ -198,36 +190,14 @@ class WeylDescriptor:
             start += d
         return out
 
-    def identity(self) -> WeylElt:
-        return WeylElt(Perm.identity(d) for d in self.degrees)
-
     def longest(self) -> WeylElt:
         return WeylElt(Perm.longest(d) for d in self.degrees)
-
-    def simple(self, factor: int, i: int) -> WeylElt:
-        perms = [Perm.identity(d) for d in self.degrees]
-        perms[factor] = Perm.simple(self.degrees[factor], i)
-        return WeylElt(perms)
 
     def act(self, w: WeylElt, v: RatVec) -> RatVec:
         """Blockwise coordinate permutation action on a vector."""
         if v.dim != self.dim:
             raise DimensionError(f"vector dim {v.dim} vs group dim {self.dim}")
         return w.act(v)
-
-
-@dataclass(frozen=True)
-class ParabolicData:
-    """The stabilizer W_lambda of a dominant vector lam, through its
-    longest element.
-
-    W_lambda is the product of the symmetric groups on the runs of equal
-    coordinates inside each block, so w_lambda reverses every run.
-    """
-
-    group: WeylDescriptor
-    lam: RatVec
-    w_lambda: WeylElt
 
 
 def _runs(values: Sequence) -> list[tuple[int, ...]]:
@@ -259,14 +229,23 @@ def _placements(free: Sequence[int], sizes: Sequence[int]):
             yield (chosen, *tail)
 
 
-def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> ParabolicData:
-    """W_lambda for a dominant vector lam (blockwise weakly decreasing)."""
+def _dominant_blocks(group: WeylDescriptor, lam: RatVec) -> list[tuple]:
+    """The blocks of lam, checked to be of the group's dimension and
+    dominant (blockwise weakly decreasing)."""
     if lam.dim != group.dim:
         raise DimensionError("lambda dimension does not match group")
     blocks = [lam.entries[start:stop] for start, stop in group.block_ranges()]
     if any(a < b for block in blocks for a, b in zip(block, block[1:])):
         raise ValueError("lambda must be dominant (blockwise weakly decreasing)")
-    return ParabolicData(group, lam, WeylElt(_longest(_runs(block)) for block in blocks))
+    return blocks
+
+
+def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> WeylElt:
+    """w_lambda, the longest element of the stabilizer W_lambda of a
+    dominant vector lam: W_lambda is the product of the symmetric groups on
+    the runs of equal coordinates inside each block, so w_lambda reverses
+    every run."""
+    return WeylElt(_longest(_runs(block)) for block in _dominant_blocks(group, lam))
 
 
 def check_order_cap(group: WeylDescriptor) -> None:
@@ -275,9 +254,9 @@ def check_order_cap(group: WeylDescriptor) -> None:
         raise DomainError(f"group too large to enumerate: order {group.order}")
 
 
-def max_coset_reps(group: WeylDescriptor, pd: ParabolicData) -> list[WeylElt]:
-    """Longest representatives of the cosets w W_lambda, one per coset,
-    sorted by WeylElt.sort_key.
+def max_coset_reps(group: WeylDescriptor, lam: RatVec) -> list[WeylElt]:
+    """Longest representatives of the cosets w W_lambda of a dominant
+    vector lam, one per coset, sorted by WeylElt.sort_key.
 
     The coset of w is fixed by the orbit point w . lam, a rearrangement of
     lam inside each block (W_lambda is exactly the stabilizer of lam).  Its
@@ -289,7 +268,7 @@ def max_coset_reps(group: WeylDescriptor, pd: ParabolicData) -> list[WeylElt]:
     """
     check_order_cap(group)
     factors = []
-    for start, stop in group.block_ranges():
-        sizes = [len(run) for run in _runs(pd.lam.entries[start:stop])]
-        factors.append([_longest(p) for p in _placements(range(1, stop - start + 1), sizes)])
+    for block in _dominant_blocks(group, lam):
+        sizes = [len(run) for run in _runs(block)]
+        factors.append([_longest(p) for p in _placements(range(1, len(block) + 1), sizes)])
     return sorted((WeylElt(f) for f in itertools.product(*factors)), key=WeylElt.sort_key)

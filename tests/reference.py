@@ -5,25 +5,93 @@ m = 0 well-covering pairs, and the Horn oracle.  A function lives here,
 not in the package, when no CLI verb, benchmark check or engine path calls
 it and only tests do: second routes the engine is compared against (the
 spectrum test, the closed-form admissible lists, the dominant-pair
-assembly), constructors for writing test inputs, and the cones and
-containment checks of the geometric criteria.  This module imports the
-package, and the package never imports it.  `tests/test_exact_only.py`
-scans it like a package module.
+assembly), the admissibility predicate (every kernel line the admissible
+scan builds satisfies it), constructors for writing test inputs, the
+golden readers the benchmark does not use, and the cones and containment
+checks of the geometric criteria.  This module imports the package, and the package
+never imports it.  `tests/test_exact_only.py` scans it like a package
+module.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from importlib import resources
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from orbitope import horn, polytope, wellcover
+from orbitope import admissible, exactmath, horn, polytope, wellcover
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
-from orbitope.exactmath import LE, AffineIneq, HPolyhedron, RatVec, cone_hull, implies_all, ineq_ge, rat
-from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
+from orbitope.exactmath import (
+    LE,
+    AffineIneq,
+    HPolyhedron,
+    RatVec,
+    cone_hull,
+    implies_all,
+    ineq_eq,
+    ineq_ge,
+    ineq_le,
+    rat,
+    row_reduce,
+)
+from orbitope.goldens import GoldenRecord
+from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
 from orbitope.schubert import CohClass, Poly, SchubertRing, schubert_poly
-from orbitope.weyl import ParabolicData, Perm, WeylDescriptor, WeylElt
+from orbitope.weyl import Perm, WeylDescriptor, WeylElt
 from orbitope.wellcover import WCPair, context
+
+# ---------------------------------------------------------------------------
+# Exact layer and goldens: the optimum, the infeasible row, the table readers
+# ---------------------------------------------------------------------------
+
+
+def lp_max(sys: HPolyhedron, objective: Sequence):
+    """(status, value, witness) for max <objective, x> on sys."""
+    return exactmath._solve(sys, objective)
+
+
+def is_infeasible_marker(row: AffineIneq) -> bool:
+    """0 <= b with b < 0, or 0 = b with b != 0."""
+    return row.normal.is_zero() and (row.bound < 0 if row.kind == LE else row.bound != 0)
+
+
+def all_ids() -> list[str]:
+    """The id of every golden table shipped with the package."""
+    root = resources.files("orbitope").joinpath("goldens")
+    return sorted(
+        f.name[: -len(".json")]
+        for chapter in root.iterdir() if chapter.is_dir()
+        for f in chapter.iterdir() if f.name.endswith(".json")
+    )
+
+
+def triples(rec: GoldenRecord, r: int, n: int) -> list[horn.HornTriple]:
+    if rec.kind != "horn_triples":
+        raise ValueError(f"{rec.id} is not a horn_triples golden")
+    return [
+        horn.HornTriple(n, tuple(t["I"]), tuple(t["J"]), tuple(t["L"]))
+        for t in rec.payload["sets"][f"{r},{n}"]
+    ]
+
+
+def instantiate_rows(rows: Iterable[dict], Lambda: RatVec, dim: int) -> HPolyhedron:
+    """Turn symbolic rows into a concrete inequality system at Lambda."""
+    make = {">=": ineq_ge, "<=": ineq_le, "=": ineq_eq}
+    out: list[AffineIneq] = []
+    for row in rows:
+        lamc = row.get("lam", [0] * dim)
+        bound = RatVec(lamc).dot(Lambda) if any(c != 0 for c in lamc) else 0
+        if row["op"] not in make:
+            raise ValueError(f"bad op {row['op']!r}")
+        out.append(make[row["op"]](row["xi"], bound))
+    return HPolyhedron(dim, out)
+
+
+def polytope_system(rec: GoldenRecord, instance: str, Lambda: RatVec) -> HPolyhedron:
+    if rec.kind != "polytope_rows":
+        raise ValueError(f"{rec.id} is not a polytope_rows golden")
+    return instantiate_rows(rec.payload["instances"][instance], Lambda, Lambda.dim)
 
 # ---------------------------------------------------------------------------
 # Horn: spectra, saturation and the explicit triple families
@@ -93,7 +161,7 @@ def triple_via_eigen(t: horn.HornTriple) -> bool:
     lam_i = partition_of(t.I)
     lam_j = partition_of(t.J)
     lam_l = partition_of(t.L)
-    if t.r == 1:
+    if len(t.I) == 1:
         # Size-1 spectra: only the trace condition is in play.
         return lam_i[0] + lam_j[0] == lam_l[0]
     return horn_member(lam_i, lam_j, lam_l)
@@ -121,14 +189,48 @@ def family_L_tilde(r: int, n: int) -> tuple[int, ...]:
     return tuple([1] + list(range(n - r + 2, n + 1)))
 
 
+def balanced(t: horn.HornTriple) -> bool:
+    """sum(I) + sum(J) = sum(L) + r(r+1)/2, the condition of U_r^n."""
+    r = len(t.I)
+    return sum(t.I) + sum(t.J) == sum(t.L) + r * (r + 1) // 2
+
+
+def triple_key(t: horn.HornTriple) -> tuple:
+    """(I, J, L), the order `enum_T` lists its triples in."""
+    return (t.I, t.J, t.L)
+
+
 # ---------------------------------------------------------------------------
-# Weyl: words, text and the special elements
+# Weyl: identities, simple reflections, codes, words, text and the special
+# elements
 # ---------------------------------------------------------------------------
+
+
+def perm_identity(n: int) -> Perm:
+    return Perm(range(1, n + 1))
+
+
+def identity(group: WeylDescriptor) -> WeylElt:
+    return WeylElt(perm_identity(d) for d in group.degrees)
+
+
+def simple(group: WeylDescriptor, factor: int, i: int) -> WeylElt:
+    """s_i in the given factor, the identity in every other."""
+    perms = [perm_identity(d) for d in group.degrees]
+    perms[factor] = Perm.simple(group.degrees[factor], i)
+    return WeylElt(perms)
+
+
+def code(perm: Perm) -> tuple[int, ...]:
+    """Lehmer code c_i = #{j > i : w(j) < w(i)}."""
+    imgs = perm.images
+    n = perm.degree
+    return tuple(sum(1 for j in range(i + 1, n) if imgs[j] < imgs[i]) for i in range(n))
 
 
 def from_word(n: int, word: Sequence[int]) -> Perm:
     """The product s_{a1} s_{a2} ... s_{ak} of S_n, composed right to left."""
-    w = Perm.identity(n)
+    w = perm_identity(n)
     for a in word:
         w = w * Perm.simple(n, a)
     return w
@@ -160,7 +262,7 @@ def special_elements(r: int):
 
 def hat_stabilizer_longest(r: int) -> Perm:
     """Longest element of the stabilizer of 1 in S_r (S_{r-1} on {2..r})."""
-    return Perm([1] + list(range(r, 1, -1))) if r > 1 else Perm.identity(1)
+    return Perm([1] + list(range(r, 1, -1))) if r > 1 else perm_identity(1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,24 +274,32 @@ def schubert_poly_dict(perm: Perm) -> Poly:
     return dict(schubert_poly(perm.trim()))
 
 
+def one(ring: SchubertRing) -> CohClass:
+    """The unit class, s_id."""
+    return ring.basis_class(identity(ring.group))
+
+
+def scale(c: CohClass, k: int) -> CohClass:
+    return CohClass({w: k * v for w, v in c.terms.items()})
+
+
 def theta(ring: SchubertRing, mu: RatVec) -> CohClass:
     """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
     blockwise: Monk's rule on the unit class, whose covers are the simple
     reflections.  Central (trace) parts of mu contribute nothing."""
-    return ring.chevalley_mult(ring.one(), mu)
+    return ring.chevalley_mult(one(ring), mu)
 
 
-def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, pd: ParabolicData) -> bool:
+def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, wl: WeylElt) -> bool:
     """Whether sigma_w . sigma_{w'} = [pt] on the quotient by the
-    parabolic of pd, for w, w' longest coset representatives with
-    l(w) + l(w') >= l(w0) + l(w_lambda).
+    parabolic whose longest element is wl = w_lambda, for w, w' longest
+    coset representatives with l(w) + l(w') >= l(w0) + l(w_lambda).
 
     Verified in the Borel model through the injective pullback: the
     shortest representatives w w_lambda and w' w_lambda multiply to the
     class of w0 w_lambda exactly when w' = w0 w w_lambda.
     """
     w0 = ring.group.longest()
-    wl = pd.w_lambda
     if w.length() + w_prime.length() < w0.length() + wl.length():
         raise ValueError("duality_check needs l(w) + l(w') >= l(w0) + l(w_lambda)")
     for u in (w, w_prime):
@@ -204,7 +314,7 @@ def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, pd: Paraboli
 
 
 # ---------------------------------------------------------------------------
-# Root data and admissible cocharacters: the closed forms
+# Root data and admissible cocharacters: the closed forms and the predicate
 # ---------------------------------------------------------------------------
 
 
@@ -293,9 +403,26 @@ def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
     raise ValueError(f"unknown family {tag!r}")
 
 
+def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
+    """Rank of { b in noncompact_pos : <lam, b> = 0 } (plain matrix rank;
+    the roots already lie in the torus-rank subspace for su(p, q))."""
+    mat = [b.entries for b in g.noncompact_pos if pairing(lam, b) == 0]
+    return len(row_reduce(mat, range(g.dim))[2])
+
+
+def is_admissible(g: GroupData, lam: RatVec) -> bool:
+    """The defining property: the roots vanishing on lam span a hyperplane
+    of the torus (rank dim(t) - 1)."""
+    return kernel_root_span_dim(g, lam) == admissible._torus_rank(g) - 1
+
+
 # ---------------------------------------------------------------------------
-# Well-covering: dominant pairs, the full scan, the trivial pair
+# Well-covering: module size, dominant pairs, the full scan, the trivial pair
 # ---------------------------------------------------------------------------
+
+
+def total_dim(graded: wellcover.GradedModule) -> int:
+    return sum(graded.dims.values())
 
 
 def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
@@ -341,7 +468,7 @@ def scan_well_covering(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
 def trivial_pair(g: GroupData, lam: OneParamSubgroup, w: WeylElt, m: int) -> WCPair:
     """The pair (w, w0 w w_lambda, m)."""
     ctx = context(g, lam)
-    return WCPair(w, ctx.w0 * w * ctx.pd.w_lambda, m, lam)
+    return WCPair(w, ctx.w0 * w * ctx.w_lambda, m, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ from orbitope.admissible import (
     _primitive_kernel_vector,
     _torus_rank,
     enumerate_admissible,
-    is_admissible,
     is_dominant_ops,
-    kernel_root_span_dim,
     sorted_admissible,
 )
-from orbitope.exactmath import DomainError, RatVec
+from orbitope.exactmath import DomainError
 from orbitope.rootdata import GroupFamily, build
-from reference import closed_form_admissible
+from reference import closed_form_admissible, is_admissible, kernel_root_span_dim
 
 GOLDEN_BY_SPEC = {
     "su:p=2,q=1": "Thm7.2.1", "su:p=3,q=1": "Thm7.2.1",
@@ -112,10 +110,11 @@ def test_indivisible_dominant_kernel_invariants():
             assert kernel_root_span_dim(g, lam.coords) == torus_rank - 1
 
 
-# sp, su(p, q) with p <= 4 in both su(n, 1) conventions, so* and so; su(4, 4)
-# (5632 lines, about 1.9 s) is left out for time.
+# sp up to the benchmark's sp:n=5, su(p, q) with p <= 4 in both su(n, 1)
+# conventions, so* and so; su(4, 4) (5632 lines, about 1.9 s) is left out
+# for time.
 KERNEL_LINE_GROUPS = (
-    [(f"sp:n={n}", True) for n in range(1, 5)]
+    [(f"sp:n={n}", True) for n in range(1, 6)]
     + [(f"su:p={p},q={q}", unitary) for p in range(1, 5) for q in range(1, min(p, 3) + 1)
        for unitary in ((True, False) if q == 1 else (True,))]
     + [(f"so_star:n={n}", True) for n in range(3, 6)]
@@ -124,11 +123,9 @@ KERNEL_LINE_GROUPS = (
 
 
 def test_every_kernel_line_is_admissible():
-    # Why the scan's is_admissible call cannot fail: the need roots that cut
-    # a line out vanish on it, so the vanishing roots have rank >= need, and
-    # they lie in the line's orthogonal complement (inside the trace-zero
-    # space for su(p, q)), of dimension need.  Both signs of a line have the
-    # same vanishing roots.
+    # The premise of enumerate_admissible, which keeps a kernel line on
+    # dominance alone: every kernel line the scan builds is admissible (the
+    # argument is in its docstring).
     lines = 0
     for spec, unitary in KERNEL_LINE_GROUPS:
         g = build(GroupFamily.parse(spec), su_n1_unitary_coords=unitary)
@@ -137,7 +134,7 @@ def test_every_kernel_line_is_admissible():
             if vec is not None:
                 lines += 1
                 assert is_admissible(g, vec), (spec, unitary, vec)
-    assert lines == 1297
+    assert lines == 2467
 
 
 def test_one_param_subgroup_validation():

