@@ -8,7 +8,7 @@ Subpackages / modules:
   certificates -- reusable certificates of redundancy decisions
   weyl        -- products of symmetric groups, lengths, coset representatives
   rootdata    -- root data of the four classical Hermitian families
-  horn        -- Horn index triples and Horn-cone membership
+  horn        -- the Horn index triples T_r^n
   schubert    -- type-A Schubert calculus (polynomial model + Chevalley rule)
   admissible  -- dominant indivisible admissible one-parameter subgroups
   wellcover   -- the cohomological well-covering criterion for pairs

@@ -4,20 +4,24 @@ A one-parameter subgroup of the maximal torus is an integer vector lam in
 the coordinates of the group data.  It is admissible (for the compact
 group acting on the negative off-diagonal part) when its line is exactly
 the common kernel of dim(t) - 1 linearly independent noncompact positive
-roots; dominant when it pairs >= 0 with every compact positive root;
-indivisible when its entries have gcd 1.
+roots; dominant when it lies in the group's chamber `GroupData.chamber`;
+indivisible when its entries have gcd 1.  The chamber tests the simple
+compact roots only: every compact positive root is a nonnegative integer
+combination of them, so pairing >= 0 with the simple ones is pairing >= 0
+with all.
 
 `enumerate_admissible` runs the generic hyperplane-intersection algorithm,
 the one route assembly uses.  Each candidate is the kernel line of
 dim(t) - 1 independent noncompact roots, so it is admissible by
 construction and the scan keeps it on dominance alone, with no recount of
 the roots vanishing on it (the argument is in its docstring).  The
-admissibility predicate itself lives in `tests/reference.py`: the tests
-check it on every kernel line of the groups they scan, and compare the
-scan as a set with the literal per-family lists (`closed_form_admissible`)
-across the supported desk-scale ranges.  Kernel lines come from
-`exactmath.row_reduce`, the package's one Gauss-Jordan routine; kernel
-generators are read off its integer rows and divided by their gcd.
+admissibility predicate and the dominance test over every compact positive
+root live in `tests/reference.py`: the tests check both on every kernel
+line of the groups they scan, and compare the scan as a set with the
+literal per-family lists (`closed_form_admissible`) across the supported
+desk-scale ranges.  Kernel lines come from `exactmath.row_reduce`, the
+package's one Gauss-Jordan routine; kernel generators are read off its
+integer rows and divided by their gcd.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .exactmath import DomainError, RatVec, row_reduce
-from .rootdata import GroupData, pairing
+from .exactmath import EQ, DomainError, RatVec, row_reduce
+from .rootdata import GroupData
 
 SUBSET_CAP = 10**5
 
@@ -58,24 +62,6 @@ class OneParamSubgroup:
         return tuple(int(c) for c in self.coords)
 
 
-def is_dominant_ops(g: GroupData, lam: RatVec) -> bool:
-    """lam pairs >= 0 with every compact positive root (the torus/SO(2)
-    coordinates left unconstrained fall out automatically)."""
-    return all(pairing(alpha, lam) >= 0 for alpha in g.compact_pos)
-
-
-def _ambient_constraints(g: GroupData) -> list[RatVec]:
-    """Extra linear constraints the cocharacter must satisfy (trace-zero
-    for su(p, q) in full coordinates)."""
-    if g.trace_zero:
-        return [RatVec([1] * g.dim)]
-    return []
-
-
-def _torus_rank(g: GroupData) -> int:
-    return g.dim - len(_ambient_constraints(g))
-
-
 def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
     """A primitive integer generator of the kernel of the row system, or
     None when the kernel is not a line."""
@@ -99,18 +85,20 @@ def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
 def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
     """All dominant indivisible admissible cocharacters, by scanning the
     full-rank (rank-1-short) subsets of the noncompact positive roots and
-    taking primitive kernel generators of both signs.  A rank-1 torus
-    needs no root: its one empty subset leaves the whole torus line.
+    taking primitive kernel generators of both signs.  The chamber's
+    equality rows (the trace row for su(p, q)) join every subset, so need
+    is the torus rank less one.  A rank-1 torus needs no root: its one
+    empty subset leaves the whole torus line.
 
-    Every kernel line is admissible, so only dominance is checked: the
-    need roots that cut the line out vanish on it, so the roots vanishing
-    on it have rank >= need; they all lie in the line's orthogonal
-    complement (inside the trace-zero space for su(p, q)), of dimension
-    need, so their rank is exactly need.  Both signs of a line have the
-    same vanishing roots."""
+    Every kernel line is admissible, so only dominance, membership of the
+    chamber, is checked: the need roots that cut the line out vanish on
+    it, so the roots vanishing on it have rank >= need; they all lie in
+    the line's orthogonal complement (inside the trace-zero space for
+    su(p, q)), of dimension need, so their rank is exactly need.  Both
+    signs of a line have the same vanishing roots."""
     roots = list(g.noncompact_pos)
-    extra = _ambient_constraints(g)
-    need = _torus_rank(g) - 1
+    eqs = [row.normal for row in g.chamber.ineqs if row.kind == EQ]
+    need = g.dim - len(eqs) - 1
     found: set[OneParamSubgroup] = set()
     total = 1
     for i in range(need):
@@ -118,11 +106,11 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
     if total > SUBSET_CAP:
         raise DomainError(f"subset enumeration too large: C({len(roots)},{need}) = {total}")
     for subset in combinations(roots, need):
-        vec = _primitive_kernel_vector(list(subset) + extra, g.dim)
+        vec = _primitive_kernel_vector(list(subset) + eqs, g.dim)
         if vec is None:
             continue
         for cand in (vec, -vec):
-            if is_dominant_ops(g, cand):
+            if g.chamber.contains(cand):
                 found.add(OneParamSubgroup(cand))
     return found
 

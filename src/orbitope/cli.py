@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactmath import DomainError, HPolyhedron, RatVec, check_dim, rat_str
-from .rootdata import GroupFamily, UnsupportedFamilyError, build
+from .rootdata import GroupFamily, build
 
 if TYPE_CHECKING:
     from .polytope import OrbitPolytope
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         to_json, to_text, code = args.func(args)
         _write(args, to_json, to_text)
         return code
-    except (DomainError, UnsupportedFamilyError, ValueError) as exc:
+    except ValueError as exc:  # DomainError, UnsupportedFamilyError among them
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except OSError as exc:

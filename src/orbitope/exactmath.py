@@ -49,9 +49,10 @@ homogeneous and are substituted once per equality set, not once per LP;
 and each phase-2 run stops as soon as the objective passes the tested
 row's slack, or proves it unbounded.  x0 lies in every subsystem of the
 system, so `remove_redundant` tests all its candidates with one point.
-`_solve`, and so `lp_witness`, `lp_feasible` and the Horn oracle, keep the
-pivot path that tests/test_lp_path.py pins (phase 1 from the origin); the
-tests read its optimum through `lp_max` in tests/reference.py.
+`_solve` only decides feasibility: `lp_witness`, `lp_feasible` and the
+Horn oracle read its phase-1 point from the origin.  `lp_max` in
+tests/reference.py runs the same substitution and simplex with an
+objective in phase 2, and tests/test_lp_path.py pins that pivot path.
 
 `remove_redundant` proves each decision with a certificate that later
 systems with the same normals can reuse (certificates.py), read off the
@@ -523,7 +524,6 @@ class _Substitution:
 # Exact simplex
 # ---------------------------------------------------------------------------
 
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
@@ -703,42 +703,25 @@ class _Final:
         return z
 
 
-def _solve(sys: HPolyhedron, objective: Optional[Sequence] = None):
-    """Maximize <objective, x> over sys (objective None = pure feasibility).
-
-    Returns (status, value, witness RatVec or None).
-    """
-    obj = objective
-    if obj is not None and not isinstance(obj, RatVec):
-        obj = RatVec(obj)
-    if obj is not None and obj.dim != sys.dim:
-        raise DimensionError(f"objective dim {obj.dim} vs system dim {sys.dim}")
+def _solve(sys: HPolyhedron) -> Optional[RatVec]:
+    """A point of sys, the phase-1 witness from the origin, or None when
+    sys is infeasible."""
     sub = _Substitution([r for r in sys.ineqs if r.kind == EQ], sys.dim)
     program = sub.program(sys.ineqs)
     if program is None:
-        return INFEASIBLE, None, None
-    ints, den = sub.reduce(AffineIneq(RatVec([0] * sys.dim) if obj is None else obj, 0))
-    status, y, _ = _simplex_le(program[0], sub.nfree, (ints[:-1], den))
-    if status == INFEASIBLE:
-        return INFEASIBLE, None, None
-    witness = RatVec(sub.lift(y))
-    if obj is None:
-        return FEASIBLE, None, witness
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, witness
-    return OPTIMAL, obj.dot(witness), witness
+        return None
+    status, y, _ = _simplex_le(program[0], sub.nfree, ([0] * sub.nfree, 1))
+    return None if status == INFEASIBLE else RatVec(sub.lift(y))
 
 
 def lp_feasible(sys: HPolyhedron) -> bool:
     """Exact feasibility of a rational inequality system."""
-    status, _, _ = _solve(sys, None)
-    return status != INFEASIBLE
+    return _solve(sys) is not None
 
 
 def lp_witness(sys: HPolyhedron) -> Optional[RatVec]:
     """A rational point of sys, or None if infeasible."""
-    status, _, w = _solve(sys, None)
-    return w if status != INFEASIBLE else None
+    return _solve(sys)
 
 
 def _signs(kind: str) -> tuple:

@@ -6,10 +6,11 @@ not in the package, when no CLI verb, benchmark check or engine path calls
 it and only tests do: second routes the engine is compared against (the
 spectrum test, the closed-form admissible lists, the dominant-pair
 assembly), the admissibility predicate (every kernel line the admissible
-scan builds satisfies it), constructors for writing test inputs, the
-golden readers the benchmark does not use, and the cones and containment
-checks of the geometric criteria.  This module imports the package, and the package
-never imports it.  `tests/test_exact_only.py` scans it like a package
+scan builds satisfies it), the dominance test over every compact positive
+root (the group's chamber agrees with it on each such line), constructors
+for writing test inputs, the golden readers the benchmark does not use,
+and the cones and containment checks of the geometric criteria.  This
+module imports the package, and the package never imports it.  `tests/test_exact_only.py` scans it like a package
 module.
 """
 
@@ -20,11 +21,13 @@ from importlib import resources
 from math import gcd
 from typing import Iterable, Sequence
 
-from orbitope import admissible, exactmath, horn, polytope, wellcover
+from orbitope import exactmath, horn, polytope, wellcover
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
 from orbitope.exactmath import (
+    EQ,
     LE,
     AffineIneq,
+    DimensionError,
     HPolyhedron,
     RatVec,
     cone_hull,
@@ -47,8 +50,22 @@ from orbitope.wellcover import WCPair, context
 
 
 def lp_max(sys: HPolyhedron, objective: Sequence):
-    """(status, value, witness) for max <objective, x> on sys."""
-    return exactmath._solve(sys, objective)
+    """(status, value, witness) for max <objective, x> on sys: the equality
+    substitution and simplex `lp_witness` runs, with the objective in
+    phase 2.  The value is None unless the status is optimal."""
+    obj = objective if isinstance(objective, RatVec) else RatVec(objective)
+    if obj.dim != sys.dim:
+        raise DimensionError(f"objective dim {obj.dim} vs system dim {sys.dim}")
+    sub = exactmath._Substitution([r for r in sys.ineqs if r.kind == EQ], sys.dim)
+    program = sub.program(sys.ineqs)
+    if program is None:
+        return exactmath.INFEASIBLE, None, None
+    ints, den = sub.reduce(AffineIneq(obj, 0))
+    status, y, _ = exactmath._simplex_le(program[0], sub.nfree, (ints[:-1], den))
+    if status == exactmath.INFEASIBLE:
+        return status, None, None
+    witness = RatVec(sub.lift(y))
+    return status, obj.dot(witness) if status == exactmath.OPTIMAL else None, witness
 
 
 def is_infeasible_marker(row: AffineIneq) -> bool:
@@ -412,8 +429,18 @@ def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
 
 def is_admissible(g: GroupData, lam: RatVec) -> bool:
     """The defining property: the roots vanishing on lam span a hyperplane
-    of the torus (rank dim(t) - 1)."""
-    return kernel_root_span_dim(g, lam) == admissible._torus_rank(g) - 1
+    of the torus (rank dim(t) - 1; dim(t) is one less than the coordinates
+    for su(p, q), whose torus has trace zero)."""
+    torus_rank = g.dim - (1 if g.trace_zero else 0)
+    return kernel_root_span_dim(g, lam) == torus_rank - 1
+
+
+def is_dominant_ops(g: GroupData, lam: RatVec) -> bool:
+    """lam pairs >= 0 with every compact positive root (the torus/SO(2)
+    coordinates left unconstrained fall out automatically): dominance
+    stated over all the compact roots, where `GroupData.chamber` reads the
+    simple ones."""
+    return all(pairing(alpha, lam) >= 0 for alpha in g.compact_pos)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,18 @@ import pytest
 from orbitope import goldens
 from orbitope.admissible import (
     OneParamSubgroup,
-    _ambient_constraints,
     _primitive_kernel_vector,
-    _torus_rank,
     enumerate_admissible,
-    is_dominant_ops,
     sorted_admissible,
 )
-from orbitope.exactmath import DomainError
+from orbitope.exactmath import DomainError, RatVec
 from orbitope.rootdata import GroupFamily, build
-from reference import closed_form_admissible, is_admissible, kernel_root_span_dim
+from reference import (
+    closed_form_admissible,
+    is_admissible,
+    is_dominant_ops,
+    kernel_root_span_dim,
+)
 
 GOLDEN_BY_SPEC = {
     "su:p=2,q=1": "Thm7.2.1", "su:p=3,q=1": "Thm7.2.1",
@@ -123,17 +125,22 @@ KERNEL_LINE_GROUPS = (
 
 
 def test_every_kernel_line_is_admissible():
-    # The premise of enumerate_admissible, which keeps a kernel line on
-    # dominance alone: every kernel line the scan builds is admissible (the
-    # argument is in its docstring).
+    # The premises of enumerate_admissible, which keeps a kernel line on
+    # membership of the chamber alone: every kernel line the scan builds is
+    # admissible (the argument is in its docstring), and on both signs of
+    # each line the chamber, which reads the simple compact roots, agrees
+    # with dominance over every compact positive root.
     lines = 0
     for spec, unitary in KERNEL_LINE_GROUPS:
         g = build(GroupFamily.parse(spec), su_n1_unitary_coords=unitary)
-        for subset in combinations(g.noncompact_pos, _torus_rank(g) - 1):
-            vec = _primitive_kernel_vector(list(subset) + _ambient_constraints(g), g.dim)
+        trace = [RatVec([1] * g.dim)] if g.trace_zero else []
+        for subset in combinations(g.noncompact_pos, g.dim - len(trace) - 1):
+            vec = _primitive_kernel_vector(list(subset) + trace, g.dim)
             if vec is not None:
                 lines += 1
                 assert is_admissible(g, vec), (spec, unitary, vec)
+                for v in (vec, -vec):
+                    assert g.chamber.contains(v) == is_dominant_ops(g, v), (spec, unitary, v)
     assert lines == 2467
 
 

@@ -57,6 +57,8 @@ COMMANDS = [
     ["ineqs", "--group", "sp:n=2", "--lambda", "1,x"],
     ["plot", "--group", "sp:n=2", "--lambda", "3,1", "--window", "3"],
     ["member", "--group", "sp:n=2", "--lambda", "3,1", "--xi", "2,1", "--format", "json"],
+    ["adm", "--group", "su:p=3,q=2", "--format", "json"],
+    ["adm", "--group", "so:p=5"],
 ]
 
 
