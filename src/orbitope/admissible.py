@@ -62,10 +62,11 @@ class OneParamSubgroup:
         return tuple(int(c) for c in self.coords)
 
 
-def _primitive_kernel_vector(rows: list[RatVec], dim: int) -> Optional[RatVec]:
-    """A primitive integer generator of the kernel of the row system, or
-    None when the kernel is not a line."""
-    ints, dens, pivots = row_reduce([r.entries for r in rows], range(dim))
+def _primitive_kernel_vector(rows: list, dim: int) -> Optional[RatVec]:
+    """A primitive integer generator of the kernel of the row system (rows
+    of rationals: RatVecs or normals), or None when the kernel is not a
+    line."""
+    ints, dens, pivots = row_reduce(rows, range(dim))
     if len(pivots) != dim - 1:
         return None
     pivot_cols = {col for _, col in pivots}

@@ -38,45 +38,44 @@ from math import gcd
 from operator import mul
 from typing import Optional
 
-from .exactmath import EQ, LE, RatVec, _Frame, _int_row, primitive, row_reduce
+from .exactmath import EQ, LE, RatVec, _Frame, _int_row, row_reduce
 
 
 # Most certificates a CertificateStore keeps per tested direction.
 CERTIFICATES_PER_ROW = 8
 
 
-class _Rows:
-    """The rows of one redundancy removal as integers, with their slacks
-    at a point x0 of the system and which of them are still in it.
+def _excess(row, x: list, scale: int) -> int:
+    """An integer of the sign of <normal, x / scale> - bound (scale > 0),
+    or, for scale 0, of <normal, x>."""
+    b = row.bound
+    return sum(map(mul, row.normal, x)) * b.denominator - b.numerator * scale
 
-    Row j is normal/den <= bound/den (or =), normal = g * unit with unit
-    primitive; `ints[j]` is (normal, bound, kind, g).  Its key (unit, kind)
-    is what certificates name, since it does not change when only the bound
-    does.  `slacks[j]` is the slack at x0 per unit, bound/g - <unit, x0>,
-    and `feasible` says whether x0 satisfies every row.  `frame` holds the
-    implication LPs at x0 that decide what no certificate does.
+
+class _Rows:
+    """The rows of one redundancy removal, with their slacks at a point x0
+    of the system and which of them are still in it.
+
+    Row j's key (normal, kind) is what certificates name, since it does not
+    change when only the bound does.  `slacks[j]` is its slack at x0,
+    bound - <normal, x0>, and `feasible` says whether x0 satisfies every
+    row.  `frame` holds the implication LPs at x0 that decide what no
+    certificate does.
     """
 
     def __init__(self, rows: list, x0: RatVec):
         self.rows = rows
         self.x0 = x0
         self.frame = _Frame(x0)
-        self.ints, self.keys, self.scales, self.slacks = [], [], [], []
+        self.keys = [(row.normal, row.kind) for row in rows]
+        self.slacks = []
         self.index = {id(row): j for j, row in enumerate(rows)}
         self.tightest_of: dict = {}  # key -> its row with the least slack
-        point, point_den = _int_row(x0.entries)
         self.feasible = True
-        for j, row in enumerate(rows):
-            ints, den = _int_row([*row.normal.entries, row.bound])
-            normal, bound = ints[:-1], ints[-1]
-            g = gcd(*normal) or 1
-            key = (tuple(a // g for a in normal), row.kind)
-            excess = bound * point_den - sum(map(mul, normal, point))
-            self.feasible &= excess >= 0 if row.kind == LE else excess == 0
-            self.ints.append((normal, bound, row.kind, g))
-            self.keys.append(key)
-            self.scales.append(Fraction(g, den))
-            self.slacks.append(Fraction(excess, g * point_den))
+        for j, (row, key) in enumerate(zip(rows, self.keys)):
+            excess, den = row._excess(x0)
+            self.feasible &= excess <= 0 if row.kind == LE else excess == 0
+            self.slacks.append(Fraction(-excess, den))
             best = self.tightest_of.get(key)
             if best is None or self.slacks[j] < self.slacks[best]:
                 self.tightest_of[key] = j
@@ -93,10 +92,10 @@ class _Rows:
     def violated(self, x: list, scale: int) -> bool:
         """Whether a row still in the system fails at the point x / scale
         (scale > 0), or, for scale 0, whether it stops the direction x."""
-        for alive, (normal, bound, kind, _) in zip(self.alive, self.ints):
+        for alive, row in zip(self.alive, self.rows):
             if alive:
-                excess = sum(map(mul, normal, x)) - bound * scale
-                if excess > 0 or (excess and kind == EQ):
+                excess = _excess(row, x, scale)
+                if excess > 0 or (excess and row.kind == EQ):
                     return True
         return False
 
@@ -112,15 +111,14 @@ class _Rows:
         if bounded:
             support: dict = {}
             for p, y in final.multipliers():
-                j = self.index[id(sources[p])]
-                support[self.keys[j]] = support.get(self.keys[j], 0) + y * self.scales[j]
-            return True, Farkas(
-                tuple((key, y / self.scales[i]) for key, y in support.items()),
-                tuple(map(self.key, sub.eqs)),
-            )
+                key = self.key(sources[p])
+                support[key] = support.get(key, 0) + y
+            return True, Farkas(tuple(support.items()), tuple(map(self.key, sub.eqs)))
         edge = final.edge()
         if edge is not None:
-            return False, Ray(tuple(a.numerator for a in primitive(sub.lift(edge))))
+            direction, _ = _int_row(sub.lift(edge))
+            g = gcd(*direction)
+            return False, Ray(tuple(a // g for a in direction))
         # The objective passed the slack at a vertex of the LP: the tight
         # rows, the pivoting equalities and, for each free variable that did
         # not move, its coordinate of x0.
@@ -133,7 +131,7 @@ class _Rows:
 @dataclass(frozen=True, slots=True)
 class Farkas:
     """Proves a row implied: multipliers y >= 0 on <= rows named by key,
-    with sum y * unit equal to the tested direction up to a combination of
+    with sum y * normal equal to the tested direction up to a combination of
     the named equalities.  That identity does not depend on the bounds; at
     given bounds the row is implied when every named row is in the system
     and sum y * slack <= the tested row's slack."""
@@ -169,7 +167,7 @@ class Witness:
         """(integer rows, positive denominator) of A_B^-1.  The basis is
         nonsingular: it is the LP's final basis written in x."""
         dim = len(self.keys) + len(self.coords)
-        units = [list(unit) for unit, _ in self.keys]
+        units = [list(normal) for normal, _ in self.keys]
         units += [[1 if j == c else 0 for j in range(dim)] for c in self.coords]
         rows = [u + [1 if k == r else 0 for k in range(dim)] for r, u in enumerate(units)]
         ints, dens, pivots = row_reduce(rows, range(dim))
@@ -188,30 +186,27 @@ class Witness:
             j = rows.tightest(key)
             if j is None:
                 return None
-            _, bound, _, g = rows.ints[j]
-            bounds.append(bound if g == 1 else Fraction(bound, g))
+            bounds.append(rows.rows[j].bound)
         bounds += [rows.x0[c] for c in self.coords]
         b, den = _int_row(bounds)
         inverse, inverse_den = self.inverse
         x = [sum(map(mul, row, b)) for row in inverse]
         scale = den * inverse_den
-        normal, bound, _, _ = rows.ints[i]
-        if sign * (sum(map(mul, normal, x)) - bound * scale) <= 0 or rows.violated(x, scale):
+        if sign * _excess(rows.rows[i], x, scale) <= 0 or rows.violated(x, scale):
             return None
         return False
 
 
 @dataclass(frozen=True, slots=True)
 class Ray:
-    """Proves a row kept: a direction d with <unit, d> <= 0 on every <= row
+    """Proves a row kept: a direction d with <normal, d> <= 0 on every <= row
     and = 0 on every equality of the system, along which the tested
     direction grows.  x0 + t d stays in the system for all t >= 0."""
 
     direction: tuple
 
     def decide(self, rows: _Rows, i: int, sign: int) -> Optional[bool]:
-        normal = rows.ints[i][0]
-        if sign * sum(map(mul, normal, self.direction)) <= 0:
+        if sign * sum(map(mul, rows.rows[i].normal, self.direction)) <= 0:
             return None
         return None if rows.violated(self.direction, 0) else False
 
@@ -237,8 +232,8 @@ class CertificateStore:
     def bounded(self, rows: _Rows, i: int, sign: int) -> bool:
         """Whether the rows still in the system imply row i in direction
         sign (True) or not (False)."""
-        unit = rows.keys[i][0]
-        direction = unit if sign == 1 else tuple(-a for a in unit)
+        normal = rows.keys[i][0]
+        direction = normal if sign == 1 else tuple(-a for a in normal)
         found = self.certificates.setdefault(direction, [])
         for k, cert in enumerate(found):
             verdict = cert.decide(rows, i, sign)

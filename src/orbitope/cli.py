@@ -187,7 +187,7 @@ def _clip_to_box(system: HPolyhedron, lo: Fraction, hi: Fraction):
     for row in system.ineqs:
         if row.kind != "le":
             return []
-        pts = _clip_polygon(pts, row.normal, row.bound)
+        pts = _clip_polygon(pts, RatVec(row.normal), row.bound)
         if not pts:
             return []
     return pts

@@ -1,17 +1,16 @@
 """Exact rational vectors, affine inequality systems and linear programming.
 
 Values are exact rationals; there is no floating point anywhere.  The
-three public data types hold Fractions:
+three public data types:
 
-  RatVec       -- an immutable vector of Fractions,
-  AffineIneq   -- one constraint <a, x> <= b  or  <a, x> = b,
+  RatVec       -- an immutable vector of Fractions: a point or a direction,
+  AffineIneq   -- one constraint <a, x> <= b  or  <a, x> = b, held with a
+                  primitive integer normal a and a Fraction bound b,
   HPolyhedron  -- a finite system of such constraints in a fixed dimension.
 
 On top of these the module provides an exact feasibility / optimization
-solver (a dense simplex with Bland's rule), the derived predicates
-`implies`, `implies_all`, `remove_redundant` and `poly_equal`, and the
-double description method for cones (`cone_rays`, H to V, and by polarity
-`cone_hull`, V to H).
+solver (a dense simplex with Bland's rule) and the derived predicates
+`implies`, `implies_all`, `remove_redundant` and `poly_equal`.
 
 All exact elimination lives here, and all pivoting goes through one
 fraction-free kernel, `_pivot`.  It keeps each row as Python ints over one
@@ -28,9 +27,9 @@ kernel's elimination step, `_eliminate`.  Inside the layer a row is only
 ever integers over a reduced row denominator: `row_reduce` returns such
 rows and `_Substitution` hands them on to the tableau.  Fractions are made
 only for what leaves it: witness points, optimal values, multipliers and
-edges.  `cone_rays` combines integer vectors the same way, d_p*q - d_q*p
-divided by the gcd; `primitive` is the single scaling of Fractions to
-coprime integers.
+edges.  A row's normal is already integers: `_solve` takes the row as its
+integer row, normal and bound times the bound's denominator
+(`AffineIneq.integer_row`), and the frame below takes its normal as it is.
 
 Each step of an LP has one home.  `_Substitution` is the only equality
 elimination: `_solve` (so `lp_witness` and `lp_feasible`) and
@@ -56,8 +55,8 @@ objective in phase 2, and tests/test_lp_path.py pins that pivot path.
 
 `remove_redundant` proves each decision with a certificate that later
 systems with the same normals can reuse (certificates.py), read off the
-same implication LP.  One key, the primitive normal and the kind, rules
-it: of the rows of a key only the tightest is ever tested.
+same implication LP.  One key, the normal and the kind, rules it: of the
+rows of a key only the tightest is ever tested.
 
 The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 """
@@ -112,20 +111,6 @@ _SMALL = tuple(Fraction(k) for k in range(-_SMALL_MAX, _SMALL_MAX + 1))
 def _fraction(n: int) -> Fraction:
     """Fraction(n), as a shared object when n is small."""
     return _SMALL[n + _SMALL_MAX] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
-
-
-def primitive(values: list) -> list:
-    """Scale a list of Fractions by one positive rational to coprime
-    integers (as Fractions).
-
-    All-zero input, and input that is already coprime integers, comes back
-    as the same list object.  Small results are shared Fraction objects.
-    """
-    ints, den = _int_row(values)
-    g = gcd(*ints)
-    if den == 1 and g <= 1:
-        return values
-    return [_fraction(a // g) for a in ints]
 
 
 class RatVec:
@@ -192,9 +177,6 @@ class RatVec:
                 den *= d
         return _fraction(num) if den == 1 else Fraction(num, den)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.entries)
 
@@ -224,87 +206,117 @@ class DomainError(ValueError):
     ...)."""
 
 
+def _dot(normal: tuple, x: RatVec) -> tuple:
+    """<normal, x> for an integer normal, as an integer fraction (num, den)
+    with den > 0, summed over one denominator as `RatVec.dot` sums."""
+    num, den = 0, 1
+    for a, b in zip(normal, x.entries):
+        if a:
+            d = b.denominator
+            if d == 1:
+                num += a * b.numerator * den
+            else:
+                num = num * d + a * b.numerator * den
+                den *= d
+    return num, den
+
+
 @dataclass(frozen=True, slots=True)
 class AffineIneq:
-    """One affine constraint <normal, x> (<=|=) bound.
+    """One affine constraint <normal, x> (<=|=) bound, held in its one
+    canonical form from the moment it is built.
 
-    Canonical form (see `canonical`) scales the row so all coefficients are
-    integers of gcd 1; equalities are additionally sign-normalized so the
-    leading nonzero coefficient is positive.  A zero normal is only kept for
-    the degenerate rows 0 <= b / 0 = b.
+    The constructor takes rationals and scales the row by a positive
+    rational so that `normal` is a tuple of coprime ints; `bound` is a
+    Fraction.  An equality's first nonzero entry is positive.  A zero
+    normal is only kept for the degenerate rows 0 <= 0, 0 = 0 and the
+    infeasible marker 0 <= -1.  So rows are equal exactly when they are
+    positive multiples of each other (any nonzero multiples, for
+    equalities), and rows with one normal and kind differ only in the
+    bound.  `_canonical_row` makes a row the engine built canonical already.
     """
 
-    normal: RatVec
+    normal: tuple
     bound: Fraction
     kind: str = LE
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", rat(self.bound))
         if self.kind not in (LE, EQ):
             raise ValueError(f"kind must be {LE!r} or {EQ!r}")
+        ints, den = _int_row([rat(a) for a in self.normal])
+        bound, kind = rat(self.bound), self.kind
+        g = gcd(*ints)
+        if g == 0:  # 0 <= b or 0 = b holds, or the row is the marker
+            holds = bound == 0 or (bound > 0 and kind == LE)
+            bound, kind = (_fraction(0), kind) if holds else (_fraction(-1), LE)
+        else:
+            if kind == EQ and next(a for a in ints if a) < 0:
+                g = -g
+            ints, bound = [a // g for a in ints], bound * den / g
+        object.__setattr__(self, "normal", tuple(ints))
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def dim(self) -> int:
-        return self.normal.dim
+        return len(self.normal)
 
-    def canonical(self) -> "AffineIneq":
-        """Scale by a positive rational to primitive-integer form.
-
-        Invariant under scaling by any positive rational; equalities are
-        also invariant under scaling by -1, resolved by making the leading
-        nonzero coefficient positive.  A row already in canonical form is
-        returned as itself.
-        """
-        if self.normal.is_zero():
-            if self.kind == EQ:
-                b = Fraction(0) if self.bound == 0 else Fraction(-1)
-                kind = EQ if self.bound == 0 else LE
-                return AffineIneq(RatVec([0] * self.dim), b, kind)
-            # 0 <= b : trivial when b >= 0, else the infeasible marker.
-            b = Fraction(0) if self.bound >= 0 else Fraction(-1)
-            return AffineIneq(RatVec([0] * self.dim), b, LE)
-        values = [*self.normal, self.bound]
-        scaled = primitive(values)
-        if self.kind == EQ and next(a for a in scaled if a != 0) < 0:
-            scaled = [-a for a in scaled]
-        if scaled is values:
-            return self
-        *normal, b = scaled
-        return AffineIneq(RatVec(normal), b, self.kind)
+    def integer_row(self) -> tuple:
+        """(normal, bound) times the bound's denominator: the row as coprime
+        integers, the form it is printed in and `lp_witness` solves."""
+        q = self.bound.denominator
+        return (self.normal if q == 1 else tuple(a * q for a in self.normal)), self.bound.numerator
 
     def is_trivial(self) -> bool:
-        """0 <= b with b >= 0 or 0 = 0."""
-        return self.normal.is_zero() and (self.bound >= 0 if self.kind == LE else self.bound == 0)
+        """0 <= 0 or 0 = 0."""
+        return self.bound == 0 and not any(self.normal)
+
+    def _excess(self, x: RatVec) -> tuple:
+        """<normal, x> - bound as an integer fraction (num, den), den > 0."""
+        num, den = _dot(self.normal, x)
+        q = self.bound.denominator
+        return num * q - self.bound.numerator * den, den * q
 
     def satisfied_by(self, x: RatVec) -> bool:
-        v = self.normal.dot(x)
-        return v == self.bound if self.kind == EQ else v <= self.bound
+        excess, _ = self._excess(x)
+        return excess == 0 if self.kind == EQ else excess <= 0
 
     def to_json_obj(self) -> dict:
-        """The JSON wire form of one row: {"a": normal, "b": bound, "eq": is equality}."""
-        return {"a": [rat_str(a) for a in self.normal], "b": rat_str(self.bound),
-                "eq": self.kind == EQ}
+        """The JSON wire form of one row, its integer row: {"a": normal,
+        "b": bound, "eq": is equality}."""
+        normal, bound = self.integer_row()
+        return {"a": [str(a) for a in normal], "b": str(bound), "eq": self.kind == EQ}
+
+
+def _canonical_row(normal: tuple, bound: Fraction, kind: str) -> AffineIneq:
+    """The row of a normal, bound and kind that are canonical already (as
+    `polytope._LinearRows` builds them), without the constructor's scaling."""
+    row = object.__new__(AffineIneq)
+    object.__setattr__(row, "normal", normal)
+    object.__setattr__(row, "bound", bound)
+    object.__setattr__(row, "kind", kind)
+    return row
 
 
 def ineq_le(coeffs: Sequence, bound) -> AffineIneq:
-    return AffineIneq(RatVec(coeffs), rat(bound), LE)
+    return AffineIneq(coeffs, bound, LE)
 
 
 def ineq_ge(coeffs: Sequence, bound) -> AffineIneq:
     """<coeffs, x> >= bound stored as <-coeffs, x> <= -bound."""
-    return AffineIneq(-RatVec(coeffs), -rat(bound), LE)
+    return AffineIneq([-rat(a) for a in coeffs], -rat(bound), LE)
 
 
 def ineq_eq(coeffs: Sequence, bound) -> AffineIneq:
-    return AffineIneq(RatVec(coeffs), rat(bound), EQ)
+    return AffineIneq(coeffs, bound, EQ)
 
 
 class HPolyhedron:
-    """A finite canonicalized inequality system in a fixed dimension.
+    """A finite inequality system in a fixed dimension.
 
-    Construction canonicalizes every row, drops trivial rows and removes
-    duplicates while preserving first-occurrence order.  The point set is
-    unchanged by any of this.
+    Construction drops trivial rows and removes duplicates while preserving
+    first-occurrence order; rows are canonical as built, so duplicates are
+    equal rows.  The point set is unchanged by any of this.
     """
 
     __slots__ = ("dim", "ineqs")
@@ -313,25 +325,18 @@ class HPolyhedron:
         if dim < 1:
             raise DimensionError("dimension must be >= 1")
         self.dim = dim
-        seen = set()
-        rows = []
-        for raw in ineqs:
-            if raw.dim != dim:
-                raise DimensionError(f"constraint dim {raw.dim} in system dim {dim}")
-            row = raw.canonical()
-            if row.is_trivial():
-                continue
-            key = (row.normal.entries, row.bound, row.kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            rows.append(row)
+        rows: dict = {}  # the first of equal rows is kept
+        for row in ineqs:
+            if row.dim != dim:
+                raise DimensionError(f"constraint dim {row.dim} in system dim {dim}")
+            if not row.is_trivial():
+                rows.setdefault(row)
         self.ineqs = tuple(rows)
 
     @staticmethod
     def empty(dim: int) -> "HPolyhedron":
         """The distinguished canonical infeasible system {0 <= -1}."""
-        return HPolyhedron(dim, [AffineIneq(RatVec([0] * dim), Fraction(-1), LE)])
+        return HPolyhedron(dim, [AffineIneq((0,) * dim, -1)])
 
     def contains(self, x: RatVec) -> bool:
         check_dim(x, self.dim)
@@ -360,11 +365,8 @@ class HPolyhedron:
     def from_json_obj(obj: dict) -> "HPolyhedron":
         dim = int(obj["dim"])
         rows = [
-            AffineIneq(
-                RatVec([Fraction(s) for s in rec["a"]]),
-                Fraction(rec["b"]),
-                EQ if rec.get("eq", False) else LE,
-            )
+            AffineIneq([Fraction(s) for s in rec["a"]], Fraction(rec["b"]),
+                       EQ if rec.get("eq", False) else LE)
             for rec in obj["ineqs"]
         ]
         return HPolyhedron(dim, rows)
@@ -465,7 +467,8 @@ class _Substitution:
     def __init__(self, eqs: list, dim: int, x0: Optional[RatVec] = None):
         self.eqs = eqs  # holds the rows whose ids key memos of this object
         self.x0 = x0
-        ints, _, pivots = row_reduce([[*r.normal, self.bound(r)] for r in eqs], range(dim))
+        # A positive row denominator does not change the reduced rows.
+        ints, _, pivots = row_reduce([self._row(r)[0] for r in eqs], range(dim))
         self.pivot_rows = [i for i, _ in pivots]
         # Each pivot row as integers e over its denominator e[col] > 0.
         self.pivots = [(col, ints[i]) for i, col in pivots]
@@ -477,13 +480,23 @@ class _Substitution:
         self.dim = dim
         self._reduced: dict = {}
 
-    def bound(self, row: AffineIneq) -> Fraction:
-        return row.bound if self.x0 is None else row.bound - row.normal.dot(self.x0)
+    def _row(self, row: AffineIneq) -> tuple:
+        """[normal..., bound] as integers over a reduced denominator.
+        Without x0 it is the integer row (`AffineIneq.integer_row`): phase
+        1 weighs each row by its scale, and this is the scale it runs at.
+        In the frame of x0 the bound is the slack at x0, no LP has a phase
+        1, and the row keeps its normal, so the final tableau's multipliers
+        are per normal."""
+        if self.x0 is None:
+            normal, bound = row.integer_row()
+            return [*normal, bound], 1
+        excess, den = row._excess(self.x0)
+        return _reduce([*(a * den for a in row.normal), -excess], den)
 
     def reduce(self, row: AffineIneq) -> tuple:
         entry = self._reduced.get(id(row))
         if entry is None:
-            a, den = _int_row([*row.normal, self.bound(row)])
+            a, den = self._row(row)
             for col, e in self.pivots:
                 if a[col]:
                     a, den = _eliminate(a, den, e, col)
@@ -764,8 +777,8 @@ class _Frame:
         return status == OPTIMAL, sub, sources, final
 
     def implied(self, rows, row: AffineIneq) -> bool:
-        t = row.bound - row.normal.dot(self.x0)
-        if t < 0 or (row.kind == EQ and t != 0):
+        excess, _ = row._excess(self.x0)
+        if excess > 0 or (row.kind == EQ and excess):
             return False
         return all(self.lp(rows, row, sign)[0] for sign in _signs(row.kind))
 
@@ -799,12 +812,12 @@ def remove_redundant(
 
     `known` is a point of sys, if the caller has one; it is checked, and a
     witness LP finds a point when it is missing or fails a row.  One key
-    rules the decisions: rows whose primitive normals and kinds agree
-    (x <= 3 and 2x <= 7, say) are one key, and only its row with the least
-    slack at that point is tested; the others are implied by it and go at
-    once (`certificates._Rows`).  Each decision first tries the
-    certificates in `store` (a fresh store when none is given) and only
-    then solves the implication LP, whose certificate it adds to the store.
+    rules the decisions: rows whose normals and kinds agree (x <= 3 and
+    2x <= 7, say) are one key, and only its row with the least slack at
+    that point is tested; the others are implied by it and go at once
+    (`certificates._Rows`).  Each decision first tries the certificates in
+    `store` (a fresh store when none is given) and only then solves the
+    implication LP, whose certificate it adds to the store.
     """
     # certificates.py builds on this module, so it is imported here.
     from .certificates import CertificateStore, _Rows
@@ -827,9 +840,9 @@ def remove_redundant(
 
 
 def _canonical_system(dim: int, rows: list[AffineIneq]) -> HPolyhedron:
-    """The system of `rows`, which are canonical, nontrivial and distinct
-    already (a subsequence of a system's rows, say), so the constructor's
-    canonicalising and deduplication are skipped."""
+    """The system of `rows`, which are nontrivial and distinct already (a
+    subsequence of a system's rows, say), so the constructor's filtering
+    and deduplication are skipped."""
     sub = object.__new__(HPolyhedron)
     sub.dim = dim
     sub.ineqs = tuple(rows)
@@ -852,87 +865,4 @@ def poly_equal(p: HPolyhedron, q: HPolyhedron) -> bool:
     in_p, in_q = _Frame(p_point), _Frame(q_point)
     return all(in_p.implied(p.ineqs, r) for r in q.ineqs if r not in common) and all(
         in_q.implied(q.ineqs, r) for r in p.ineqs if r not in common
-    )
-
-
-# ---------------------------------------------------------------------------
-# Double description
-# ---------------------------------------------------------------------------
-
-
-def _idot(a: list, x: list) -> int:
-    return sum(p * q for p, q in zip(a, x))
-
-
-def _combine(s: int, p: list, t: int, q: list) -> list:
-    """The integer vector s*p + t*q divided by its content."""
-    v = [s * a + t * b for a, b in zip(p, q)]
-    g = gcd(*v)
-    return v if g <= 1 else [a // g for a in v]
-
-
-def cone_rays(sys: HPolyhedron) -> tuple:
-    """V-representation of a cone: (lineality, rays), a basis of the
-    lineality space of `sys` and its extreme rays modulo that space, each a
-    primitive integer RatVec.  Every row of `sys` must have bound 0.
-
-    The double description method (Motzkin, Raiffa, Thompson and Thrall
-    1953; Fukuda and Prodon 1996) starts from the whole space and adds the
-    rows one at a time, an equality as two <= rows.  A row that cuts the
-    lineality space turns the first lineality vector it cuts into a ray.
-    Otherwise the rays the row violates go, and each adjacent pair on
-    opposite sides of it gives one ray on its hyperplane.  Two rays are
-    adjacent when no third ray is tight on every row both are tight on; the
-    rows a ray is tight on, its zero set, are an int bitmask.  All
-    arithmetic is on integers.  The lineality vectors start as the unit
-    vectors, and each stays nonzero in the coordinate it started with,
-    where every other lineality vector and every ray is 0; so the rays come
-    out reduced modulo the lineality space.
-    """
-    if any(r.bound != 0 for r in sys.ineqs):
-        raise DomainError("cone_rays needs every bound to be 0")
-    rows = []
-    for r in sys.ineqs:
-        a = _int_row(r.normal)[0]
-        rows += [a] if r.kind == LE else [a, [-c for c in a]]
-    n = sys.dim
-    lineality = [[int(i == j) for j in range(n)] for i in range(n)]
-    rays: list = []  # (vector, zero set of the rows added so far)
-    for i, a in enumerate(rows):
-        bit = 1 << i
-        k = next((k for k, l in enumerate(lineality) if _idot(a, l)), None)
-        if k is not None:
-            v = lineality.pop(k)
-            if _idot(a, v) > 0:
-                v = [-c for c in v]
-            # a.v = -d < 0; adding multiples of v puts the rest on a.x = 0
-            d = -_idot(a, v)
-            lineality = [_combine(d, l, _idot(a, l), v) for l in lineality]
-            rays = [(_combine(d, r, _idot(a, r), v), z | bit) for r, z in rays]
-            rays.append((v, bit - 1))
-            continue
-        sides = [_idot(a, r) for r, _ in rays]
-        kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, sides) if s <= 0]
-        for p, (rp, zp) in enumerate(rays):
-            if sides[p] <= 0:
-                continue
-            for q, (rq, zq) in enumerate(rays):
-                if sides[q] >= 0:
-                    continue
-                common = zp & zq
-                if all(z & common != common for o, (_, z) in enumerate(rays) if o != p and o != q):
-                    kept.append((_combine(sides[p], rq, -sides[q], rp), common | bit))
-        rays = kept
-    return [RatVec(l) for l in lineality], [RatVec(r) for r, _ in rays]
-
-
-def cone_hull(generators: Sequence[RatVec], dim: int) -> HPolyhedron:
-    """H-representation of the convex cone spanned by `generators` (the
-    origin when there are none), by polarity.  With (L, R) the lineality
-    basis and extreme rays of the polar cone { y : <g, y> <= 0 }, the cone
-    is { x : <l, x> = 0 for l in L, <r, x> <= 0 for r in R }, and each ray
-    is a facet, so no row is redundant."""
-    lineality, rays = cone_rays(HPolyhedron(dim, [AffineIneq(g, 0) for g in generators]))
-    return HPolyhedron(
-        dim, [*(AffineIneq(l, 0, EQ) for l in lineality), *(AffineIneq(r, 0) for r in rays)]
     )

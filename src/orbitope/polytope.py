@@ -45,6 +45,7 @@ from .exactmath import (
     DomainError,
     HPolyhedron,
     RatVec,
+    _canonical_row,
     _canonical_system,
     _fraction,
     _int_row,
@@ -105,26 +106,24 @@ class OrbitPolytope:
 
 
 def display_ineq(row: AffineIneq) -> str:
-    """Human form 'xi1 - xi2 >= 0'; rows whose canonical <= form has a
+    """Human form 'xi1 - xi2 >= 0' of the integer row; <= rows with a
     negative leading coefficient are flipped to >=."""
-    normal, bound, op = row.normal, row.bound, "<=" if row.kind == LE else "="
-    if row.kind == LE:
-        lead = next((c for c in normal if c != 0), Fraction(0))
-        if lead < 0:
-            normal, bound, op = -normal, -bound, ">="
+    (normal, bound), op = row.integer_row(), "<=" if row.kind == LE else "="
+    if row.kind == LE and next((c for c in normal if c != 0), 0) < 0:
+        normal, bound, op = [-c for c in normal], -bound, ">="
     parts = []
     for i, c in enumerate(normal):
         if c == 0:
             continue
         mag = abs(c)
-        coef = "" if mag == 1 else f"{rat_str(mag)}*"
+        coef = "" if mag == 1 else f"{mag}*"
         if not parts:
             sign = "-" if c < 0 else ""
             parts.append(f"{sign}{coef}xi{i+1}")
         else:
             parts.append(f"{'-' if c < 0 else '+'} {coef}xi{i+1}")
     lhs = " ".join(parts) if parts else "0"
-    return f"{lhs} {op} {rat_str(bound)}"
+    return f"{lhs} {op} {bound}"
 
 
 def _checked_lambda(g: GroupData, Lambda) -> RatVec:
@@ -143,19 +142,20 @@ def _checked_lambda(g: GroupData, Lambda) -> RatVec:
 
 
 class _LinearRows:
-    """Rows <a, x> (<=|=) <c, p>: a fixed normal a, a RatVec over the nvars
-    coordinates of x, and a bound linear in a parameter p; `rows` holds them
+    """Rows <a, x> (<=|=) <c, p>: a fixed normal a over the nvars
+    coordinates of x and a bound linear in a parameter p; `rows` holds them
     as given, (a, c, kind).  Each row is worked out once: a = scale * unit
     with unit primitive (sign-normalised for an equality), rows with one
-    unit and kind share a class, and c is kept as integer terms.  At p, over
-    one denominator of p, bound / scale is an integer fraction n/d, and the
-    canonical row is <d unit, x> (<=|=) n, keyed (class, n, d)."""
+    unit and kind share a class and its unit tuple, and c is kept as
+    integer terms.  At p, over one denominator of p, bound / scale is an
+    integer fraction n/d, and the canonical row is <unit, x> (<=|=) n/d,
+    keyed (class, n, d)."""
 
     def __init__(self, nvars: int, rows):
         self.nvars, self.rows = nvars, tuple(rows)
-        # (unit as ints, unit, kind); classes 0 and 1 are the zero normal's.
-        zero, zero_vec = (0,) * nvars, RatVec([0] * nvars)
-        self._classes = [(zero, zero_vec, LE), (zero, zero_vec, EQ)]
+        # (unit, kind); classes 0 and 1 are the zero normal's.
+        zero = (0,) * nvars
+        self._classes = [(zero, LE), (zero, EQ)]
         index = {(zero, LE): 0, (zero, EQ): 1}
         self._forms = []  # (class, terms of c, qn, qd) per row
         for a, c, kind in self.rows:
@@ -168,15 +168,17 @@ class _LinearRows:
                 unit = tuple(-x for x in unit)
             if (unit, kind) not in index:
                 index[unit, kind] = len(self._classes)
-                vec = a if g == ad == sign == 1 else RatVec([_fraction(x) for x in unit])
-                self._classes.append((unit, vec, kind))
+                # A normal given as that very tuple is kept, so that the
+                # rows of a cached pair or of the chamber share it.
+                self._classes.append((a if unit == a else unit, kind))
             # With c = C / cd and p = P / D, bound / scale = <C, P> qd / (D qn)
             # for qn / qd = cd * scale = sign cd g / ad; the sign goes to C.
             terms = tuple((j, sign * v) for j, v in enumerate(c_ints) if v)
             self._forms.append((index[unit, kind], terms, cd * g, ad))
 
     def at(self, p) -> list[AffineIneq]:
-        """The canonical row of each row at p; equal rows are one object."""
+        """The canonical row of each row at p; equal rows are one object,
+        and rows of one class share its unit tuple."""
         ints, den = _int_row(p)
         made: dict = {}
         out = []
@@ -188,9 +190,9 @@ class _LinearRows:
             else:  # 0 <= s or 0 = s holds, or the row is the marker {0 <= -1}
                 cls, n, d = (cls, 0, 1) if s == 0 or (s > 0 and cls == 0) else (0, -1, 1)
             if (cls, n, d) not in made:
-                ints_unit, unit, kind = self._classes[cls]
-                normal = unit if d == 1 else RatVec([_fraction(d * a) for a in ints_unit])
-                made[cls, n, d] = AffineIneq(normal, _fraction(n), kind)
+                unit, kind = self._classes[cls]
+                bound = _fraction(n) if d == 1 else Fraction(n, d)
+                made[cls, n, d] = _canonical_row(unit, bound, kind)
             out.append(made[cls, n, d])
         return out
 
@@ -223,14 +225,14 @@ def assemble(g: GroupData, Lambda) -> OrbitPolytope:
     well-covering pairs.
 
     Equal rows are one object, shared by the provenance records and the
-    system.  A row whose pair's normal is primitive keeps that normal
-    vector, so answers to different Lambdas share it.
+    system.  A pair row keeps its pair's normal tuple, so answers to
+    different Lambdas share it.
     """
     Lambda = _checked_lambda(g, Lambda)
     offered, sources = _assembly_rows(g)
     rows = list(zip(offered.at(Lambda), sources))
     pairs = slice(len(g.chamber.ineqs), None)
-    rows[pairs] = sorted(rows[pairs], key=lambda t: (t[0].normal.entries, t[0].bound))
+    rows[pairs] = sorted(rows[pairs], key=lambda t: t[0].integer_row())
     distinct = {id(row): row for row, _ in rows}
     # Lambda lies in the polyhedron, so it is the known point.
     system = remove_redundant(

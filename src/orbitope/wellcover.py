@@ -53,11 +53,13 @@ class WCPair:
 
     @cached_property
     def row_vectors(self) -> tuple:
-        """(w lam, w0 w' lam): the normal of the pair's assembled row and the
-        vector whose pairing with Lambda is its bound.  Neither depends on
-        Lambda, so a cached pair builds them once and its rows share them."""
+        """(w lam, w0 w' lam): the normal of the pair's assembled row, a
+        tuple of ints, and the vector whose pairing with Lambda is its
+        bound.  Neither depends on Lambda, so a cached pair builds them once
+        and its rows share them."""
         w0 = WeylElt(Perm.longest(p.degree) for p in self.w.factors)
-        return self.w.act(self.lam.coords), (w0 * self.w_prime).act(self.lam.coords)
+        normal = tuple(a.numerator for a in self.w.act(self.lam.coords))
+        return normal, (w0 * self.w_prime).act(self.lam.coords)
 
     @cached_property
     def labels(self) -> tuple:

@@ -9,13 +9,17 @@ assembly), the admissibility predicate (every kernel line the admissible
 scan builds satisfies it), the dominance test over every compact positive
 root (the group's chamber agrees with it on each such line), constructors
 for writing test inputs, the golden readers the benchmark does not use,
-and the cones and containment checks of the geometric criteria.  This
-module imports the package, and the package never imports it.  `tests/test_exact_only.py` scans it like a package
+the former canonical form of a row (the whole row scaled to coprime
+integers, which `AffineIneq.integer_row` must equal), the double
+description method for cones, and the cones and containment checks of the
+geometric criteria.  This module imports the package, and the package
+never imports it.  `tests/test_exact_only.py` scans it like a package
 module.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
 from importlib import resources
 from math import gcd
@@ -28,9 +32,9 @@ from orbitope.exactmath import (
     LE,
     AffineIneq,
     DimensionError,
+    DomainError,
     HPolyhedron,
     RatVec,
-    cone_hull,
     implies_all,
     ineq_eq,
     ineq_ge,
@@ -45,7 +49,8 @@ from orbitope.weyl import Perm, WeylDescriptor, WeylElt
 from orbitope.wellcover import WCPair, context
 
 # ---------------------------------------------------------------------------
-# Exact layer and goldens: the optimum, the infeasible row, the table readers
+# Exact layer and goldens: the optimum, the infeasible row, the canonical
+# row, the table readers
 # ---------------------------------------------------------------------------
 
 
@@ -70,7 +75,32 @@ def lp_max(sys: HPolyhedron, objective: Sequence):
 
 def is_infeasible_marker(row: AffineIneq) -> bool:
     """0 <= b with b < 0, or 0 = b with b != 0."""
-    return row.normal.is_zero() and (row.bound < 0 if row.kind == LE else row.bound != 0)
+    return not any(row.normal) and (row.bound < 0 if row.kind == LE else row.bound != 0)
+
+
+def primitive(values: Sequence) -> list:
+    """Scale a list of rationals by one positive rational to coprime
+    integers (as Fractions); the zero list stays zero."""
+    ints, _ = exactmath._int_row([rat(a) for a in values])
+    g = gcd(*ints) or 1
+    return [Fraction(a // g) for a in ints]
+
+
+def canonical(normal: Sequence, bound, kind: str = LE) -> tuple:
+    """The row <normal, x> (<=|=) bound as (coefficients, bound, kind) of
+    integers of gcd 1: the whole row scaled by one positive rational, an
+    equality's leading nonzero coefficient made positive.  A zero normal
+    gives 0 <= 0, 0 = 0 or the infeasible marker 0 <= -1.  This is the
+    integer row `AffineIneq.integer_row` prints."""
+    normal, bound = [rat(a) for a in normal], rat(bound)
+    if not any(normal):
+        if kind == EQ:
+            return tuple(normal), Fraction(0 if bound == 0 else -1), EQ if bound == 0 else LE
+        return tuple(normal), Fraction(0 if bound >= 0 else -1), LE
+    scaled = primitive([*normal, bound])
+    if kind == EQ and next(a for a in scaled if a != 0) < 0:
+        scaled = [-a for a in scaled]
+    return tuple(scaled[:-1]), scaled[-1], kind
 
 
 def all_ids() -> list[str]:
@@ -109,6 +139,91 @@ def polytope_system(rec: GoldenRecord, instance: str, Lambda: RatVec) -> HPolyhe
     if rec.kind != "polytope_rows":
         raise ValueError(f"{rec.id} is not a polytope_rows golden")
     return instantiate_rows(rec.payload["instances"][instance], Lambda, Lambda.dim)
+
+
+# ---------------------------------------------------------------------------
+# Double description: cones from rays and rays from cones
+# ---------------------------------------------------------------------------
+
+
+def _idot(a: list, x: list) -> int:
+    return sum(p * q for p, q in zip(a, x))
+
+
+def _combine(s: int, p: list, t: int, q: list) -> list:
+    """The integer vector s*p + t*q divided by its content."""
+    v = [s * a + t * b for a, b in zip(p, q)]
+    g = gcd(*v)
+    return v if g <= 1 else [a // g for a in v]
+
+
+def cone_rays(sys: HPolyhedron) -> tuple:
+    """V-representation of a cone: (lineality, rays), a basis of the
+    lineality space of `sys` and its extreme rays modulo that space, each a
+    primitive integer RatVec.  Every row of `sys` must have bound 0.
+
+    The double description method (Motzkin, Raiffa, Thompson and Thrall
+    1953; Fukuda and Prodon 1996) starts from the whole space and adds the
+    rows one at a time, an equality as two <= rows.  A row that cuts the
+    lineality space turns the first lineality vector it cuts into a ray.
+    Otherwise the rays the row violates go, and each adjacent pair on
+    opposite sides of it gives one ray on its hyperplane.  Two rays are
+    adjacent when no third ray is tight on every row both are tight on; the
+    rows a ray is tight on, its zero set, are an int bitmask.  All
+    arithmetic is on integers, the rows' integer normals among them.  The
+    lineality vectors start as the unit vectors, and each stays nonzero in
+    the coordinate it started with, where every other lineality vector and
+    every ray is 0; so the rays come out reduced modulo the lineality
+    space.
+    """
+    if any(r.bound != 0 for r in sys.ineqs):
+        raise DomainError("cone_rays needs every bound to be 0")
+    rows = []
+    for r in sys.ineqs:
+        a = list(r.normal)
+        rows += [a] if r.kind == LE else [a, [-c for c in a]]
+    n = sys.dim
+    lineality = [[int(i == j) for j in range(n)] for i in range(n)]
+    rays: list = []  # (vector, zero set of the rows added so far)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        k = next((k for k, l in enumerate(lineality) if _idot(a, l)), None)
+        if k is not None:
+            v = lineality.pop(k)
+            if _idot(a, v) > 0:
+                v = [-c for c in v]
+            # a.v = -d < 0; adding multiples of v puts the rest on a.x = 0
+            d = -_idot(a, v)
+            lineality = [_combine(d, l, _idot(a, l), v) for l in lineality]
+            rays = [(_combine(d, r, _idot(a, r), v), z | bit) for r, z in rays]
+            rays.append((v, bit - 1))
+            continue
+        sides = [_idot(a, r) for r, _ in rays]
+        kept = [(r, z | bit if s == 0 else z) for (r, z), s in zip(rays, sides) if s <= 0]
+        for p, (rp, zp) in enumerate(rays):
+            if sides[p] <= 0:
+                continue
+            for q, (rq, zq) in enumerate(rays):
+                if sides[q] >= 0:
+                    continue
+                common = zp & zq
+                if all(z & common != common for o, (_, z) in enumerate(rays) if o != p and o != q):
+                    kept.append((_combine(sides[p], rq, -sides[q], rp), common | bit))
+        rays = kept
+    return [RatVec(l) for l in lineality], [RatVec(r) for r, _ in rays]
+
+
+def cone_hull(generators: Sequence[RatVec], dim: int) -> HPolyhedron:
+    """H-representation of the convex cone spanned by `generators` (the
+    origin when there are none), by polarity.  With (L, R) the lineality
+    basis and extreme rays of the polar cone { y : <g, y> <= 0 }, the cone
+    is { x : <l, x> = 0 for l in L, <r, x> <= 0 for r in R }, and each ray
+    is a facet, so no row is redundant."""
+    lineality, rays = cone_rays(HPolyhedron(dim, [AffineIneq(g, 0) for g in generators]))
+    return HPolyhedron(
+        dim, [*(AffineIneq(l, 0, EQ) for l in lineality), *(AffineIneq(r, 0) for r in rays)]
+    )
+
 
 # ---------------------------------------------------------------------------
 # Horn: spectra, saturation and the explicit triple families
@@ -526,7 +641,7 @@ def contained_in_shifted_cone(p: polytope.OrbitPolytope) -> bool:
     """polyhedron(Lambda) inside Lambda + cone(noncompact positives)."""
     g, Lambda = p.group, p.Lambda
     return implies_all(p.system, (
-        AffineIneq(row.normal, row.bound + row.normal.dot(Lambda), row.kind)
+        AffineIneq(row.normal, row.bound + RatVec(row.normal).dot(Lambda), row.kind)
         for row in noncompact_cone(g).ineqs
     ))
 

@@ -16,7 +16,6 @@ from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
     RatVec,
-    cone_rays,
     implies_all,
     ineq_ge,
     lp_feasible,
@@ -38,6 +37,7 @@ from orbitope.weyl import Perm, WeylElt, max_coset_reps, stabilizer_parabolic
 from orbitope.wellcover import context, enumerate_m0
 from reference import (
     closed_form_admissible,
+    cone_rays,
     contained_in_hol_closure,
     contained_in_shifted_cone,
     duality_check,

@@ -59,6 +59,9 @@ COMMANDS = [
     ["member", "--group", "sp:n=2", "--lambda", "3,1", "--xi", "2,1", "--format", "json"],
     ["adm", "--group", "su:p=3,q=2", "--format", "json"],
     ["adm", "--group", "so:p=5"],
+    ["ineqs", "--group", "su:p=3,q=2", "--lambda", "9/2,5/2,1/2,-7/2,-4"],
+    ["member", "--group", "su:p=3,q=2", "--lambda", "9/2,5/2,1/2,-7/2,-4",
+     "--xi", "0,0,0,0,0"],
 ]
 
 
@@ -114,7 +117,7 @@ class TestIneqs:
         assert out1 == out2
 
     def test_rational_lambda(self, capsys):
-        # rows canonicalize to primitive integers: xi1 >= 7/2 prints doubled
+        # a row prints as its integer row: xi1 >= 7/2 prints doubled
         code, out, _ = run(capsys, "ineqs", "--group", "sp:n=2",
                            "--lambda", "7/2,1")
         assert code == 0 and "2*xi1 >= 7" in out

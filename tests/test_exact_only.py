@@ -14,7 +14,9 @@ shape of a hand-rolled cache.  Memos are `functools.cache`, `lru_cache` or
 An integer core in the exact layer: the pivot kernel, `row_reduce` and the
 equality substitution pass rows to each other and to the simplex as ints
 over a row denominator.  They never call `Fraction`, and `_simplex_le`
-never converts its rows with `_int_row`.
+never converts its rows with `_int_row`.  A row's integer normal is read
+at a point the same way, over one denominator (`_dot`,
+`AffineIneq.satisfied_by`).
 
 No unused imports: every module-level import binds a name that some other
 node of the module reads (`from __future__` imports aside), so a move
@@ -81,7 +83,10 @@ INTEGER_CORE = {
     "_eliminate": {"Fraction"},
     "_pivot": {"Fraction"},
     "row_reduce": {"Fraction"},
+    "_Substitution._row": {"Fraction"},
     "_Substitution.reduce": {"Fraction"},
+    "_dot": {"Fraction"},
+    "AffineIneq.satisfied_by": {"Fraction"},
     "_Substitution.program": {"Fraction"},
     "_simplex_le": {"_int_row"},
 }

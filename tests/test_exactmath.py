@@ -1,5 +1,6 @@
-"""Exact LP, canonicalization, redundancy, and the double description method
-with the feasibility oracle built on it, independent of the simplex."""
+"""Exact LP, the canonical form rows are built in, redundancy, and the
+double description method (tests/reference.py) with the feasibility oracle
+built on it, independent of the simplex."""
 
 import json
 import random
@@ -23,8 +24,6 @@ from orbitope.exactmath import (
     HPolyhedron,
     RatVec,
     _canonical_system,
-    cone_hull,
-    cone_rays,
     implies,
     implies_all,
     ineq_eq,
@@ -33,13 +32,12 @@ from orbitope.exactmath import (
     lp_feasible,
     lp_witness,
     poly_equal,
-    primitive,
     rat_str,
     remove_redundant,
     row_reduce,
 )
 from orbitope.rootdata import GroupFamily, build, in_hol_chamber
-from reference import is_infeasible_marker, lp_max
+from reference import canonical, cone_hull, cone_rays, is_infeasible_marker, lp_max, primitive
 
 
 def sysd(dim, *rows):
@@ -66,9 +64,14 @@ class TestRatVec:
 
 
 class TestCanonical:
+    """Rows are canonical as built: a positive rational scaling makes the
+    normal coprime integers, equalities lead with a positive entry, and a
+    zero normal leaves one of three degenerate rows."""
+
     def test_scaling_invariance(self):
         row = ineq_le([F(2, 3), F(-4, 3)], F(2, 3))
-        assert row.canonical() == ineq_le([1, -2], 1).canonical()
+        assert row == ineq_le([1, -2], 1)
+        assert row.normal == (1, -2) and row.bound == 1
 
     @given(
         st.lists(st.integers(-6, 6), min_size=1, max_size=4),
@@ -78,28 +81,45 @@ class TestCanonical:
     @settings(max_examples=120, deadline=None)
     def test_positive_scale_identity(self, coeffs, bound, c):
         row = ineq_le(coeffs, bound)
-        scaled = AffineIneq(row.normal.scale(c), row.bound * c, row.kind)
-        assert row.canonical() == scaled.canonical()
+        assert row == AffineIneq([c * a for a in coeffs], bound * c, LE)
+        assert all(type(a) is int for a in row.normal) and type(row.bound) is F
+        assert gcd(*row.normal) == (1 if any(coeffs) else 0)
 
     def test_equality_sign_normalization(self):
-        a = ineq_eq([-2, 2], -4).canonical()
-        b = ineq_eq([1, -1], 2).canonical()
+        a = ineq_eq([-2, 2], -4)
+        b = ineq_eq([1, -1], 2)
         assert a == b
         assert next(c for c in a.normal if c != 0) > 0
+        assert ineq_eq([-1, 1], 2) == ineq_eq([1, -1], -2)
+        assert ineq_le([-1, 1], 2) != ineq_le([1, -1], -2)
 
     def test_canonical_row_is_returned_as_itself(self):
-        row = ineq_le([F(2, 3), F(-4, 3)], F(2, 3)).canonical()
-        assert row.canonical() is row
-        eq = ineq_eq([-2, 2], -4).canonical()
-        assert eq.canonical() is eq
-        assert ineq_eq([-1, 1], 2).canonical() == ineq_eq([1, -1], -2)
-        assert HPolyhedron(2, [row]).ineqs[0] is row
+        row = ineq_le([F(2, 3), F(-4, 3)], F(2, 3))
+        again = AffineIneq(row.normal, row.bound, row.kind)
+        assert again == row
+        assert HPolyhedron(2, [row, again]).ineqs[0] is row
+        assert len(HPolyhedron(2, [row, again]).ineqs) == 1
 
     def test_trivial_and_infeasible_markers(self):
-        assert ineq_le([0, 0], 3).canonical().is_trivial()
-        assert is_infeasible_marker(ineq_le([0, 0], -3).canonical())
-        assert ineq_eq([0], 0).canonical().is_trivial()
-        assert is_infeasible_marker(ineq_eq([0], 5).canonical())
+        assert ineq_le([0, 0], 3).is_trivial()
+        assert ineq_le([0, 0], -3) == HPolyhedron.empty(2).ineqs[0]
+        assert is_infeasible_marker(ineq_le([0, 0], -3))
+        assert ineq_eq([0], 0).is_trivial() and ineq_eq([0], 0).kind == EQ
+        assert ineq_eq([0], 5) == HPolyhedron.empty(1).ineqs[0]
+        assert is_infeasible_marker(ineq_eq([0], 5))
+
+    @given(
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                 min_size=1, max_size=4),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        st.sampled_from([LE, EQ]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_row_is_the_reference_canonical_row(self, coeffs, bound, kind):
+        # The printed form, the row times its bound's denominator, is the
+        # whole row scaled to coprime integers.
+        row = AffineIneq(coeffs, bound, kind)
+        assert (*row.integer_row(), row.kind) == canonical(coeffs, bound, kind)
 
 
 class TestLP:
@@ -110,6 +130,14 @@ class TestLP:
         s = sysd(1, ineq_le([1], 1), ineq_le([-1], 0))
         assert lp_feasible(s)
         assert s.contains(lp_witness(s))
+
+    def test_phase_one_runs_on_integer_rows(self):
+        # Phase 1 weighs each row by its scale, so the witness depends on
+        # it: with the rows at their normals' scale (6x + 6y - 3z <= -3 as
+        # 2x + 2y - z <= -1, ...) it is (-41/33, -37/66, -2/11).
+        s = sysd(3, ineq_le([-1, 4, 0], -1), ineq_le([2, -2, -2], -1), ineq_le([1, 2, 9], -4),
+                 ineq_le([6, 6, -3], -3), ineq_le([-1, 9, -3], F(-3, 2)), ineq_le([9, 2, 6], -3))
+        assert lp_witness(s) == RatVec([-3, -1, F(-3, 2)])
 
     def test_horn_example_system(self):
         # the rank-2 tensor-cone system with trace equality is feasible
@@ -178,7 +206,8 @@ class TestLP:
         split = []
         for r in rows:
             if r.kind == EQ:
-                split += [AffineIneq(r.normal, r.bound), AffineIneq(-r.normal, -r.bound)]
+                split += [AffineIneq(r.normal, r.bound),
+                          AffineIneq([-a for a in r.normal], -r.bound)]
             else:
                 split.append(r)
         s = HPolyhedron(dim, rows)
@@ -263,7 +292,7 @@ class TestRedundancy:
         s = sysd(2, ineq_le([1, 1], 1), ineq_le([1, 0], 1), ineq_le([0, 1], 1),
                  ineq_le([1, 1], 3))
         r = remove_redundant(s)
-        assert ineq_le([1, 1], 3).canonical() not in r.ineqs
+        assert ineq_le([1, 1], 3) not in r.ineqs
         # each survivor is non-redundant: negating it stays feasible
         for row in r.ineqs:
             rest = HPolyhedron(2, [x for x in r.ineqs if x != row])
@@ -514,7 +543,7 @@ def _reference_implies(sys, row):
         return val <= row.bound
     if val != row.bound:
         return False
-    status2, val2, _ = lp_max(sys, -row.normal)
+    status2, val2, _ = lp_max(sys, [-a for a in row.normal])
     return status2 == "optimal" and val2 == -row.bound
 
 
@@ -524,10 +553,10 @@ def _reference_remove_redundant(sys):
     tightest = {}
     for row in sys.ineqs:
         if row.kind == LE:
-            cur = tightest.get(row.normal.entries)
+            cur = tightest.get(row.normal)
             if cur is None or row.bound < cur:
-                tightest[row.normal.entries] = row.bound
-    rows = [r for r in sys.ineqs if r.kind != LE or r.bound == tightest[r.normal.entries]]
+                tightest[row.normal] = row.bound
+    rows = [r for r in sys.ineqs if r.kind != LE or r.bound == tightest[r.normal]]
     kept = list(rows)
     for row in rows:
         rest = [r for r in kept if r is not row]
@@ -608,7 +637,7 @@ class TestConeRays:
         assert _rank([list(l) for l in lineality]) == len(lineality)
         tight_sets = []
         for r in rays:
-            tight = [row for row in s.ineqs if row.normal.dot(r) == 0]
+            tight = [row for row in s.ineqs if _dot(row.normal, r) == 0]
             assert _rank([list(row.normal) for row in tight]) == dim - len(lineality) - 1
             tight_sets.append(frozenset(tight))
         assert len(set(tight_sets)) == len(rays)  # no ray twice
@@ -648,7 +677,7 @@ class TestJson:
             assert F(rat_str(F(v))) == F(v)
 
     def test_wire_shape(self):
-        # rows are stored canonically: primitive integer coefficients
+        # a row prints as its integer row: normal (1, -2), bound 1/4, times 4
         s = sysd(2, ineq_le([1, -2], F(1, 2)))
         obj = s.to_json_obj()
         assert obj["dim"] == 2

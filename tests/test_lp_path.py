@@ -126,7 +126,8 @@ def _oracle_record(spec, Lambda, mu) -> dict:
 
 
 def _rows(sys: HPolyhedron):
-    return [[*map(rat_str, r.normal), rat_str(r.bound), r.kind == EQ] for r in sys.ineqs]
+    """Each row as its integer row, the form it is printed in."""
+    return [[*obj["a"], obj["b"], obj["eq"]] for obj in (r.to_json_obj() for r in sys.ineqs)]
 
 
 def _redundancy_record(cases) -> dict:

@@ -105,9 +105,8 @@ class TestAssembleExamples:
     def test_answer_shares_rows_and_labels(self, spec, lam, other):
         # Equal rows are one object and kept records hold the very row
         # objects of the system; a request for another Lambda reuses the
-        # pair labels.  With an integral Lambda every pair row is canonical
-        # as built, so its normal is a cached pair's (or an equal chamber
-        # row's) object.
+        # pair labels and every pair row's normal, a cached pair's (or an
+        # equal chamber row's) tuple.
         g = g_of(spec)
         p = assemble(g, lam)
         assert len({id(r.ineq) for r in p.provenance}) == len({r.ineq for r in p.provenance})
@@ -241,7 +240,9 @@ class TestOracle:
                    for a, cs, kind in rows.rows]
             assert rows.system(p).ineqs == HPolyhedron(rows.nvars, raw).ineqs
             at = rows.at(p)
-            assert at == [row.canonical() for row in raw]
+            assert at == raw
+            assert all(type(row.bound) is F and all(type(a) is int for a in row.normal)
+                       for row in at)
             assert len({id(row) for row in at}) == len(set(at))
 
     def test_so_family_rejected(self):
@@ -347,7 +348,7 @@ class TestGeometricProperties:
             for delta in it.product(steps, repeat=g.dim):
                 mu = RatVec([a + d for a, d in zip(RatVec(lam), delta)])
                 strict = all(
-                    row.normal.dot(mu) < row.bound
+                    RatVec(row.normal).dot(mu) < row.bound
                     for row in p.system.ineqs if row.kind == "le"
                 )
                 if strict and member(p, mu):
@@ -401,25 +402,27 @@ class TestRedundancyBehavior:
         p = assemble(g, Lambda)
         golden = polytope_system(goldens.load("Thm7.3.8"), "n=4", Lambda)
         assert poly_equal(p.system, golden)
-        key1 = tuple(F(x) for x in (-1, 1, -1, 1))
-        key2 = tuple(F(x) for x in (-1, -1, 1, 1))
-        logged = [rec for rec in p.provenance if rec.ineq.normal.entries == key1]
+        key1 = (-1, 1, -1, 1)
+        key2 = (-1, -1, 1, 1)
+        logged = [rec for rec in p.provenance if rec.ineq.normal == key1]
         assert len(logged) == 2
         assert {rec.ineq.bound for rec in logged} == {0}
-        assert sum(1 for r in p.system.ineqs if r.normal.entries == key1) <= 1
-        rows = {r.normal.entries: r.bound for r in p.system.ineqs}
+        assert sum(1 for r in p.system.ineqs if r.normal == key1) <= 1
+        rows = {r.normal: r.bound for r in p.system.ineqs}
         assert rows[key2] == -2
 
     def test_generic_lambda_keeps_tighter_bound(self):
         g = g_of("so_star:n=4")
         p = assemble(g, [5, 3, 2, 1])
         # bounds -5+3+2-1 = -1 and 5-3-2+1 = 1: only the -1 side survives
-        key = tuple(F(x) for x in (-1, 1, -1, 1))
-        rows = {r.normal.entries: r.bound for r in p.system.ineqs}
+        key = (-1, 1, -1, 1)
+        rows = {r.normal: r.bound for r in p.system.ineqs}
         assert rows[key] == -1
 
     def test_display_forms(self):
-        assert display_ineq(ineq_ge([1, -1], 0).canonical()) == "xi1 - xi2 >= 0"
-        assert display_ineq(ineq_le([0, 1], 5).canonical()) == "xi2 <= 5"
-        assert display_ineq(ineq_eq([1, 1], 0).canonical()) == "xi1 + xi2 = 0"
-        assert display_ineq(ineq_le([2, -4], 1).canonical()) == "2*xi1 - 4*xi2 <= 1"
+        assert display_ineq(ineq_ge([1, -1], 0)) == "xi1 - xi2 >= 0"
+        assert display_ineq(ineq_le([0, 1], 5)) == "xi2 <= 5"
+        assert display_ineq(ineq_eq([1, 1], 0)) == "xi1 + xi2 = 0"
+        assert display_ineq(ineq_le([2, -4], 1)) == "2*xi1 - 4*xi2 <= 1"
+        # the integer row: normal (1, -1), bound 7/2, times 2
+        assert display_ineq(ineq_ge([F(1, 3), F(-1, 3)], F(7, 6))) == "2*xi1 - 2*xi2 >= 7"
