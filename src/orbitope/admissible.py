@@ -1,14 +1,14 @@
 """Dominant, indivisible, admissible one-parameter subgroups.
 
 A one-parameter subgroup of the maximal torus is an integer vector lam in
-the coordinates of the group data.  It is admissible (for the compact
-group acting on the negative off-diagonal part) when its line is exactly
-the common kernel of dim(t) - 1 linearly independent noncompact positive
-roots; dominant when it lies in the group's chamber `GroupData.chamber`;
-indivisible when its entries have gcd 1.  The chamber tests the simple
-compact roots only: every compact positive root is a nonnegative integer
-combination of them, so pairing >= 0 with the simple ones is pairing >= 0
-with all.
+the coordinates of the group data, a tuple of ints like the roots.  It is
+admissible (for the compact group acting on the negative off-diagonal
+part) when its line is exactly the common kernel of dim(t) - 1 linearly
+independent noncompact positive roots; dominant when it lies in the
+group's chamber `GroupData.chamber`; indivisible when its entries have
+gcd 1.  The chamber tests the simple compact roots only: every compact
+positive root is a nonnegative integer combination of them, so pairing
+>= 0 with the simple ones is pairing >= 0 with all.
 
 `enumerate_admissible` runs the generic hyperplane-intersection algorithm,
 the one route assembly uses.  Each candidate is the kernel line of
@@ -21,7 +21,8 @@ line of the groups they scan, and compare the scan as a set with the
 literal per-family lists (`closed_form_admissible`) across the supported
 desk-scale ranges.  Kernel lines come from `exactmath.row_reduce`, the
 package's one Gauss-Jordan routine; kernel generators are read off its
-integer rows and divided by their gcd.
+integer rows as tuples of ints and divided by their gcd, and each is
+tested against the chamber as a `RatVec` point.
 """
 
 from __future__ import annotations
@@ -37,17 +38,20 @@ SUBSET_CAP = 10**5
 
 
 class OneParamSubgroup:
-    """An indivisible integer cocharacter vector."""
+    """An indivisible integer cocharacter vector: `coords` is a nonempty
+    tuple of ints of gcd 1."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        vec = RatVec(coords)
-        if not vec.is_integral():
+        coords = tuple(coords)
+        if not coords:
+            raise ValueError("one-parameter subgroup needs dimension >= 1")
+        if not all(isinstance(c, int) for c in coords):
             raise ValueError("one-parameter subgroup needs integer coordinates")
-        if vec.content_gcd() != 1:
-            raise ValueError(f"not indivisible: {vec!r}")
-        self.coords = vec
+        if gcd(*coords) != 1:
+            raise ValueError(f"not indivisible: {coords}")
+        self.coords = coords
 
     def __eq__(self, other):
         return isinstance(other, OneParamSubgroup) and self.coords == other.coords
@@ -56,16 +60,13 @@ class OneParamSubgroup:
         return hash(self.coords)
 
     def __repr__(self):
-        return f"OneParamSubgroup({tuple(int(c) for c in self.coords)})"
-
-    def ints(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.coords)
+        return f"OneParamSubgroup({self.coords})"
 
 
-def _primitive_kernel_vector(rows: list, dim: int) -> Optional[RatVec]:
+def _primitive_kernel_vector(rows: list, dim: int) -> Optional[tuple]:
     """A primitive integer generator of the kernel of the row system (rows
-    of rationals: RatVecs or normals), or None when the kernel is not a
-    line."""
+    of rationals: RatVecs or int tuples), as a tuple of ints, or None when
+    the kernel is not a line."""
     ints, dens, pivots = row_reduce(rows, range(dim))
     if len(pivots) != dim - 1:
         return None
@@ -80,7 +81,7 @@ def _primitive_kernel_vector(rows: list, dim: int) -> Optional[RatVec]:
     for i, col in pivots:
         vec[col] = -ints[i][free_col] * (den // dens[i])
     g = gcd(*vec)
-    return RatVec(a // g for a in vec)
+    return tuple(a // g for a in vec)
 
 
 def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
@@ -97,10 +98,16 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
     the line's orthogonal complement (inside the trace-zero space for
     su(p, q)), of dimension need, so their rank is exactly need.  Both
     signs of a line have the same vanishing roots."""
-    roots = list(g.noncompact_pos)
+    # The scan's work per subset stays on RatVec points, as before the
+    # Lie data became ints: the root rows, the chamber test and the lines
+    # found, keyed by their point.  Int work there makes assemble-mix
+    # faster, which the benchmark cannot take yet: it retains every answer
+    # and hangs once a run uses up its su(2, 2) inputs (ROADMAP items 1
+    # and 2).
+    roots = [RatVec(b) for b in g.noncompact_pos]
     eqs = [row.normal for row in g.chamber.ineqs if row.kind == EQ]
     need = g.dim - len(eqs) - 1
-    found: set[OneParamSubgroup] = set()
+    found: dict = {}  # point -> its int tuple
     total = 1
     for i in range(need):
         total = total * (len(roots) - i) // (i + 1)
@@ -110,12 +117,13 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
         vec = _primitive_kernel_vector(list(subset) + eqs, g.dim)
         if vec is None:
             continue
-        for cand in (vec, -vec):
-            if g.chamber.contains(cand):
-                found.add(OneParamSubgroup(cand))
-    return found
+        for cand in (vec, tuple(-a for a in vec)):
+            point = RatVec(cand)
+            if g.chamber.contains(point):
+                found[point] = cand
+    return {OneParamSubgroup(cand) for cand in found.values()}
 
 
 def sorted_admissible(lams) -> list[OneParamSubgroup]:
     """Deterministic ordering for output files and assembly."""
-    return sorted(lams, key=lambda l: l.coords.entries)
+    return sorted(lams, key=lambda l: l.coords)

@@ -3,7 +3,9 @@
 Values are exact rationals; there is no floating point anywhere.  The
 three public data types:
 
-  RatVec       -- an immutable vector of Fractions: a point or a direction,
+  RatVec       -- an immutable vector of Fractions: a point (Lambda, mu,
+                  xi, a witness); roots, cocharacters and their Weyl orbit
+                  points are tuples of ints and meet a point through `_dot`,
   AffineIneq   -- one constraint <a, x> <= b  or  <a, x> = b, held with a
                   primitive integer normal a and a Fraction bound b,
   HPolyhedron  -- a finite system of such constraints in a fixed dimension.
@@ -114,7 +116,8 @@ def _fraction(n: int) -> Fraction:
 
 
 class RatVec:
-    """Immutable rational vector."""
+    """An immutable rational point; its one operation is the scalar
+    product."""
 
     __slots__ = ("entries",)
 
@@ -149,21 +152,6 @@ class RatVec:
         if self.dim != other.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other: "RatVec") -> "RatVec":
-        self._check(other)
-        return RatVec(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "RatVec") -> "RatVec":
-        self._check(other)
-        return RatVec(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "RatVec":
-        return RatVec(-a for a in self.entries)
-
-    def scale(self, c) -> "RatVec":
-        c = rat(c)
-        return RatVec(c * a for a in self.entries)
-
     def dot(self, other: "RatVec") -> Fraction:
         """Exact scalar product, summed as one integer fraction num/den."""
         self._check(other)
@@ -176,18 +164,6 @@ class RatVec:
                 num = num * d + a.numerator * b.numerator * den
                 den *= d
         return _fraction(num) if den == 1 else Fraction(num, den)
-
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.entries)
-
-    def content_gcd(self) -> int:
-        """gcd of the numerators of an integral vector (0 for the zero vector)."""
-        g = 0
-        for a in self.entries:
-            if a.denominator != 1:
-                raise ValueError("content_gcd needs an integral vector")
-            g = gcd(g, abs(a.numerator))
-        return g
 
 
 class DimensionError(ValueError):

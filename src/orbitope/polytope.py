@@ -142,14 +142,15 @@ def _checked_lambda(g: GroupData, Lambda) -> RatVec:
 
 
 class _LinearRows:
-    """Rows <a, x> (<=|=) <c, p>: a fixed normal a over the nvars
-    coordinates of x and a bound linear in a parameter p; `rows` holds them
-    as given, (a, c, kind).  Each row is worked out once: a = scale * unit
-    with unit primitive (sign-normalised for an equality), rows with one
-    unit and kind share a class and its unit tuple, and c is kept as
-    integer terms.  At p, over one denominator of p, bound / scale is an
-    integer fraction n/d, and the canonical row is <unit, x> (<=|=) n/d,
-    keyed (class, n, d)."""
+    """Rows <a, x> (<=|=) <c, p>: a fixed integer normal a over the nvars
+    coordinates of x and a bound linear in a parameter p with integer
+    coefficients c; `rows` holds them as given, (a, c, kind).  Each row is
+    worked out once: a = scale * unit with unit primitive (sign-normalised
+    for an equality) and scale a positive integer, rows with one unit and
+    kind share a class and its unit tuple, and c is kept as its nonzero
+    terms.  At p, over one denominator of p, bound / scale is an integer
+    fraction n/d, and the canonical row is <unit, x> (<=|=) n/d, keyed
+    (class, n, d)."""
 
     def __init__(self, nvars: int, rows):
         self.nvars, self.rows = nvars, tuple(rows)
@@ -157,12 +158,10 @@ class _LinearRows:
         zero = (0,) * nvars
         self._classes = [(zero, LE), (zero, EQ)]
         index = {(zero, LE): 0, (zero, EQ): 1}
-        self._forms = []  # (class, terms of c, qn, qd) per row
+        self._forms = []  # (class, terms of c, scale) per row
         for a, c, kind in self.rows:
-            c_ints, cd = _int_row(c)
-            a_ints, ad = _int_row(a)
-            g = gcd(*a_ints)  # a = (g / ad) unit; g = 0 for a zero normal
-            unit = tuple(x // g for x in a_ints) if g > 1 else tuple(a_ints)
+            g = gcd(*a)  # a = g unit; g = 0 for a zero normal
+            unit = tuple(x // g for x in a) if g > 1 else tuple(a)
             sign = -1 if kind == EQ and next((x for x in unit if x), 0) < 0 else 1
             if sign < 0:
                 unit = tuple(-x for x in unit)
@@ -171,10 +170,10 @@ class _LinearRows:
                 # A normal given as that very tuple is kept, so that the
                 # rows of a cached pair or of the chamber share it.
                 self._classes.append((a if unit == a else unit, kind))
-            # With c = C / cd and p = P / D, bound / scale = <C, P> qd / (D qn)
-            # for qn / qd = cd * scale = sign cd g / ad; the sign goes to C.
-            terms = tuple((j, sign * v) for j, v in enumerate(c_ints) if v)
-            self._forms.append((index[unit, kind], terms, cd * g, ad))
+            # With p = P / D, bound / scale = <c, P> / (D g); the sign of an
+            # equality's unit goes to c.
+            terms = tuple((j, sign * v) for j, v in enumerate(c) if v)
+            self._forms.append((index[unit, kind], terms, g))
 
     def at(self, p) -> list[AffineIneq]:
         """The canonical row of each row at p; equal rows are one object,
@@ -182,11 +181,11 @@ class _LinearRows:
         ints, den = _int_row(p)
         made: dict = {}
         out = []
-        for cls, terms, qn, qd in self._forms:
+        for cls, terms, scale in self._forms:
             s = sum(v * ints[j] for j, v in terms)
-            if qn:
-                g = gcd(s * qd, den * qn)
-                n, d = s * qd // g, den * qn // g
+            if scale:
+                g = gcd(s, den * scale)
+                n, d = s // g, den * scale // g
             else:  # 0 <= s or 0 = s holds, or the row is the marker {0 <= -1}
                 cls, n, d = (cls, 0, 1) if s == 0 or (s > 0 and cls == 0) else (0, -1, 1)
             if (cls, n, d) not in made:
@@ -297,8 +296,8 @@ def _closed_form_rows(g: GroupData) -> _LinearRows:
     else:
         raise DomainError(f"no closed-form polytope for {g.label()}")
     rows = [(row.normal, [0] * n, row.kind) for row in g.chamber.ineqs]
-    rows += [(-RatVec(xi), [-c for c in lam], LE) for xi, lam in ge]
-    rows += [(RatVec(xi), lam, LE) for xi, lam in le]
+    rows += [([-x for x in xi], [-c for c in lam], LE) for xi, lam in ge]
+    rows += [(xi, lam, LE) for xi, lam in le]
     return _LinearRows(n, rows)
 
 
@@ -332,18 +331,14 @@ def _oracle_rows(g: GroupData) -> _LinearRows:
     r, n = len(g.schmid), g.dim
     nvars = r + (1 if g.trace_zero else 0)
 
-    schmid = [_int_row(gamma) for gamma in g.schmid]  # each root as (integers, denominator)
-
-    def gamma_sum(coords) -> RatVec:
+    def gamma_sum(coords) -> list:
         """The sum of gamma(m)_c (+ k) over coords, as a linear form in m (and k)."""
-        form = [Fraction(sum(ints[c] for c in coords), den) for ints, den in schmid]
+        form = [sum(gamma[c] for c in coords) for gamma in g.schmid]
         if g.trace_zero:
             form.append(len(coords))  # the central shift k on every coordinate
-        return RatVec(form)
+        return form
 
-    # dual(e_k), a signed unit vector, as integers.
-    duals = [[x.numerator for x in dual_weight(g, RatVec([int(j == k) for j in range(n)]))]
-             for k in range(n)]
+    duals = [dual_weight(g, [int(j == k) for j in range(n)]) for k in range(n)]  # dual(e_k)
 
     def bound(I, J) -> list:
         """sum(mu_I) + sum(dual(Lambda)_J) as coefficients over (mu, Lambda)."""
@@ -352,11 +347,11 @@ def _oracle_rows(g: GroupData) -> _LinearRows:
     rows = []
     # Chain: m_1 >= m_2 >= ... >= m_r >= 0.
     for i in range(r):
-        a = [Fraction(0)] * nvars
-        a[i] = Fraction(-1)
+        a = [0] * nvars
+        a[i] = -1
         if i + 1 < r:
-            a[i + 1] = Fraction(1)
-        rows.append((RatVec(a), bound((), ()), LE))
+            a[i + 1] = 1
+        rows.append((a, bound((), ()), LE))
     for start, stop in g.weyl.block_ranges():
         block = tuple(range(start, stop))
         # Trace equality: sum(mu) + sum(lam*) = sum(gamma + k) over the block.
@@ -387,11 +382,8 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
     point = lp_witness(sys)
     if point is None:
         return False, None
-    r = len(g.schmid)
-    gamma = RatVec([0] * g.dim)
-    for i in range(r):
-        gamma = gamma + g.schmid[i].scale(point[i])
-    return True, gamma
+    return True, RatVec(sum(m * gamma[c] for m, gamma in zip(point, g.schmid))
+                        for c in range(g.dim))
 
 
 # ---------------------------------------------------------------------------

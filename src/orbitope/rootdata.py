@@ -8,14 +8,18 @@ Four families are supported, identified by tag:
   so       SO(p, 2),    maximal compact SO(p) x SO(2),  p >= 3
 
 All coordinates are written in the standard torus basis e_1*, .., e_d*.
-Pairings use the plain dot product in these coordinates; for the families
-with orthonormal torus coordinates this is the invariant pairing up to one
-global positive scale, which no membership test can see.  SU(p, q) works in
-p+q coordinates carrying the trace-zero equality inside every polyhedron.
-SU(n, 1) is instead exposed by default in the n-coordinate unitary-group
-convention (noncompact positive roots b_k = e_k* + sum_j e_j*), which every
-closed-form polytope description downstream uses; pass
-`su_n1_unitary_coords=False` to get the plain p+q = n+1 picture.
+Roots are tuples of ints, and so is every vector built from them alone;
+rho, the half-sum of the compact positive roots, is the one half-integral
+weight and a `RatVec`.  Pairings use the plain dot product in these
+coordinates, `exactmath._dot` where a root meets a rational point; for the
+families with orthonormal torus coordinates this is the invariant pairing
+up to one global positive scale, which no membership test can see.
+SU(p, q) works in p+q coordinates carrying the trace-zero equality inside
+every polyhedron.  SU(n, 1) is instead exposed by default in the
+n-coordinate unitary-group convention (noncompact positive roots
+b_k = e_k* + sum_j e_j*), which every closed-form polytope description
+downstream uses; pass `su_n1_unitary_coords=False` to get the plain
+p+q = n+1 picture.
 
 For sp, su and so* the compact Weyl group is a product of symmetric
 groups, one per unitary factor, and one helper builds the compact roots,
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, ineq_eq, ineq_ge
+from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, _dot, ineq_eq, ineq_ge
 from .weyl import WeylDescriptor
 
 SP = "sp"
@@ -127,27 +131,25 @@ class GroupData:
     """
 
     family: GroupFamily
-    compact_pos: tuple[RatVec, ...]
-    noncompact_pos: tuple[RatVec, ...]
-    schmid: tuple[RatVec, ...]
+    compact_pos: tuple[tuple[int, ...], ...]
+    noncompact_pos: tuple[tuple[int, ...], ...]
+    schmid: tuple[tuple[int, ...], ...]
     chamber: HPolyhedron
     weyl: WeylDescriptor
     unitary_coords: bool  # SU(n,1) exposed in the n-coordinate convention
     dim: int = field(init=False, compare=False)
     rho: RatVec = field(init=False, compare=False)
-    weights_p_minus: tuple[RatVec, ...] = field(init=False, compare=False)
+    weights_p_minus: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
     trace_zero: bool = field(init=False, compare=False)
     schubert_carrier: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         dim = self.weyl.dim
-        rho = RatVec([0] * dim)
-        for alpha in self.compact_pos:
-            rho = rho + alpha
         derived = {
             "dim": dim,
-            "rho": rho.scale(Fraction(1, 2)),
-            "weights_p_minus": tuple(-b for b in self.noncompact_pos),
+            "rho": RatVec(Fraction(sum(alpha[i] for alpha in self.compact_pos), 2)
+                          for i in range(dim)),
+            "weights_p_minus": tuple(tuple(-x for x in b) for b in self.noncompact_pos),
             "trace_zero": ineq_eq([1] * dim, 0) in self.chamber.ineqs,
             "schubert_carrier": self.family.tag != SO,
         }
@@ -164,17 +166,17 @@ class GroupData:
         return self.family.spec_string()
 
 
-def _unit(dim: int, *idx_sign) -> RatVec:
+def _unit(dim: int, *idx_sign) -> tuple[int, ...]:
     """Sum of +-e_i given (index, sign) pairs, 0-indexed."""
-    v = [Fraction(0)] * dim
+    v = [0] * dim
     for i, s in idx_sign:
         v[i] += s
-    return RatVec(v)
+    return tuple(v)
 
 
 def _chamber(dim: int, simple_roots, trace_zero: bool = False) -> HPolyhedron:
     """Dominance against the simple roots, plus the trace equality."""
-    rows = [ineq_ge(list(alpha), 0) for alpha in simple_roots]
+    rows = [ineq_ge(alpha, 0) for alpha in simple_roots]
     if trace_zero:
         rows.append(ineq_eq([1] * dim, 0))
     return HPolyhedron(dim, rows)
@@ -221,7 +223,7 @@ def build(family: GroupFamily, su_n1_unitary_coords: bool = True) -> GroupData:
             schmid = [_unit(n, (i, 2)) for i in range(n)]
         elif tag == SU:
             # b_k = e_k + sum_j e_j in the unitary-group convention.
-            noncompact = [RatVec([1 + (1 if j == k else 0) for j in range(n)]) for k in range(n)]
+            noncompact = [tuple(1 + (j == k) for j in range(n)) for k in range(n)]
             schmid = [noncompact[0]]
         else:
             noncompact = [_unit(n, (i, 1), (j, 1)) for i in range(n) for j in range(i + 1, n)]
@@ -255,25 +257,18 @@ def _build_so(family: GroupFamily) -> GroupData:
                      _chamber(dim, simple), WeylDescriptor((m, 1)), False)
 
 
-def pairing(a: RatVec, b: RatVec) -> Fraction:
-    """The scalar product used for all root/chamber pairings (plain dot)."""
-    return a.dot(b)
-
-
 def in_hol_chamber(g: GroupData, v: RatVec) -> bool:
     """Dominant and strictly positive against every noncompact positive root."""
     if v.dim != g.dim:
         raise DimensionError(f"vector dim {v.dim} vs group dim {g.dim}")
     if not g.chamber.contains(v):
         return False
-    return all(pairing(beta, v) > 0 for beta in g.noncompact_pos)
+    return all(_dot(beta, v)[0] > 0 for beta in g.noncompact_pos)
 
 
-def dual_weight(g: GroupData, lam: RatVec) -> RatVec:
-    """Highest weight of the dual representation: blockwise reverse-negate."""
-    if lam.dim != g.dim:
+def dual_weight(g: GroupData, lam) -> tuple:
+    """Highest weight of the dual representation, -w0 lam: blockwise
+    reverse-negate, as a tuple of the entries' own type."""
+    if len(lam) != g.dim:
         raise DimensionError("weight dimension mismatch")
-    out = []
-    for start, stop in g.weyl.block_ranges():
-        out.extend(-x for x in reversed(lam.entries[start:stop]))
-    return RatVec(out)
+    return tuple(-x for x in g.weyl.longest().act(lam))

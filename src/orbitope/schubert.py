@@ -35,7 +35,6 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from .exactmath import RatVec
 from .weyl import Perm, WeylDescriptor, WeylElt
 
 Mono = Tuple[int, ...]
@@ -283,9 +282,9 @@ class SchubertRing:
     """H* of a product of type-A complete flag varieties.
 
     degrees are the factor sizes (n_1, ..., n_f); classes are indexed by
-    WeylElt over the matching WeylDescriptor.  Weight arguments are given
-    in the blockwise coordinates of the owning group (dimension
-    sum(degrees)).
+    WeylElt over the matching WeylDescriptor.  Weight arguments are
+    sequences of ints in the blockwise coordinates of the owning group
+    (dimension sum(degrees)).
     """
 
     def __init__(self, degrees: Sequence[int]):
@@ -302,25 +301,20 @@ class SchubertRing:
     def basis_class(self, w: WeylElt) -> CohClass:
         return CohClass._graded({w: 1})
 
-    def _blocks(self, mu: RatVec):
-        if mu.dim != self.group.dim:
+    def _blocks(self, mu: Sequence[int]):
+        if len(mu) != self.group.dim:
             raise ValueError("weight dimension does not match ring")
-        return [mu.entries[a:b] for a, b in self.group.block_ranges()]
+        return [mu[a:b] for a, b in self.group.block_ranges()]
 
     # -- degree-2 classes and the Chevalley rule ---------------------------
-    def chevalley_mult(self, c: CohClass, mu: RatVec) -> CohClass:
-        """Theta(mu) . c by Monk's rule (see the module docstring): in each
-        factor, every cover w t_ab of a term w gains mu_a - mu_b of that
-        factor's block."""
-        offsets = []  # per block: mu_a - mu_b = off[a] - off[b], in integers
-        for blk in self._blocks(mu):
-            shifted = [x - blk[0] for x in blk]
-            if any(x.denominator != 1 for x in shifted):
-                raise ValueError("chevalley needs an integral weight")
-            offsets.append([int(x) for x in shifted])
+    def chevalley_mult(self, c: CohClass, mu: Sequence[int]) -> CohClass:
+        """Theta(mu) . c by Monk's rule (see the module docstring) for an
+        integer weight mu: in each factor, every cover w t_ab of a term w
+        gains mu_a - mu_b of that factor's block."""
+        blocks = self._blocks(mu)
         out: Dict[WeylElt, int] = {}
         for w, coeff in c.terms.items():
-            for f, off in enumerate(offsets):
+            for f, blk in enumerate(blocks):
                 imgs = w.factors[f].images
                 for a in range(len(imgs) - 1):
                     low = imgs[a]
@@ -331,7 +325,7 @@ class SchubertRing:
                         if not low < high < ceiling:
                             continue
                         ceiling = high
-                        cv = off[a] - off[b]
+                        cv = blk[a] - blk[b]
                         if cv:
                             swapped = list(imgs)
                             swapped[a], swapped[b] = high, low

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .admissible import OneParamSubgroup
-from .exactmath import RatVec
-from .rootdata import GroupData, UnsupportedFamilyError, pairing
+from .exactmath import _dot
+from .rootdata import GroupData, UnsupportedFamilyError
 from .schubert import CohClass, SchubertRing
 from .weyl import Perm, WeylElt, check_order_cap, max_coset_reps, stabilizer_parabolic
 
@@ -53,19 +53,18 @@ class WCPair:
 
     @cached_property
     def row_vectors(self) -> tuple:
-        """(w lam, w0 w' lam): the normal of the pair's assembled row, a
-        tuple of ints, and the vector whose pairing with Lambda is its
+        """(w lam, w0 w' lam), tuples of ints: the normal of the pair's
+        assembled row and the vector whose pairing with Lambda is its
         bound.  Neither depends on Lambda, so a cached pair builds them once
         and its rows share them."""
         w0 = WeylElt(Perm.longest(p.degree) for p in self.w.factors)
-        normal = tuple(a.numerator for a in self.w.act(self.lam.coords))
-        return normal, (w0 * self.w_prime).act(self.lam.coords)
+        return self.w.act(self.lam.coords), (w0 * self.w_prime).act(self.lam.coords)
 
     @cached_property
     def labels(self) -> tuple:
-        """(lam as ints, w text, w' text), built once per pair; cached pairs
-        share them with every provenance record that cites them."""
-        return self.lam.ints(), self.w.text(), self.w_prime.text()
+        """(lam, w text, w' text), built once per pair; cached pairs share
+        them with every provenance record that cites them."""
+        return self.lam.coords, self.w.text(), self.w_prime.text()
 
     def to_json_obj(self):
         lam, w, w_prime = self.labels
@@ -74,23 +73,23 @@ class WCPair:
 
 class GradedModule:
     """Weight levels of (negative off-diagonal module) + trivial line under
-    a cocharacter: level(b) = <lam, b>, the trivial line sits at level 0."""
+    a cocharacter: level(b) = <lam, b>, the trivial line sits at level 0.
+    Weights and levels are ints."""
 
     __slots__ = ("dim", "levels", "dims")
 
     def __init__(self, g: GroupData, lam: OneParamSubgroup):
         self.dim = g.dim
-        levels: dict[int, list[RatVec]] = {}
+        levels: dict[int, list[tuple]] = {}
         for beta in g.weights_p_minus:
-            k = pairing(lam.coords, beta)
-            assert k.denominator == 1
-            levels.setdefault(int(k), []).append(beta)
+            k = sum(a * b for a, b in zip(lam.coords, beta))
+            levels.setdefault(k, []).append(beta)
         self.levels = {k: tuple(v) for k, v in sorted(levels.items())}
         dims = {k: len(v) for k, v in self.levels.items()}
         dims[0] = dims.get(0, 0) + 1  # the trivial line
         self.dims = dict(sorted(dims.items()))
 
-    def weights_below(self, m: int) -> list[RatVec]:
+    def weights_below(self, m: int) -> list[tuple]:
         """Module weights of level < m, with multiplicity, including the
         zero weight of the trivial line when m > 0."""
         out = []
@@ -98,7 +97,7 @@ class GradedModule:
             if k < m:
                 out.extend(betas)
         if m > 0:
-            out.append(RatVec([0] * self.dim))
+            out.append((0,) * self.dim)
         return out
 
     def dim_below(self, m: int) -> int:
@@ -178,7 +177,7 @@ def _criterion_product(ctx: LambdaContext, pair: WCPair) -> CohClass:
     ring = ctx.ring
     acc = ring.basis_class(ctx.w0 * pair.w_prime)
     for beta in ctx.graded.weights_below(pair.m):
-        acc = ring.chevalley_mult(acc, -beta)
+        acc = ring.chevalley_mult(acc, [-b for b in beta])
         if acc.is_zero():
             return acc
     return ring.cup(ring.basis_class(ctx.w0 * pair.w), acc)
@@ -197,11 +196,11 @@ def is_well_covering(g: GroupData, pair: WCPair) -> bool:
         return False
     if ctx.graded.dim_below(pair.m) == 0:
         return pair.w_prime == ctx.w0 * pair.w * ctx.w_lambda
-    # Numeric condition (ii) first, it is cheap.
-    lamvec = pair.lam.coords
-    s = pairing(g.weyl.act(pair.w, lamvec) + g.weyl.act(pair.w_prime, lamvec), g.rho)
-    s += sum((pair.m - k) * d for k, d in ctx.graded.dims.items() if k < pair.m)
-    if s != 0:
+    # Numeric condition (ii) first, it is cheap: <w lam + w' lam, rho> is
+    # num / den, and the level sum is an integer.
+    lam = pair.lam.coords
+    num, den = _dot([a + b for a, b in zip(pair.w.act(lam), pair.w_prime.act(lam))], g.rho)
+    if num + den * sum((pair.m - k) * d for k, d in ctx.graded.dims.items() if k < pair.m):
         return False
     return _criterion_product(ctx, pair) == ctx.target
 

@@ -5,9 +5,11 @@ function composition, so (a * b)(i) = a(b(i)) and words like s1*s2 are read
 right to left.  Lengths are inversion counts, never reduced-word lengths.
 
 A WeylElt is a tuple of factor permutations, one per unitary factor of the
-maximal compact subgroup; it acts on coordinate vectors blockwise.  The
-pair layer reads only products, lengths, the longest element and this
-action off it.
+maximal compact subgroup; it acts on coordinate vectors blockwise, by
+permuting any sequence into a tuple of the same entries.  The pair layer
+reads only products, lengths, the longest element and this action off it,
+and the vectors it acts on are the integer cocharacters: nothing here
+needs a rational number.
 
 The parabolic data of a dominant vector lam are just w_lambda, the longest
 element of its stabilizer W_lambda, and both come from the runs of equal
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactmath import DimensionError, DomainError, RatVec
+from .exactmath import DimensionError, DomainError
 
 # The largest Weyl group whose coset representatives are listed.
 ORDER_CAP = 10**4
@@ -147,15 +149,15 @@ class WeylElt:
             raise ValueError("mismatched factor counts")
         return WeylElt(a * b for a, b in zip(self.factors, other.factors))
 
-    def act(self, v: RatVec) -> RatVec:
+    def act(self, v: Sequence) -> tuple:
         """Blockwise coordinate permutation action: the k-th factor permutes
-        the k-th block of consecutive coordinates."""
+        the k-th block of consecutive coordinates of the sequence v."""
         out, start = [], 0
         for perm in self.factors:
             stop = start + perm.degree
-            out.extend(perm.act_tuple(v.entries[start:stop]))
+            out.extend(perm.act_tuple(v[start:stop]))
             start = stop
-        return RatVec(out)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,6 @@ class WeylDescriptor:
     def longest(self) -> WeylElt:
         return WeylElt(Perm.longest(d) for d in self.degrees)
 
-    def act(self, w: WeylElt, v: RatVec) -> RatVec:
-        """Blockwise coordinate permutation action on a vector."""
-        if v.dim != self.dim:
-            raise DimensionError(f"vector dim {v.dim} vs group dim {self.dim}")
-        return w.act(v)
-
 
 def _runs(values: Sequence) -> list[tuple[int, ...]]:
     """The runs of equal adjacent entries, as tuples of 1-indexed positions."""
@@ -229,18 +225,18 @@ def _placements(free: Sequence[int], sizes: Sequence[int]):
             yield (chosen, *tail)
 
 
-def _dominant_blocks(group: WeylDescriptor, lam: RatVec) -> list[tuple]:
+def _dominant_blocks(group: WeylDescriptor, lam: Sequence) -> list:
     """The blocks of lam, checked to be of the group's dimension and
     dominant (blockwise weakly decreasing)."""
-    if lam.dim != group.dim:
+    if len(lam) != group.dim:
         raise DimensionError("lambda dimension does not match group")
-    blocks = [lam.entries[start:stop] for start, stop in group.block_ranges()]
+    blocks = [lam[start:stop] for start, stop in group.block_ranges()]
     if any(a < b for block in blocks for a, b in zip(block, block[1:])):
         raise ValueError("lambda must be dominant (blockwise weakly decreasing)")
     return blocks
 
 
-def stabilizer_parabolic(group: WeylDescriptor, lam: RatVec) -> WeylElt:
+def stabilizer_parabolic(group: WeylDescriptor, lam: Sequence) -> WeylElt:
     """w_lambda, the longest element of the stabilizer W_lambda of a
     dominant vector lam: W_lambda is the product of the symmetric groups on
     the runs of equal coordinates inside each block, so w_lambda reverses
@@ -254,7 +250,7 @@ def check_order_cap(group: WeylDescriptor) -> None:
         raise DomainError(f"group too large to enumerate: order {group.order}")
 
 
-def max_coset_reps(group: WeylDescriptor, lam: RatVec) -> list[WeylElt]:
+def max_coset_reps(group: WeylDescriptor, lam: Sequence) -> list[WeylElt]:
     """Longest representatives of the cosets w W_lambda of a dominant
     vector lam, one per coset, sorted by WeylElt.sort_key.
 

@@ -43,7 +43,7 @@ from orbitope.exactmath import (
     row_reduce,
 )
 from orbitope.goldens import GoldenRecord
-from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData, pairing
+from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
 from orbitope.schubert import CohClass, Poly, SchubertRing, schubert_poly
 from orbitope.weyl import Perm, WeylDescriptor, WeylElt
 from orbitope.wellcover import WCPair, context
@@ -415,7 +415,7 @@ def scale(c: CohClass, k: int) -> CohClass:
     return CohClass({w: k * v for w, v in c.terms.items()})
 
 
-def theta(ring: SchubertRing, mu: RatVec) -> CohClass:
+def theta(ring: SchubertRing, mu: Sequence[int]) -> CohClass:
     """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
     blockwise: Monk's rule on the unit class, whose covers are the simple
     reflections.  Central (trace) parts of mu contribute nothing."""
@@ -458,7 +458,7 @@ def schmid_cone(g: GroupData) -> HPolyhedron:
     """
     sums = []
     for gamma in g.schmid:
-        sums.append(sums[-1] + gamma if sums else gamma)
+        sums.append(tuple(a + b for a, b in zip(sums[-1], gamma)) if sums else gamma)
     return cone_hull(sums, g.dim)
 
 
@@ -535,14 +535,14 @@ def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
     raise ValueError(f"unknown family {tag!r}")
 
 
-def kernel_root_span_dim(g: GroupData, lam: RatVec) -> int:
+def kernel_root_span_dim(g: GroupData, lam: Sequence) -> int:
     """Rank of { b in noncompact_pos : <lam, b> = 0 } (plain matrix rank;
     the roots already lie in the torus-rank subspace for su(p, q))."""
-    mat = [b.entries for b in g.noncompact_pos if pairing(lam, b) == 0]
+    mat = [b for b in g.noncompact_pos if _idot(b, lam) == 0]
     return len(row_reduce(mat, range(g.dim))[2])
 
 
-def is_admissible(g: GroupData, lam: RatVec) -> bool:
+def is_admissible(g: GroupData, lam: Sequence) -> bool:
     """The defining property: the roots vanishing on lam span a hyperplane
     of the torus (rank dim(t) - 1; dim(t) is one less than the coordinates
     for su(p, q), whose torus has trace zero)."""
@@ -550,12 +550,12 @@ def is_admissible(g: GroupData, lam: RatVec) -> bool:
     return kernel_root_span_dim(g, lam) == torus_rank - 1
 
 
-def is_dominant_ops(g: GroupData, lam: RatVec) -> bool:
+def is_dominant_ops(g: GroupData, lam: Sequence) -> bool:
     """lam pairs >= 0 with every compact positive root (the torus/SO(2)
     coordinates left unconstrained fall out automatically): dominance
     stated over all the compact roots, where `GroupData.chamber` reads the
     simple ones."""
-    return all(pairing(alpha, lam) >= 0 for alpha in g.compact_pos)
+    return all(_idot(alpha, lam) >= 0 for alpha in g.compact_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -648,4 +648,4 @@ def contained_in_shifted_cone(p: polytope.OrbitPolytope) -> bool:
 
 def contained_in_hol_closure(p: polytope.OrbitPolytope) -> bool:
     """polyhedron inside the closure of the holomorphic chamber."""
-    return implies_all(p.system, (ineq_ge(list(beta), 0) for beta in p.group.noncompact_pos))
+    return implies_all(p.system, (ineq_ge(beta, 0) for beta in p.group.noncompact_pos))

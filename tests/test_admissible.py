@@ -1,7 +1,9 @@
 """Admissible one-parameter subgroups: generic enumeration, closed forms,
 golden lists."""
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -36,7 +38,7 @@ GOLDEN_BY_SPEC = {
 
 
 def as_ints(lams):
-    return {l.ints() for l in lams}
+    return {l.coords for l in lams}
 
 
 @pytest.mark.parametrize("spec", sorted(GOLDEN_BY_SPEC))
@@ -106,7 +108,7 @@ def test_indivisible_dominant_kernel_invariants():
         g = build(GroupFamily.parse(spec))
         torus_rank = g.dim - (1 if g.trace_zero else 0)
         for lam in enumerate_admissible(g):
-            assert lam.coords.content_gcd() == 1
+            assert gcd(*lam.coords) == 1
             assert is_dominant_ops(g, lam.coords)
             assert is_admissible(g, lam.coords)
             assert kernel_root_span_dim(g, lam.coords) == torus_rank - 1
@@ -133,27 +135,27 @@ def test_every_kernel_line_is_admissible():
     lines = 0
     for spec, unitary in KERNEL_LINE_GROUPS:
         g = build(GroupFamily.parse(spec), su_n1_unitary_coords=unitary)
-        trace = [RatVec([1] * g.dim)] if g.trace_zero else []
+        trace = [(1,) * g.dim] if g.trace_zero else []
         for subset in combinations(g.noncompact_pos, g.dim - len(trace) - 1):
             vec = _primitive_kernel_vector(list(subset) + trace, g.dim)
             if vec is not None:
                 lines += 1
                 assert is_admissible(g, vec), (spec, unitary, vec)
-                for v in (vec, -vec):
-                    assert g.chamber.contains(v) == is_dominant_ops(g, v), (spec, unitary, v)
+                for v in (vec, tuple(-a for a in vec)):
+                    dominant = is_dominant_ops(g, v)
+                    assert g.chamber.contains(RatVec(v)) == dominant, (spec, unitary, v)
     assert lines == 2467
 
 
 def test_one_param_subgroup_validation():
-    from fractions import Fraction
-
-    with pytest.raises(ValueError):
-        OneParamSubgroup([2, -2])
-    with pytest.raises(ValueError):
-        OneParamSubgroup([Fraction(1, 2), 1])
+    # integral, indivisible and nonempty
+    for bad in ([2, -2], (2, 4), [Fraction(1, 2), 1], (1, Fraction(1, 2)), ()):
+        with pytest.raises(ValueError):
+            OneParamSubgroup(bad)
+    assert OneParamSubgroup([3, -2]).coords == (3, -2)
 
 
 def test_sorted_admissible_deterministic():
     g = build(GroupFamily.parse("sp:n=3"))
     lams = sorted_admissible(enumerate_admissible(g))
-    assert [l.ints() for l in lams] == sorted(l.ints() for l in lams)
+    assert [l.coords for l in lams] == sorted(l.coords for l in lams)

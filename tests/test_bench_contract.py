@@ -104,5 +104,5 @@ def test_workload_names_resolve():
 def test_adm_check_reads_the_admissible_set():
     # cli-cold checks `adm --group sp:n=5` against this golden table.
     g = rootdata.build(rootdata.GroupFamily.parse("sp:n=5"))
-    want = {lam.ints() for lam in admissible.enumerate_admissible(g)}
+    want = {lam.coords for lam in admissible.enumerate_admissible(g)}
     assert goldens.admissible_vectors(goldens.load("Thm7.2.5"), "sp:n=5") == want

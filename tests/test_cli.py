@@ -62,6 +62,10 @@ COMMANDS = [
     ["ineqs", "--group", "su:p=3,q=2", "--lambda", "9/2,5/2,1/2,-7/2,-4"],
     ["member", "--group", "su:p=3,q=2", "--lambda", "9/2,5/2,1/2,-7/2,-4",
      "--xi", "0,0,0,0,0"],
+    ["oracle", "--group", "su:p=3,q=1", "--lambda", "3,2,1", "--mu", "4,5/2,3/2"],
+    ["oracle", "--group", "so_star:n=5", "--lambda", "9,7,5,3,1", "--mu", "19/2,15/2,5,3,1",
+     "--format", "json"],
+    ["adm", "--group", "su:p=4,q=1"],
 ]
 
 

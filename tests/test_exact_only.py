@@ -21,6 +21,10 @@ at a point the same way, over one denominator (`_dot`,
 No unused imports: every module-level import binds a name that some other
 node of the module reads (`from __future__` imports aside), so a move
 between the package and the tests leaves no stale import behind.
+
+Integer Lie data: the Weyl group and Schubert layers act on roots,
+cocharacters and their orbit points, which are tuples of ints, so
+`weyl.py` and `schubert.py` import neither `fractions` nor `RatVec`.
 """
 
 import ast
@@ -185,6 +189,42 @@ def test_scan_catches_core_conversions(tmp_path):
         "row_reduce calls Fraction",
         "_simplex_le calls _int_row",
         "_Substitution.program calls Fraction",
+    ]
+
+
+# Modules that hold only integer vectors.
+INTEGER_MODULES = ("weyl.py", "schubert.py")
+
+
+def _rational_imports(path: Path) -> list[str]:
+    """Imports of the fractions module or of RatVec, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                      if a.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{path.name}:{node.lineno} imports {node.module}.{a.name}"
+                      for a in node.names if node.module == "fractions" or a.name == "RatVec"]
+    return found
+
+
+@pytest.mark.parametrize("name", INTEGER_MODULES)
+def test_integer_lie_data(name):
+    assert _rational_imports(PACKAGE / name) == []
+
+
+def test_scan_catches_rational_imports(tmp_path):
+    bad = tmp_path / "weyl.py"
+    bad.write_text(
+        "import fractions\nfrom fractions import Fraction\n"
+        "from .exactmath import DomainError, RatVec\n\n"
+        "def f():\n    from orbitope.exactmath import RatVec as V\n    import math\n"
+    )
+    assert [v.split(" ", 1)[1] for v in _rational_imports(bad)] == [
+        "imports fractions", "imports fractions.Fraction", "imports exactmath.RatVec",
+        "imports orbitope.exactmath.RatVec",
     ]
 
 

@@ -46,21 +46,15 @@ def sysd(dim, *rows):
 
 class TestRatVec:
     def test_arithmetic(self):
+        # A point's one operation is the scalar product.
         v = RatVec([1, F(1, 2)])
         w = RatVec([2, -1])
-        assert v + w == RatVec([3, F(-1, 2)])
-        assert v - w == RatVec([-1, F(3, 2)])
-        assert -v == RatVec([-1, F(-1, 2)])
         assert v.dot(w) == F(3, 2)
-        assert w.scale(F(1, 2)) == RatVec([1, F(-1, 2)])
+        assert v.dot(RatVec([F(1, 3), F(2, 3)])) == F(2, 3)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             RatVec([1]).dot(RatVec([1, 2]))
-
-    def test_content(self):
-        assert RatVec([4, -6, 2]).content_gcd() == 2
-        assert RatVec([0, 0]).content_gcd() == 0
 
 
 class TestCanonical:
@@ -631,9 +625,10 @@ class TestConeRays:
             rows.append(AffineIneq(RatVec(coeffs), 0, data.draw(st.sampled_from([LE, LE, LE, EQ]))))
         s = HPolyhedron(dim, rows)
         lineality, rays = cone_rays(s)
-        for v in [*rays, *lineality, *(-l for l in lineality)]:
+        generators = [*rays, *lineality, *(RatVec(-c for c in l) for l in lineality)]
+        for v in generators:
             assert s.contains(v)
-            assert v.is_integral() and v.content_gcd() == 1
+            assert all(c.denominator == 1 for c in v) and gcd(*(c.numerator for c in v)) == 1
         assert _rank([list(l) for l in lineality]) == len(lineality)
         tight_sets = []
         for r in rays:
@@ -641,7 +636,7 @@ class TestConeRays:
             assert _rank([list(row.normal) for row in tight]) == dim - len(lineality) - 1
             tight_sets.append(frozenset(tight))
         assert len(set(tight_sets)) == len(rays)  # no ray twice
-        assert poly_equal(cone_hull([*rays, *lineality, *(-l for l in lineality)], dim), s)
+        assert poly_equal(cone_hull(generators, dim), s)
 
     def test_whole_space(self):
         lineality, rays = cone_rays(HPolyhedron(3, []))

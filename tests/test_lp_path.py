@@ -107,7 +107,8 @@ def _oracle_triples(seed: int = SEED):
             if rnd.random() < 0.5:
                 mu = Lambda
                 for beta in g.noncompact_pos:
-                    mu = mu + beta.scale(Fraction(rnd.choice((0, 0, 0, 1, 2)), 2))
+                    c = Fraction(rnd.choice((0, 0, 0, 1, 2)), 2)
+                    mu = RatVec(m + c * b for m, b in zip(mu, beta))
             else:
                 delta = [rnd.choice(steps) for _ in range(g.dim)]
                 if g.trace_zero:

@@ -11,6 +11,7 @@ from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
     RatVec,
+    _dot,
     ineq_eq,
     ineq_ge,
     ineq_le,
@@ -353,7 +354,7 @@ class TestGeometricProperties:
                 )
                 if strict and member(p, mu):
                     found += 1
-                    assert all(beta.dot(mu) > 0 for beta in g.noncompact_pos)
+                    assert all(_dot(beta, mu)[0] > 0 for beta in g.noncompact_pos)
             assert found > 0, spec
 
     def test_central_shift_su22(self):

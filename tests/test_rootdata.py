@@ -10,10 +10,12 @@ the root data is meant to change) with
 import json
 from dataclasses import replace
 from fractions import Fraction as F
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from orbitope.admissible import enumerate_admissible
 from orbitope.exactmath import DomainError, HPolyhedron, RatVec, ineq_eq, ineq_ge, poly_equal, rat_str
 from orbitope.rootdata import (
     DIM_CAP,
@@ -21,7 +23,6 @@ from orbitope.rootdata import (
     build,
     dual_weight,
     in_hol_chamber,
-    pairing,
 )
 from reference import schmid_cone
 
@@ -40,6 +41,10 @@ PINNED_CASES = [(spec, unitary) for spec in PINNED_SPECS
 
 def g_of(spec, **kw):
     return build(GroupFamily.parse(spec), **kw)
+
+
+def _neg(v):
+    return tuple(-x for x in v)
 
 
 def _record(spec, unitary) -> dict:
@@ -74,18 +79,39 @@ class TestPinned:
         assert _record(*PINNED_CASES[index]) == pinned[index]
 
 
+class TestIntegerTypes:
+    @pytest.mark.parametrize("index", range(len(PINNED_CASES)),
+                             ids=[f"{s}-{u}" for s, u in PINNED_CASES])
+    def test_lie_data_are_ints(self, index):
+        # Roots, the Schmid family, the module weights and the scanned
+        # cocharacters are tuples of ints; rho alone is a RatVec.
+        spec, unitary = PINNED_CASES[index]
+        g = g_of(spec, su_n1_unitary_coords=unitary)
+        for name in ("compact_pos", "noncompact_pos", "schmid", "weights_p_minus"):
+            for v in getattr(g, name):
+                assert type(v) is tuple and all(type(x) is int for x in v), (name, v)
+        assert isinstance(g.rho, RatVec)
+        # The scan builds every cocharacter one way, so the scans of more
+        # than 10^4 subsets (sp:n=6, so_star:n=7, su(5, 4), su(5, 5)) add
+        # seconds and nothing new.
+        if comb(len(g.noncompact_pos), g.dim - g.trace_zero - 1) > 10**4:
+            return
+        for lam in enumerate_admissible(g):
+            assert type(lam.coords) is tuple and all(type(c) is int for c in lam.coords)
+
+
 class TestReplace:
     def test_noncompact_replacement_updates_weights(self):
         g = g_of("su:p=3,q=2")
         ray = replace(g, noncompact_pos=g.noncompact_pos[:2])
-        assert ray.weights_p_minus == tuple(-b for b in g.noncompact_pos[:2])
+        assert ray.weights_p_minus == tuple(_neg(b) for b in g.noncompact_pos[:2])
 
     def test_compact_replacement_updates_rho(self):
         for spec in ("sp:n=3", "su:p=3,q=2", "so:p=5"):
             g = g_of(spec)
             assert replace(g, compact_pos=()).rho == RatVec([0] * g.dim)
             one = replace(g, compact_pos=g.compact_pos[:1])
-            assert one.rho == g.compact_pos[0].scale(F(1, 2))
+            assert one.rho == RatVec(F(a, 2) for a in g.compact_pos[0])
 
 
 class TestFamilyParsing:
@@ -151,48 +177,46 @@ class TestRootCounts:
 
     def test_sp4_roots(self):
         g = g_of("sp:n=2")
-        assert set(g.noncompact_pos) == {RatVec([2, 0]), RatVec([1, 1]), RatVec([0, 2])}
+        assert set(g.noncompact_pos) == {(2, 0), (1, 1), (0, 2)}
 
     def test_weights_p_minus(self):
         for spec in ("sp:n=2", "su:p=2,q=2", "so_star:n=3", "so:p=5"):
             g = g_of(spec)
-            assert g.weights_p_minus == tuple(-b for b in g.noncompact_pos)
+            assert g.weights_p_minus == tuple(_neg(b) for b in g.noncompact_pos)
 
     def test_rho_is_half_sum(self):
         for spec in ("sp:n=4", "su:p=3,q=2", "so_star:n=4", "so:p=5"):
             g = g_of(spec)
-            total = RatVec([0] * g.dim)
+            total = [0] * g.dim
             for a in g.compact_pos:
-                total = total + a
-            assert g.rho == total.scale(F(1, 2))
+                total = [t + x for t, x in zip(total, a)]
+            assert g.rho == RatVec(F(t, 2) for t in total)
         assert g_of("sp:n=4").rho == RatVec([F(3, 2), F(1, 2), F(-1, 2), F(-3, 2)])
 
 
 class TestSchmid:
     def test_families(self):
-        assert g_of("sp:n=3").schmid == (RatVec([2, 0, 0]), RatVec([0, 2, 0]),
-                                         RatVec([0, 0, 2]))
-        assert g_of("so_star:n=3").schmid == (RatVec([1, 1, 0]),)
-        assert g_of("so_star:n=5").schmid == (RatVec([1, 1, 0, 0, 0]),
-                                              RatVec([0, 0, 1, 1, 0]))
+        assert g_of("sp:n=3").schmid == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        assert g_of("so_star:n=3").schmid == ((1, 1, 0),)
+        assert g_of("so_star:n=5").schmid == ((1, 1, 0, 0, 0), (0, 0, 1, 1, 0))
         g = g_of("su:p=3,q=2")
-        assert g.schmid == (RatVec([1, 0, 0, 0, -1]), RatVec([0, 1, 0, -1, 0]))
-        assert g_of("so:p=5").schmid == (RatVec([1, 0, 1]), RatVec([-1, 0, 1]))
+        assert g.schmid == ((1, 0, 0, 0, -1), (0, 1, 0, -1, 0))
+        assert g_of("so:p=5").schmid == ((1, 0, 1), (-1, 0, 1))
 
     def test_su_maximal_root_first(self):
         g = g_of("su:p=4,q=2")
-        assert g.schmid[0] == RatVec([1, 0, 0, 0, 0, -1])
+        assert g.schmid[0] == (1, 0, 0, 0, 0, -1)
 
     def test_strong_orthogonality(self):
         for spec in ("sp:n=4", "su:p=3,q=3", "so_star:n=6", "so:p=6", "so:p=7"):
             g = g_of(spec)
-            roots = set(g.compact_pos) | {-a for a in g.compact_pos}
-            roots |= set(g.noncompact_pos) | {-b for b in g.noncompact_pos}
+            roots = set(g.compact_pos) | {_neg(a) for a in g.compact_pos}
+            roots |= set(g.noncompact_pos) | {_neg(b) for b in g.noncompact_pos}
             for i, gi in enumerate(g.schmid):
                 for j, gj in enumerate(g.schmid):
                     if i != j:
-                        assert gi + gj not in roots
-                        assert gi - gj not in roots
+                        assert tuple(a + b for a, b in zip(gi, gj)) not in roots
+                        assert tuple(a - b for a, b in zip(gi, gj)) not in roots
 
     def test_nonnegative_pairings(self):
         # (b, b') >= 0 for noncompact positives of the unitary-carrier families
@@ -200,7 +224,7 @@ class TestSchmid:
             g = g_of(spec)
             for b in g.noncompact_pos:
                 for b2 in g.noncompact_pos:
-                    assert pairing(b, b2) >= 0, (spec, b, b2)
+                    assert sum(x * y for x, y in zip(b, b2)) >= 0, (spec, b, b2)
 
 
 class TestChambers:
@@ -249,8 +273,8 @@ class TestSchmidCone:
         g = g_of("su:p=3,q=1")
         cone = schmid_cone(g)
         beta1 = g.schmid[0]
-        assert cone.contains(beta1) and cone.contains(beta1.scale(7))
-        assert not cone.contains(-beta1)
+        assert cone.contains(RatVec(beta1)) and cone.contains(RatVec(7 * x for x in beta1))
+        assert not cone.contains(RatVec(_neg(beta1)))
         assert not cone.contains(RatVec([1, 0, 0]))
 
     def test_so_star6_ray(self):
@@ -269,9 +293,10 @@ class TestSchmidCone:
 class TestDualWeight:
     def test_blockwise_reverse_negate(self):
         g = g_of("su:p=2,q=2")
-        assert dual_weight(g, RatVec([3, 1, -1, -3])) == RatVec([-1, -3, 3, 1])
+        assert dual_weight(g, RatVec([3, 1, -1, -3])) == (-1, -3, 3, 1)
+        assert dual_weight(g, [F(7, 2), 1, F(-3, 2), -3]) == (-1, F(-7, 2), 3, F(3, 2))
         g2 = g_of("sp:n=3")
-        assert dual_weight(g2, RatVec([4, 2, 1])) == RatVec([-1, -2, -4])
+        assert dual_weight(g2, (4, 2, 1)) == (-1, -2, -4)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbitope.exactmath import RatVec
 from orbitope.schubert import (
     CohClass,
     SchubertRing,
@@ -272,34 +271,34 @@ class TestCupProduct:
 class TestTheta:
     def test_doubled_root(self):
         R = SchubertRing((3,))
-        assert theta(R, RatVec([2, 0, 0])) == \
+        assert theta(R, (2, 0, 0)) == \
             scale(R.basis_class(simple(R.group, 0, 1)), 2)
 
     def test_unitary_convention_root(self):
         R = SchubertRing((3,))
-        assert theta(R, RatVec([2, 1, 1])) == R.basis_class(simple(R.group, 0, 1))
+        assert theta(R, (2, 1, 1)) == R.basis_class(simple(R.group, 0, 1))
 
     def test_two_block_expansion(self):
         # theta(e_i - e_{p+j}) = (-s_{i-1} + s_i) (x) 1 + 1 (x) (s_{j-1} - s_j)
         R = SchubertRing((3, 2))
-        th = theta(R, RatVec([0, 1, 0, 0, -1]))  # i = 2, j = 2 (p = 3, q = 2)
+        th = theta(R, (0, 1, 0, 0, -1))  # i = 2, j = 2 (p = 3, q = 2)
         s1p, s2p = simple(R.group, 0, 1), simple(R.group, 0, 2)
         s1q = simple(R.group, 1, 1)
         expect = (R.basis_class(s2p) - R.basis_class(s1p)) + R.basis_class(s1q)
         assert th == expect
         # boundary convention: i = 1 drops s_0, j = q drops s_q
-        th2 = theta(R, RatVec([1, 0, 0, 0, -1]))
+        th2 = theta(R, (1, 0, 0, 0, -1))
         assert th2 == R.basis_class(s1p) + R.basis_class(s1q)
 
     def test_central_vanishes(self):
         R = SchubertRing((2, 2))
-        assert theta(R, RatVec([1, 1, 1, 1])).is_zero()
-        assert theta(R, RatVec([0, 0, 0, 0])).is_zero()
+        assert theta(R, (1, 1, 1, 1)).is_zero()
+        assert theta(R, (0, 0, 0, 0)).is_zero()
 
     def test_zero_annihilates(self):
         R = SchubertRing((3,))
         c = R.basis_class(simple(R.group, 0, 2))
-        assert R.chevalley_mult(c, RatVec([1, 1, 1])).is_zero()
+        assert R.chevalley_mult(c, (1, 1, 1)).is_zero()
 
 
 class TestChevalleyAgreesWithCup:
@@ -310,7 +309,7 @@ class TestChevalleyAgreesWithCup:
             for w in all_perms(n):
                 c = R.basis_class(WeylElt([w]))
                 for mu in weights:
-                    v = RatVec(mu)
+                    v = mu
                     assert R.cup(theta(R, v), c) == R.chevalley_mult(c, v)
 
     def test_product_group(self):
@@ -319,7 +318,7 @@ class TestChevalleyAgreesWithCup:
         for w in pool:
             c = R.basis_class(w)
             for mu in [(1, 0, 0, -1), (1, -1, 2, 0), (0, 0, 1, -1)]:
-                v = RatVec(mu)
+                v = mu
                 assert R.cup(theta(R, v), c) == R.chevalley_mult(c, v)
 
 
@@ -343,20 +342,17 @@ class TestMonkRule:
     def test_matches_definition(self, degrees):
         R = SchubertRing(degrees)
         rng = random.Random(str(degrees))
-        mu = RatVec([rng.randint(-4, 4) for _ in range(R.group.dim)])
+        mu = tuple(rng.randint(-4, 4) for _ in range(R.group.dim))
         for factors in itertools.product(*[all_perms(d) for d in degrees]):
             w = WeylElt(factors)
             assert R.chevalley_mult(R.basis_class(w), mu) == _monk_by_definition(R, w, mu)
 
     def test_integral_differences(self):
-        # Only the differences inside a block need to be integers.
+        # Only the differences inside a block count: a shift of each block
+        # by its own constant leaves the product alone.
         R = SchubertRing((3, 2))
         c = R.basis_class(simple(R.group, 0, 1))
-        half = RatVec([F(1, 2), F(-3, 2), F(5, 2), F(1, 2), F(7, 2)])
-        shifted = RatVec([0, -2, 2, 0, 3])
-        assert R.chevalley_mult(c, half) == R.chevalley_mult(c, shifted)
-        with pytest.raises(ValueError):
-            R.chevalley_mult(c, RatVec([F(1, 2), 0, 0, 0, 0]))
+        assert R.chevalley_mult(c, (1, -1, 3, 5, 8)) == R.chevalley_mult(c, (0, -2, 2, 0, 3))
 
 
 class TestDuality:
@@ -364,7 +360,7 @@ class TestDuality:
         for n in (2, 3, 4):
             R = SchubertRing((n,))
             G = R.group
-            lam = RatVec(list(range(n, 0, -1)))
+            lam = tuple(range(n, 0, -1))
             wl = stabilizer_parabolic(G, lam)
             w0 = G.longest()
             for w in max_coset_reps(G, lam):
@@ -382,8 +378,8 @@ class TestDuality:
             for flat in walls:
                 cur -= 0 if flat else 1
                 vals.append(cur)
-            wl = stabilizer_parabolic(G, RatVec(vals))
-            reps = max_coset_reps(G, RatVec(vals))
+            wl = stabilizer_parabolic(G, vals)
+            reps = max_coset_reps(G, vals)
             for w in reps:
                 for wp in reps:
                     if w.length() + wp.length() >= w0.length() + wl.length():
@@ -392,7 +388,7 @@ class TestDuality:
 
     def test_precondition(self):
         R = SchubertRing((3,))
-        wl = stabilizer_parabolic(R.group, RatVec([2, 1, 0]))
+        wl = stabilizer_parabolic(R.group, (2, 1, 0))
         with pytest.raises(ValueError):
             duality_check(R, identity(R.group), identity(R.group), wl)
 
@@ -411,7 +407,7 @@ class TestCohClass:
         # each must still be graded and hold no zero coefficient
         R = SchubertRing((3, 2))
         pool = [WeylElt(c) for c in itertools.product(all_perms(3), all_perms(2))]
-        mu = RatVec([2, 0, -1, 1, 0])
+        mu = (2, 0, -1, 1, 0)
         for u in pool:
             a = R.basis_class(u)
             products = [R.chevalley_mult(a, mu), theta(R, mu)]

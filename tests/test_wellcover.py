@@ -4,7 +4,6 @@ import pytest
 
 from orbitope import goldens
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
-from orbitope.exactmath import RatVec
 from orbitope.rootdata import GroupFamily, UnsupportedFamilyError, build
 from orbitope.weyl import Perm, WeylElt
 from orbitope.wellcover import WCPair, context, enumerate_m0, is_well_covering
@@ -36,7 +35,7 @@ class TestGrade:
         # -2e2 at 2; every nonzero level is >= 0
         gm = context(g_of("sp:n=2"), ops(0, -1)).graded
         assert gm.dims == {0: 2, 1: 1, 2: 1}
-        assert [b for b in gm.levels[0]] == [RatVec([-2, 0])]
+        assert [b for b in gm.levels[0]] == [(-2, 0)]
         assert gm.dim_below(0) == 0
 
     def test_su21_levels(self):
@@ -58,7 +57,7 @@ class TestGrade:
             g = g_of(spec)
             for lam in enumerate_admissible(g):
                 gm = context(g, lam).graded
-                min_pair = min(lam.coords.dot(b) for b in g.weights_p_minus)
+                min_pair = min(sum(x * y for x, y in zip(lam.coords, b)) for b in g.weights_p_minus)
                 assert (gm.dim_below(0) == 0) == (min_pair >= 0)
 
     def test_dominance_required(self):
@@ -133,7 +132,7 @@ class TestPairTables:
                 pairs = enumerate_m0(g, lam)
                 ctx = context(g, lam)
                 w0 = ctx.ring.group.longest()
-                if lam.ints() == tuple([0] * (n - 1) + [-1]):
+                if lam.coords == tuple([0] * (n - 1) + [-1]):
                     assert len(pairs) == len(ctx.reps)
                     assert all(p.w_prime == w0 * p.w * ctx.w_lambda for p in pairs)
                 else:
@@ -194,9 +193,9 @@ class TestPairTables:
         for row in rows:
             w = WeylElt([from_word(4, row["w"][0])])
             wp = WeylElt([from_word(4, row["w_prime"][0])])
-            assert G.act(w, lam.coords) == RatVec(row["w_lam"])
+            assert w.act(lam.coords) == tuple(row["w_lam"])
             assert w0 * wp == WeylElt([from_word(4, row["w0wp"][0])])
-            assert G.act(w0 * wp, lam.coords) == RatVec(row["w0wp_lam"])
+            assert (w0 * wp).act(lam.coords) == tuple(row["w0wp_lam"])
 
     def test_so_star8_vanishing_cocharacters(self):
         # (1,0,0,0) and (1,1,1,-1) contribute nothing at m = 0
@@ -276,7 +275,7 @@ class TestSignAndDominance:
         for n in range(3, 7):
             R = SchubertRing((n,))
             for k in range(2, n):
-                betas = [RatVec([1 if t in (i, j) else 0 for t in range(n)])
+                betas = [[1 if t in (i, j) else 0 for t in range(n)]
                          for i in range(k) for j in range(i + 1, k)]
                 acc = one(R)
                 for b in betas:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitope import goldens
-from orbitope.exactmath import DomainError, RatVec
+from orbitope.exactmath import DomainError, RatVec, _dot
 from orbitope.rootdata import GroupFamily, build
 from orbitope.weyl import Perm, WeylDescriptor, WeylElt, max_coset_reps, stabilizer_parabolic
 from reference import (
@@ -122,7 +122,7 @@ class TestSpecialElements:
 class TestCosetReps:
     def test_regular_gives_whole_group(self):
         G = WeylDescriptor((3,))
-        assert len(max_coset_reps(G, RatVec([3, 2, 1]))) == 6
+        assert len(max_coset_reps(G, (3, 2, 1))) == 6
 
     def test_hat_representatives(self):
         # stabilizer S_{n-1}: reps are what_k^{-1} w_lambda with the
@@ -144,7 +144,7 @@ class TestCosetReps:
         # the six longest representatives for the (2,2)-block stabilizer
         rec = goldens.load("Tab7.3.3-reps")
         G = WeylDescriptor((4,))
-        lam = RatVec([1, 1, -1, -1])
+        lam = (1, 1, -1, -1)
         reps = max_coset_reps(G, lam)
         w0 = G.longest()
         rho = RatVec(["3/2", "1/2", "-1/2", "-3/2"])
@@ -156,13 +156,14 @@ class TestCosetReps:
         for w, row in table.items():
             assert w.length() == row["length"]
             assert w0 * w == WeylElt([from_word(4, row["w0w"])])
-            wlam = G.act(w, lam)
-            assert wlam == RatVec(row["w_lam"])
-            assert wlam.dot(rho) == row["rho_pairing"]
+            wlam = w.act(lam)
+            assert wlam == tuple(row["w_lam"])
+            num, den = _dot(wlam, rho)
+            assert num == row["rho_pairing"] * den
 
     def test_uniqueness_assertion(self):
         G = WeylDescriptor((2, 2))
-        reps = max_coset_reps(G, RatVec([1, 1, 2, 0]))
+        reps = max_coset_reps(G, (1, 1, 2, 0))
         assert len(reps) == 2
 
     def test_order_cap_is_domain_error(self):
@@ -174,9 +175,9 @@ class TestCosetReps:
     def test_dominance_required(self):
         G = WeylDescriptor((2,))
         with pytest.raises(ValueError):
-            stabilizer_parabolic(G, RatVec([0, 1]))
+            stabilizer_parabolic(G, (0, 1))
         with pytest.raises(ValueError):
-            max_coset_reps(G, RatVec([0, 1]))
+            max_coset_reps(G, (0, 1))
 
 
 CARRIER_SPECS = [spec for spec in sorted(GOLDEN_BY_SPEC)
@@ -190,8 +191,8 @@ def scan_reference(group, lam):
     stabilizer, must be unique."""
     best, tied, stabilizer = {}, {}, 0
     for w, length in weyl_group(group.degrees):
-        key = group.act(w, lam).entries
-        stabilizer += key == lam.entries
+        key = w.act(lam)
+        stabilizer += key == lam
         cur = best.get(key)
         if cur is None or length > cur[1]:
             best[key] = (w, length)
@@ -200,7 +201,7 @@ def scan_reference(group, lam):
             tied[key] = True
     assert not any(tied.values()), "longest coset representative was not unique"
     reps = sorted((w for w, _ in best.values()), key=WeylElt.sort_key)
-    return reps, best[lam.entries][0], stabilizer
+    return reps, best[lam][0], stabilizer
 
 
 @functools.cache
@@ -222,7 +223,7 @@ def blockwise_dominant(degrees, values):
     blocks = [itertools.combinations_with_replacement(sorted(values, reverse=True), d)
               for d in degrees]
     for combo in itertools.product(*blocks):
-        yield RatVec([x for block in combo for x in block])
+        yield tuple(x for block in combo for x in block)
 
 
 class TestAgainstScan:
@@ -256,23 +257,25 @@ class TestAgainstScan:
 class TestAction:
     def test_identity(self):
         G = WeylDescriptor((3,))
-        v = RatVec([5, -1, 2])
-        assert G.act(identity(G), v) == v
+        v = (5, -1, 2)
+        assert identity(G).act(v) == v
+        assert identity(G).act(RatVec(v)) == RatVec(v).entries
 
     def test_simple_swap(self):
         G = WeylDescriptor((2,))
-        assert G.act(simple(G, 0, 1), RatVec([3, 1])) == RatVec([1, 3])
+        assert simple(G, 0, 1).act((3, 1)) == (1, 3)
 
     def test_su31_lambda_orbit(self):
         # (s2 s1) lambda_1 = lambda_3 with lambda_k = 4 e_k - sum e
         G = WeylDescriptor((3,))
         s1, s2 = simple(G, 0, 1), simple(G, 0, 2)
-        assert G.act(s2 * s1, RatVec([3, -1, -1])) == RatVec([-1, -1, 3])
+        assert (s2 * s1).act((3, -1, -1)) == (-1, -1, 3)
 
     def test_blockwise(self):
         G = WeylDescriptor((2, 2))
         w = WeylElt([Perm((2, 1)), Perm((1, 2))])
-        assert G.act(w, RatVec([1, 2, 3, 4])) == RatVec([2, 1, 3, 4])
+        assert w.act((1, 2, 3, 4)) == (2, 1, 3, 4)
+        assert w.act([1, 2, 3, 4]) == (2, 1, 3, 4)
 
     def test_text_round_trip(self):
         w = WeylElt([Perm((2, 1, 3)), Perm((1, 2))])
