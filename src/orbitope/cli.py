@@ -5,7 +5,7 @@ Verbs:
   ineqs    assembled inequality system of the moment polyhedron
   member   membership of a point, with the violated row on failure
   oracle   membership by the Horn route, with a cone witness
-  check    grid cross-check of the two routes (exit 3 on disagreement)
+  check    exact comparison of the two routes at Lambda (exit 3 on disagreement)
   adm      dominant indivisible admissible one-parameter subgroups
   horn     the triple set T_r^n
   pairs    m = 0 well-covering pairs per admissible cocharacter
@@ -126,7 +126,7 @@ def cmd_oracle(args):
 def cmd_check(args):
     from .polytope import cross_check
 
-    report = cross_check(args.group, args.lam, args.radius)
+    report = cross_check(args.group, args.lam)
     return report.to_json_obj, report.summary, 0 if report.ok else DISAGREE_EXIT
 
 
@@ -299,9 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_parse_vec, required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("check", help="grid cross-check of both routes")
+    p = sub.add_parser("check", help="exact comparison of both routes at Lambda")
     common(p)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=int, default=2,
+                   help="accepted and ignored: the comparison is exact, with no grid")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("adm", help="admissible one-parameter subgroups")

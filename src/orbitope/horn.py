@@ -43,6 +43,16 @@ class HornTriple:
             if list(part) != sorted(set(part)) or part[0] < 1 or part[-1] > self.n:
                 raise ValueError(f"not a strictly increasing subset of 1..{self.n}: {part}")
 
+    @classmethod
+    def _valid(cls, n: int, I: tuple, J: tuple, L: tuple) -> "HornTriple":
+        """The triple of subsets of 1..n that `combinations` built, so
+        strictly increasing and of one cardinality r, 1 <= r < n, without
+        the check."""
+        t = object.__new__(cls)
+        for name, value in (("n", n), ("I", I), ("J", J), ("L", L)):
+            object.__setattr__(t, name, value)
+        return t
+
     def to_json_obj(self):
         return {"I": list(self.I), "J": list(self.J), "L": list(self.L)}
 
@@ -89,7 +99,7 @@ def _balanced(r: int, n: int, filters, positions) -> tuple[HornTriple, ...]:
                     if sI[a] + sJ[b] > sL[c] + k:
                         break
                 else:
-                    out.append(HornTriple(n, I, J, L))
+                    out.append(HornTriple._valid(n, I, J, L))
     return tuple(out)
 
 

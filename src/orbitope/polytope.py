@@ -14,7 +14,8 @@ sp (any rank), su(n, 1) (any rank), so*(6), so*(8) and su(2, 2).
 the polyhedron iff some point of the strongly-orthogonal-family cone is a
 Horn-admissible "difference spectrum" between mu and the dual of Lambda,
 blockwise over the unitary factors.  That condition is one exact LP
-feasibility test; `cross_check` compares the two routes over a grid.
+feasibility test; `cross_check` decides exactly whether the two routes
+give one polyhedron at Lambda.
 Every route's rows are <a, x> (<=|=) <c, p>, a fixed normal and a bound
 linear in the parameter p: Lambda, or mu then Lambda for the oracle, whose
 x is the cone's (m, k).  One evaluator, `_LinearRows`, makes them canonical.
@@ -30,7 +31,6 @@ serialise themselves (`to_json_obj`), each row through
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,6 +49,7 @@ from .exactmath import (
     _canonical_system,
     _fraction,
     _int_row,
+    implies_all,
     lp_feasible,
     lp_witness,
     rat_str,
@@ -387,21 +388,33 @@ def horn_oracle_member(g: GroupData, Lambda, mu, witness: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Cross-check grid
+# The two routes compared at Lambda
 # ---------------------------------------------------------------------------
 
 
-# Most half-integer box points, (4 radius + 1)^dim, one cross-check may span; a trace-zero
-# group fixes its last offset and enumerates (4 radius + 1)^(dim - 1) (su(2, 2), radius 4: 17^3).
-GRID_CAP = 10**5
+# Why each kind of disagreement is one: a vertex, ray or lineality vector
+# ("line") of the assembled P(Lambda) that the Horn route lacks, or a kept
+# row of P(Lambda) that the Horn rows do not imply.
+_REASONS = {
+    "vertex": "fails the Horn oracle",
+    "ray": "is no direction of the Horn route",
+    "line": "is no direction of the Horn route",
+    "row": "is not implied by the Horn rows",
+}
 
 
 @dataclass
 class CrossCheckReport:
+    """The exact comparison at one Lambda: the size of P(Lambda), its kept
+    rows and generators, and each disagreement as {"kind", "at"}, the kind
+    a key of `_REASONS` and "at" the point or the displayed row."""
+
     group: str
     Lambda: tuple
-    radius: int
-    points_checked: int
+    kept_rows: int
+    vertices: int
+    rays: int
+    lineality: int
     disagreements: list
 
     @property
@@ -412,56 +425,80 @@ class CrossCheckReport:
         return asdict(self)
 
     def summary(self) -> str:
-        return (
-            f"{self.group} Lambda={self.Lambda} radius={self.radius}: "
-            f"{self.points_checked} dominant grid points, "
+        """One line per disagreement, then the counts; the last line ends
+        with the number of disagreements."""
+        lines = [f"{d['kind']} {d['at']} {_REASONS[d['kind']]}" for d in self.disagreements]
+        lines.append(
+            f"{self.group} Lambda={','.join(self.Lambda)}: {self.kept_rows} kept rows, "
+            f"{self.vertices} vertices, {self.rays} rays, {self.lineality} lineality vectors, "
             f"{len(self.disagreements)} disagreements"
         )
+        return "\n".join(lines)
 
 
-def _grid_candidates(g: GroupData, Lambda: RatVec, radius: int):
-    """Dominant points Lambda + delta, delta in the half-integer box."""
-    steps = [Fraction(k, 2) for k in range(-2 * radius, 2 * radius + 1)]
-    if g.trace_zero:
-        # The trace fixes the last offset: minus the sum of the others.
-        deltas = ((*head, -sum(head)) for head in itertools.product(steps, repeat=g.dim - 1))
-    else:
-        deltas = itertools.product(steps, repeat=g.dim)
-    for delta in deltas:
-        if abs(delta[-1]) > radius:
-            continue
-        mu = RatVec([a + d for a, d in zip(Lambda, delta)])
-        if g.chamber.contains(mu):
-            yield mu
+def cross_check(g: GroupData, Lambda) -> CrossCheckReport:
+    """Decide exactly whether the assembled polyhedron P(Lambda) equals the
+    Horn route's polyhedron at Lambda (route 2: the points mu that
+    `horn_oracle_member` accepts)."""
+    return _compare(assemble(g, Lambda))
 
 
-def cross_check(g: GroupData, Lambda, radius: int) -> CrossCheckReport:
-    """Compare assembled membership against the Horn oracle on the grid
-    Lambda + [-radius, radius]^dim refined to half-integers.  Radius 0
-    checks Lambda alone; a negative radius, or a box of more than GRID_CAP
-    points, is a DomainError."""
-    if radius < 0:
-        raise DomainError(f"cross-check radius must be >= 0, got {radius}")
-    if (4 * radius + 1) ** g.dim > GRID_CAP:
-        raise DomainError(
-            f"cross-check box of (4*{radius}+1)^{g.dim} points exceeds the cap {GRID_CAP}"
-        )
-    pol = assemble(g, Lambda)
-    Lambda = pol.Lambda
-    count = 0
-    disagreements = []
-    for mu in _grid_candidates(g, Lambda, radius):
-        count += 1
-        a = pol.system.contains(mu)
-        b = horn_oracle_member(g, Lambda, mu)
-        if a != b:
-            disagreements.append(
-                {"mu": [rat_str(x) for x in mu], "assembled": a, "oracle": b}
-            )
+def _compare(pol: OrbitPolytope) -> CrossCheckReport:
+    """The two inclusions between pol's system and route 2 at pol.Lambda.
+
+    P inside route 2: the homogenisation {(x, t) : <a, x> - b t (<=|=) 0,
+    t >= 0} of P's integer rows is generated by (v, 1) for P's vertices v,
+    (d, 0) for its rays d and its lineality vectors (d, 0), which `cone_rays`
+    lists.  Route 2 is convex, so P lies in it iff every vertex passes the
+    oracle and every ray, and each lineality vector with both signs, is a
+    direction of route 2: in the chamber, with the oracle's rows feasible at
+    (mu, Lambda) = (d, 0), which is route 2's recession cone.
+
+    Route 2 inside P: the oracle's rows at Lambda, over (m, k, mu) with mu
+    as variables and the chamber on mu, must imply every kept row of P
+    lifted to (0, row).  One batch of implication LPs decides it, and only
+    a "no" asks row by row which rows fail.
+    """
+    from .cones import cone_rays  # only check runs a double description
+
+    g, Lambda, n = pol.group, pol.Lambda, pol.group.dim
+    rows = pol.system.ineqs
+    homogenised = [AffineIneq((*a, -b), 0, row.kind)
+                   for row in rows for a, b in [row.integer_row()]]
+    homogenised.append(AffineIneq((0,) * n + (-1,), 0))
+    lineality, rays = cone_rays(HPolyhedron(n + 1, homogenised))
+    vertices = [RatVec(c / r[n] for c in r[:n]) for r in rays if r[n]]
+    directions = [("ray", RatVec(r[:n])) for r in rays if not r[n]]
+    directions += [("line", RatVec(s * c for c in l[:n])) for l in lineality for s in (1, -1)]
+    disagreements = [{"kind": "vertex", "at": _point_str(v)}
+                     for v in vertices if not horn_oracle_member(g, Lambda, v)]
+    oracle = _oracle_rows(g)
+    origin = (0,) * n
+    disagreements += [
+        {"kind": kind, "at": _point_str(d)} for kind, d in directions
+        if not (g.chamber.contains(d) and lp_feasible(oracle.system((*d, *origin))))
+    ]
+    # Route 2 over (m, k, mu) at Lambda: a row <a, x> (<=|=) <c, (mu, Lambda)>
+    # reads <a, x> - <c_mu, mu> (<=|=) <c_Lambda, Lambda>.
+    lifted = _LinearRows(oracle.nvars + n, [
+        *(((*a, *(-v for v in c[:n])), c[n:], kind) for a, c, kind in oracle.rows),
+        *(((0,) * oracle.nvars + row.normal, origin, row.kind) for row in g.chamber.ineqs),
+    ]).system(Lambda)
+    zero = (0,) * oracle.nvars
+    kept = [AffineIneq(zero + row.normal, row.bound, row.kind) for row in rows]
+    if not implies_all(lifted, kept):
+        disagreements += [{"kind": "row", "at": display_ineq(row)}
+                          for row, lift in zip(rows, kept) if not implies_all(lifted, [lift])]
     return CrossCheckReport(
         group=g.label(),
         Lambda=tuple(rat_str(x) for x in Lambda),
-        radius=radius,
-        points_checked=count,
+        kept_rows=len(rows),
+        vertices=len(vertices),
+        rays=len(rays) - len(vertices),
+        lineality=len(lineality),
         disagreements=disagreements,
     )
+
+
+def _point_str(x: RatVec) -> str:
+    return ",".join(rat_str(c) for c in x)

@@ -329,7 +329,8 @@ class SchubertRing:
                         if cv:
                             swapped = list(imgs)
                             swapped[a], swapped[b] = high, low
-                            nw = WeylElt(w.factors[:f] + (Perm(swapped),) + w.factors[f + 1:])
+                            nw = WeylElt(w.factors[:f] + (Perm._valid(tuple(swapped)),)
+                                         + w.factors[f + 1:])
                             out[nw] = out.get(nw, 0) + coeff * cv
         return CohClass._graded(out)
 

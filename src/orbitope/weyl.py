@@ -42,6 +42,15 @@ class Perm:
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
         self.images = imgs
 
+    @classmethod
+    def _valid(cls, images: tuple) -> "Perm":
+        """The permutation of a tuple of ints that is one already (two
+        entries of a permutation swapped, as `SchubertRing.chevalley_mult`
+        builds it), without the check."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self.images)

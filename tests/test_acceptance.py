@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 from orbitope import goldens
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
+from orbitope.cones import cone_rays
 from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
@@ -38,7 +39,6 @@ from orbitope.weyl import Perm, WeylElt, max_coset_reps, stabilizer_parabolic
 from orbitope.wellcover import context, enumerate_m0
 from reference import (
     closed_form_admissible,
-    cone_rays,
     contained_in_hol_closure,
     contained_in_shifted_cone,
     duality_check,
@@ -203,15 +203,22 @@ CROSS_CHECK_CASES = [
 ]
 
 
+# One seeded Lambda each, on groups past the fixed cases.
+CROSS_CHECK_SAMPLED = ["su:p=3,q=2", "sp:n=4", "so_star:n=4", "su:p=4,q=2", "su:p=3,q=3"]
+
+
 def test_criterion_4_cross_check():
     t0 = time.perf_counter()
+    rng = random.Random(0xc4)
+    cases = CROSS_CHECK_CASES + [
+        (spec, _sample_holomorphic(g_of(spec), rng)) for spec in CROSS_CHECK_SAMPLED]
     ok = True
     detail = []
-    for spec, lam in CROSS_CHECK_CASES:
-        rep = cross_check(g_of(spec), lam, radius=4)
+    for spec, lam in cases:
+        rep = cross_check(g_of(spec), lam)
         if not rep.ok:
             ok = False
-            detail.append(f"{spec}: {len(rep.disagreements)} disagreements")
+            detail.append(f"{spec}: {rep.disagreements[:3]}")
     report(4, "oracle cross-check", ok, time.perf_counter() - t0, 120.0,
            "; ".join(detail))
 

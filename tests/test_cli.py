@@ -22,6 +22,7 @@ import pytest
 import orbitope
 from orbitope import admissible, cli, polytope
 from orbitope.cli import main
+from orbitope.exactmath import RatVec
 from reference import closed_form_admissible
 
 CLI_BYTES = Path(__file__).parent / "data" / "cli_bytes.json"
@@ -155,20 +156,27 @@ class TestCheck:
         assert "0 disagreements" in out
 
     def test_disagreement_exits_3(self, capsys, monkeypatch):
-        # an oracle that flips its answer at Lambda, the one radius-0 point
+        # P(3, 1) = {xi1 >= xi2, xi1 >= 3, xi2 >= 1} has the vertices (3, 1)
+        # and (3, 3); an oracle that flips its answer at (3, 3)
         real = polytope.horn_oracle_member
 
         def flipped(g, Lambda, mu, witness=False):
             answer = real(g, Lambda, mu, witness)
-            return not answer if mu == Lambda else answer
+            return not answer if mu == RatVec([3, 3]) else answer
 
         monkeypatch.setattr(polytope, "horn_oracle_member", flipped)
         code, out, _ = run(capsys, "check", "--group", "sp:n=2", "--lambda", "3,1",
-                           "--radius", "0", "--format", "json")
+                           "--format", "json")
         assert code == cli.DISAGREE_EXIT == 3
-        assert json.loads(out)["disagreements"] == [
-            {"mu": ["3", "1"], "assembled": True, "oracle": False}
-        ]
+        assert json.loads(out)["disagreements"] == [{"kind": "vertex", "at": "3,3"}]
+        code, out, _ = run(capsys, "check", "--group", "sp:n=2", "--lambda", "3,1")
+        assert code == 3
+        assert out.splitlines()[0] == "vertex 3,3 fails the Horn oracle"
+        assert out.rstrip().endswith(" 1 disagreements")
+
+    def test_radius_has_no_effect(self, capsys):
+        argv = ["check", "--group", "su:p=2,q=2", "--lambda", "3,1,-1,-3"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--radius", "2")
 
 
 class TestAdmHornPairs:
@@ -224,16 +232,6 @@ class TestExitCodes:
         code, _, err = run(capsys, "ineqs", "--group", "so:p=5",
                            "--lambda", "2,1,0")
         assert code == 1
-
-    def test_negative_radius(self, capsys):
-        code, out, err = run(capsys, "check", "--group", "sp:n=2",
-                             "--lambda", "3,1", "--radius", "-1")
-        assert code == 1 and out == "" and "radius" in err
-
-    def test_oversized_radius(self, capsys):
-        code, out, err = run(capsys, "check", "--group", "so_star:n=5",
-                             "--lambda", "9,7,5,3,1", "--radius", "9")
-        assert code == 1 and out == "" and "exceeds the cap" in err
 
     def test_oversized_weyl_group(self, capsys):
         # |W| = 8! 2! = 80640 is past the enumeration cap: exit 1, fast.
@@ -326,11 +324,12 @@ class TestLeanImports:
     # verb: (argv, a layer it runs, the layers it must not load)
     CASES = {
         "adm": (["adm", "--group", "sp:n=3"], "admissible",
-                {"polytope", "wellcover", "schubert", "horn", "certificates"}),
+                {"polytope", "wellcover", "schubert", "horn", "certificates", "cones"}),
         "pairs": (["pairs", "--group", "su:p=2,q=1"], "wellcover",
-                  {"polytope", "horn", "certificates"}),
+                  {"polytope", "horn", "certificates", "cones"}),
         "oracle": (["oracle", "--group", "sp:n=4", "--lambda", "4,3,2,1", "--mu", "5,4,3,2"],
-                   "horn", {"admissible", "wellcover", "schubert", "certificates"}),
+                   "horn", {"admissible", "wellcover", "schubert", "certificates", "cones"}),
+        "ineqs": (["ineqs", "--group", "sp:n=2", "--lambda", "3,1"], "certificates", {"cones"}),
     }
     SCRIPT = ("import contextlib, io, sys\n"
               "from orbitope import cli\n"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from orbitope import admissible, polytope
 from orbitope.admissible import enumerate_admissible
 from orbitope.certificates import CertificateStore, Farkas, Ray, Witness
+from orbitope.cones import cone_rays
 from orbitope.exactmath import (
     EQ,
     LE,
@@ -37,7 +38,7 @@ from orbitope.exactmath import (
     row_reduce,
 )
 from orbitope.rootdata import GroupFamily, build, in_hol_chamber
-from reference import canonical, cone_hull, cone_rays, is_infeasible_marker, lp_max, primitive
+from reference import canonical, cone_hull, is_infeasible_marker, lp_max, primitive
 
 
 def sysd(dim, *rows):

@@ -178,6 +178,13 @@ class TestEnumT:
         with pytest.raises(DomainError, match="n=9 exceeds the desk cap 8"):
             enum_T(1, 9)
 
+    def test_triples_pass_the_public_check(self):
+        # enum_T builds its triples without the check; each must pass it
+        for n in range(2, 8):
+            for r in range(1, n):
+                for t in enum_T(r, n):
+                    assert HornTriple(t.n, t.I, t.J, t.L) == t
+
     def test_triple_validation(self):
         with pytest.raises(ValueError):
             HornTriple(3, (1, 1), (1, 2), (1, 2))

@@ -1,5 +1,6 @@
 """Polytope assembly, closed forms, the Horn oracle and cross-checks."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -265,21 +266,68 @@ class TestOracle:
             horn_oracle_member(g_of("sp:n=2"), [3, 1], [3, 1, 0])
 
 
+# The mutants' inputs: one Lambda per group, and the first kept pair row of
+# its assembly is the one dropped or tightened.
+MUTANT_CASES = [("su:p=3,q=2", [5, 3, 1, -4, -5]), ("so_star:n=4", [7, 5, 3, 1]),
+                ("su:p=4,q=2", [9, 7, 5, 3, -11, -13])]
+
+
+def _mutant(spec, lam, change):
+    """The assembly of (spec, lam) with its first kept pair row replaced by
+    change(row), which returns a list of rows, as `cross_check`'s input."""
+    pol = assemble(g_of(spec), lam)
+    row = next(p.ineq for p in pol.provenance if p.source == "pair" and p.kept)
+    rows = [new for r in pol.system.ineqs for new in (change(r) if r is row else [r])]
+    return dataclasses.replace(pol, system=HPolyhedron(pol.group.dim, rows)), row
+
+
 class TestCrossCheck:
     def test_small_grids(self):
-        for spec, lam, radius in [("sp:n=2", [3, 1], 2), ("su:p=2,q=1", [2, 0], 2),
-                                  ("su:p=2,q=2", [3, 1, -1, -3], 1)]:
-            rep = cross_check(g_of(spec), lam, radius)
+        for spec, lam in [("sp:n=2", [3, 1]), ("su:p=2,q=1", [2, 0]),
+                          ("su:p=2,q=2", [3, 1, -1, -3])]:
+            rep = cross_check(g_of(spec), lam)
             assert rep.ok, rep.disagreements[:3]
-            assert rep.points_checked > 0
+            assert rep.vertices > 0 and rep.kept_rows == len(assemble(g_of(spec), lam).system.ineqs)
 
-    def test_radius_zero_checks_lambda_only(self):
-        rep = cross_check(g_of("sp:n=2"), [3, 1], 0)
-        assert rep.ok and rep.points_checked == 1
+    def test_counts_sp4(self):
+        # xi1 - xi2 >= 0, xi1 >= 3, xi2 >= 1: vertices (3, 1) and (3, 3),
+        # rays (1, 0) and (1, 1)
+        rep = cross_check(g_of("sp:n=2"), [3, 1])
+        assert (rep.kept_rows, rep.vertices, rep.rays, rep.lineality) == (3, 2, 2, 0)
+        assert rep.summary() == ("sp:n=2 Lambda=3,1: 3 kept rows, 2 vertices, 2 rays, "
+                                 "0 lineality vectors, 0 disagreements")
 
-    def test_negative_radius_is_domain_error(self):
-        with pytest.raises(DomainError):
-            cross_check(g_of("sp:n=2"), [3, 1], -1)
+    @pytest.mark.parametrize("kept,found", [
+        # the ray (0, 1) leaves the chamber
+        (["xi1 >= 3", "xi2 >= 1"], [("ray", "0,1")]),
+        # the ray (0, -1) stays in the chamber but is no recession direction
+        # of the Horn route, whose points have xi2 >= 1
+        (["xi1 - xi2 >= 0", "xi1 >= 3"], [("ray", "0,-1")]),
+        # the line through (0, 1), with both signs
+        (["xi1 >= 3"], [("vertex", "3,0"), ("line", "0,1"), ("line", "0,-1")]),
+    ])
+    def test_dropped_rows_give_direction_disagreements(self, kept, found):
+        pol = assemble(g_of("sp:n=2"), [3, 1])
+        rows = [r for r in pol.system.ineqs if display_ineq(r) in kept]
+        rep = polytope._compare(dataclasses.replace(pol, system=HPolyhedron(2, rows)))
+        assert [(d["kind"], d["at"]) for d in rep.disagreements] == found
+
+    @pytest.mark.parametrize("spec,lam", MUTANT_CASES, ids=[c[0] for c in MUTANT_CASES])
+    def test_dropped_pair_row_is_a_vertex_disagreement(self, spec, lam):
+        pol, _ = _mutant(spec, lam, lambda row: [])
+        rep = polytope._compare(pol)
+        assert not rep.ok
+        assert "vertex" in {d["kind"] for d in rep.disagreements}
+        assert rep.summary().endswith(f" {len(rep.disagreements)} disagreements")
+
+    @pytest.mark.parametrize("spec,lam", MUTANT_CASES, ids=[c[0] for c in MUTANT_CASES])
+    def test_tightened_pair_row_is_a_row_disagreement(self, spec, lam):
+        def tighten(row):
+            return AffineIneq(row.normal, row.bound - F(1, 2), row.kind)
+
+        pol, row = _mutant(spec, lam, lambda row: [tighten(row)])
+        assert polytope._compare(pol).disagreements == [
+            {"kind": "row", "at": display_ineq(tighten(row))}]
 
     def test_domain_error_lives_in_exactmath(self):
         assert DomainError is exactmath.DomainError
@@ -292,13 +340,6 @@ class TestCrossCheck:
         lam = list(range(17, 9, -1)) + [-53, -55]
         with pytest.raises(DomainError, match="too large to enumerate"):
             assemble(g_of("su:p=8,q=2"), lam)
-
-    def test_oversized_box_is_domain_error(self):
-        # 37^5 box points at radius 9; radius 4 on su(2, 2) (17^4) is allowed
-        with pytest.raises(DomainError, match="exceeds the cap"):
-            cross_check(g_of("so_star:n=5"), [9, 7, 5, 3, 1], 9)
-        with pytest.raises(DomainError, match="exceeds the cap"):
-            cross_check(g_of("su:p=2,q=2"), [3, 1, -1, -3], 5)
 
 
 class TestGeometricProperties:

@@ -419,6 +419,15 @@ class TestCohClass:
                 assert CohClass(c.terms).terms == c.terms
                 assert 0 not in c.terms.values()
 
+    def test_chevalley_perms_pass_the_public_check(self):
+        # chevalley_mult builds each cover's permutation without the check;
+        # each must pass it
+        for degrees, mu in [((3, 2), (2, 0, -1, 1, 0)), ((4,), (3, 1, 0, -2))]:
+            R = SchubertRing(degrees)
+            for u in itertools.product(*(all_perms(d) for d in degrees)):
+                for w in R.chevalley_mult(R.basis_class(WeylElt(u)), mu).terms:
+                    assert all(Perm(p.images) == p for p in w.factors)
+
     def test_text_form(self):
         R = SchubertRing((4,))
         c = scale(R.basis_class(from_words(R.group, [[1, 3, 2]])), 3)
