@@ -21,7 +21,10 @@ Groups, ch. 2).
 
 Products of factors are handled factor-wise: a class of
 H*(prod GL_{n_f}/B) is a Z-combination of tuples of factor permutations,
-and cup products distribute over the tensor decomposition.
+and cup products distribute over the tensor decomposition.  A class is a
+plain dict {WeylElt: int}: no zero coefficient, every key of one length
+(half the cohomological degree), {} for zero and {w: 1} for the basis
+class of w.  Both products keep that form, so equality is dict equality.
 
 The well-covering criterion uses two products: `chevalley_mult` for its
 Theta factors and `cup` for the last one.  Theta of a lone weight and the
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .weyl import Perm, WeylDescriptor, WeylElt
 
@@ -121,7 +124,7 @@ def divided_difference(f: Poly, i: int) -> Poly:
 def schubert_poly(images: Tuple[int, ...]) -> "frozenset":
     """Schubert polynomial of the permutation with the given (trimmed)
     one-line notation, as a frozenset of (monomial, coeff) items."""
-    w = Perm(images) if images else Perm((1,))
+    w = Perm(images)
     n = w.degree
     if w == Perm.longest(n):
         mono = _trim(tuple(range(n - 1, -1, -1)))
@@ -179,109 +182,26 @@ def expand_in_schubert(f: Poly) -> Dict[Tuple[int, ...], int]:
 def _factor_cup(n: int, u_images: Tuple[int, ...], v_images: Tuple[int, ...]):
     """sigma_u . sigma_v inside H*(GL_n/B): multiply the Schubert
     polynomials, expand stably, drop permutations outside S_n."""
-    prod = poly_mul(dict(schubert_poly(_trim_images(u_images))),
-                    dict(schubert_poly(_trim_images(v_images))))
+    prod = poly_mul(dict(schubert_poly(Perm(u_images).trim())),
+                    dict(schubert_poly(Perm(v_images).trim())))
     terms = expand_in_schubert(prod)
     return tuple(
         (w, c) for w, c in sorted(terms.items()) if len(w) <= n
     )
 
 
-def _trim_images(images: Tuple[int, ...]) -> Tuple[int, ...]:
-    return Perm(images).trim() if images else (1,)
-
-
 # ---------------------------------------------------------------------------
-# Classes and the ring
+# The ring
 # ---------------------------------------------------------------------------
 
-
-class CohClass:
-    """A graded integer combination of Schubert basis classes.
-
-    All stored terms share one length (half the cohomological degree); the
-    zero class has no terms and no degree.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[WeylElt, int]):
-        self.terms = {w: c for w, c in terms.items() if c != 0}
-        lengths = {w.length() for w in self.terms}
-        if len(lengths) > 1:
-            raise ValueError("inhomogeneous cohomology class")
-
-    @classmethod
-    def _graded(cls, terms: Dict[WeylElt, int]) -> "CohClass":
-        """The class of terms that share one length by construction (one
-        term, or a product `chevalley_mult` or `cup` builds), without the
-        recount."""
-        out = cls.__new__(cls)
-        out.terms = {w: c for w, c in terms.items() if c != 0}
-        return out
-
-    @property
-    def degree(self) -> Optional[int]:
-        """Cohomological degree 2 l(w); None for the zero class."""
-        for w in self.terms:
-            return 2 * w.length()
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, CohClass) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return CohClass(terms)
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) - c
-        return CohClass(terms)
-
-    def text(self) -> str:
-        """Debug form '3*s1.s3.s2 + 1*s2' with factor words joined by '|'."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=WeylElt.sort_key):
-            words = []
-            for f in w.factors:
-                word = _reduced_word(f)
-                words.append(".".join(f"s{i}" for i in word) if word else "id")
-            parts.append(f"{self.terms[w]}*{'|'.join(words)}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"CohClass({self.text()})"
-
-
-def _reduced_word(p: Perm) -> list[int]:
-    """The lexicographically smallest reduced word of p (greedy smallest
-    left descent)."""
-    word = []
-    cur = p
-    while cur.length() > 0:
-        inv = cur.inverse()
-        i = next(k for k in range(1, cur.degree) if inv(k) > inv(k + 1))
-        word.append(i)
-        cur = Perm.simple(cur.degree, i) * cur
-    return word
+# A class: {WeylElt: int}, graded, no zero coefficient (module docstring).
+Coh = Dict[WeylElt, int]
 
 
 class SchubertRing:
     """H* of a product of type-A complete flag varieties.
 
-    degrees are the factor sizes (n_1, ..., n_f); classes are indexed by
+    degrees are the factor sizes (n_1, ..., n_f); classes are keyed by
     WeylElt over the matching WeylDescriptor.  Weight arguments are
     sequences of ints in the blockwise coordinates of the owning group
     (dimension sum(degrees)).
@@ -289,17 +209,7 @@ class SchubertRing:
 
     def __init__(self, degrees: Sequence[int]):
         self.degrees = tuple(int(d) for d in degrees)
-        if any(d < 1 for d in self.degrees):
-            raise ValueError("factor degrees must be positive")
         self.group = WeylDescriptor(self.degrees)
-        self.top_length = sum(d * (d - 1) // 2 for d in self.degrees)
-
-    # -- basic classes -----------------------------------------------------
-    def zero(self) -> CohClass:
-        return CohClass._graded({})
-
-    def basis_class(self, w: WeylElt) -> CohClass:
-        return CohClass._graded({w: 1})
 
     def _blocks(self, mu: Sequence[int]):
         if len(mu) != self.group.dim:
@@ -307,13 +217,13 @@ class SchubertRing:
         return [mu[a:b] for a, b in self.group.block_ranges()]
 
     # -- degree-2 classes and the Chevalley rule ---------------------------
-    def chevalley_mult(self, c: CohClass, mu: Sequence[int]) -> CohClass:
+    def chevalley_mult(self, c: Coh, mu: Sequence[int]) -> Coh:
         """Theta(mu) . c by Monk's rule (see the module docstring) for an
         integer weight mu: in each factor, every cover w t_ab of a term w
         gains mu_a - mu_b of that factor's block."""
         blocks = self._blocks(mu)
-        out: Dict[WeylElt, int] = {}
-        for w, coeff in c.terms.items():
+        out: Coh = {}
+        for w, coeff in c.items():
             for f, blk in enumerate(blocks):
                 imgs = w.factors[f].images
                 for a in range(len(imgs) - 1):
@@ -331,18 +241,18 @@ class SchubertRing:
                             swapped[a], swapped[b] = high, low
                             nw = WeylElt(w.factors[:f] + (Perm._valid(tuple(swapped)),)
                                          + w.factors[f + 1:])
-                            out[nw] = out.get(nw, 0) + coeff * cv
-        return CohClass._graded(out)
+                            nc = out.get(nw, 0) + coeff * cv
+                            if nc:
+                                out[nw] = nc
+                            else:
+                                out.pop(nw, None)
+        return out
 
     # -- full cup product (polynomial model) -------------------------------
-    def cup(self, a: CohClass, b: CohClass) -> CohClass:
-        if a.is_zero() or b.is_zero():
-            return self.zero()
-        if a.degree + b.degree > 2 * self.top_length:
-            return self.zero()
-        out: Dict[WeylElt, int] = {}
-        for w, cw in a.terms.items():
-            for v, cv in b.terms.items():
+    def cup(self, a: Coh, b: Coh) -> Coh:
+        out: Coh = {}
+        for w, cw in a.items():
+            for v, cv in b.items():
                 factor_terms = []
                 for f, d in enumerate(self.degrees):
                     prods = _factor_cup(d, w.factors[f].images, v.factors[f].images)
@@ -364,4 +274,4 @@ class SchubertRing:
                         out[nw] = nc
                     else:
                         out.pop(nw, None)
-        return CohClass._graded(out)
+        return out

@@ -23,10 +23,12 @@ the dominant pairs, a superset whose extra rows the dominant-pair theorem
 makes redundant; only the tests assemble from them, as a check
 (`tests/reference.py`).
 
-The pairs live on their context: `context` is memoised on (g, lam) and
-states each Weyl fact of the pair layer once: w0, the target class
-s_{w0 w_lam} and the length of each representative, keyed by it.  Its
-`pairs` are enumerated once, for every orbit parameter.
+The classes of (i) are the plain dicts of `schubert` ({w: 1} for s_w),
+so (i) is one dict comparison.  The pairs live on their context:
+`context` is memoised on (g, lam) and states each Weyl fact of the pair
+layer once: w0, the target class s_{w0 w_lam} and the length of each
+representative, keyed by it.  Its `pairs` are enumerated once, for every
+orbit parameter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from functools import cache, cached_property
 from .admissible import OneParamSubgroup
 from .exactmath import _dot
 from .rootdata import GroupData, UnsupportedFamilyError
-from .schubert import CohClass, SchubertRing
+from .schubert import Coh, SchubertRing
 from .weyl import Perm, WeylElt, check_order_cap, max_coset_reps, stabilizer_parabolic
 
 
@@ -126,9 +128,9 @@ class LambdaContext:
         return self.ring.group.longest()
 
     @cached_property
-    def target(self) -> CohClass:
+    def target(self) -> Coh:
         """s_{w0 w_lam}, the class criterion (i) asks for."""
-        return self.ring.basis_class(self.w0 * self.w_lambda)
+        return {self.w0 * self.w_lambda: 1}
 
     @cached_property
     def lengths(self) -> dict[WeylElt, int]:
@@ -172,15 +174,15 @@ def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
     return LambdaContext(g, lam, w_lambda, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
 
 
-def _criterion_product(ctx: LambdaContext, pair: WCPair) -> CohClass:
+def _criterion_product(ctx: LambdaContext, pair: WCPair) -> Coh:
     """s_{w0 w} . s_{w0 w'} . prod Theta(-b) over weights of M_{<m}."""
     ring = ctx.ring
-    acc = ring.basis_class(ctx.w0 * pair.w_prime)
+    acc = {ctx.w0 * pair.w_prime: 1}
     for beta in ctx.graded.weights_below(pair.m):
         acc = ring.chevalley_mult(acc, [-b for b in beta])
-        if acc.is_zero():
+        if not acc:
             return acc
-    return ring.cup(ring.basis_class(ctx.w0 * pair.w), acc)
+    return ring.cup({ctx.w0 * pair.w: 1}, acc)
 
 
 def _check_pair_shape(ctx: LambdaContext, pair: WCPair):

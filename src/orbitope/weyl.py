@@ -92,12 +92,6 @@ class Perm:
             raise ValueError("composing permutations of different degree")
         return Perm(self.images[other.images[i] - 1] for i in range(self.degree))
 
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Perm(inv)
-
     def length(self) -> int:
         """Number of inversions."""
         inv = 0

@@ -43,7 +43,7 @@ from orbitope.exactmath import (
 )
 from orbitope.goldens import GoldenRecord
 from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
-from orbitope.schubert import CohClass, Poly, SchubertRing, schubert_poly
+from orbitope.schubert import Coh, Poly, SchubertRing, schubert_poly
 from orbitope.weyl import Perm, WeylDescriptor, WeylElt
 from orbitope.wellcover import WCPair, context
 
@@ -275,6 +275,13 @@ def perm_identity(n: int) -> Perm:
     return Perm(range(1, n + 1))
 
 
+def inverse(perm: Perm) -> Perm:
+    inv = [0] * perm.degree
+    for i, img in enumerate(perm.images, start=1):
+        inv[img - 1] = i
+    return Perm(inv)
+
+
 def identity(group: WeylDescriptor) -> WeylElt:
     return WeylElt(perm_identity(d) for d in group.degrees)
 
@@ -339,16 +346,24 @@ def schubert_poly_dict(perm: Perm) -> Poly:
     return dict(schubert_poly(perm.trim()))
 
 
-def one(ring: SchubertRing) -> CohClass:
+def one(ring: SchubertRing) -> Coh:
     """The unit class, s_id."""
-    return ring.basis_class(identity(ring.group))
+    return {identity(ring.group): 1}
 
 
-def scale(c: CohClass, k: int) -> CohClass:
-    return CohClass({w: k * v for w, v in c.terms.items()})
+def scale(c: Coh, k: int) -> Coh:
+    return {w: k * v for w, v in c.items() if k}
 
 
-def theta(ring: SchubertRing, mu: Sequence[int]) -> CohClass:
+def add(a: Coh, b: Coh, k: int = 1) -> Coh:
+    """a + k b, with the coefficients that cancel dropped."""
+    out = dict(a)
+    for w, v in b.items():
+        out[w] = out.get(w, 0) + k * v
+    return {w: v for w, v in out.items() if v}
+
+
+def theta(ring: SchubertRing, mu: Sequence[int]) -> Coh:
     """The degree-2 class of a weight, sum of (mu_i - mu_{i+1}) s_i
     blockwise: Monk's rule on the unit class, whose covers are the simple
     reflections.  Central (trace) parts of mu contribute nothing."""
@@ -370,9 +385,9 @@ def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, wl: WeylElt)
     for u in (w, w_prime):
         if (u * wl).length() != u.length() - wl.length():
             raise ValueError("w and w' must be longest coset representatives")
-    com = ring.cup(ring.basis_class(w * wl), ring.basis_class(w_prime * wl))
+    com = ring.cup({w * wl: 1}, {w_prime * wl: 1})
     expected = w_prime == w0 * w * wl
-    got = com == ring.basis_class(w0 * wl)
+    got = com == {w0 * wl: 1}
     if got != expected:
         raise AssertionError("polynomial model disagrees with the coset duality rule")
     return got
@@ -507,7 +522,7 @@ def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
     wellcover._check_pair_shape(ctx, pair)
     if not ctx.graded.level_nonempty(pair.m):
         return False
-    return not wellcover._criterion_product(ctx, pair).is_zero()
+    return bool(wellcover._criterion_product(ctx, pair))
 
 
 def enumerate_m0_dominant(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:

@@ -67,6 +67,8 @@ COMMANDS = [
     ["oracle", "--group", "so_star:n=5", "--lambda", "9,7,5,3,1", "--mu", "19/2,15/2,5,3,1",
      "--format", "json"],
     ["adm", "--group", "su:p=4,q=1"],
+    ["pairs", "--group", "so_star:n=5", "--format", "json"],
+    ["pairs", "--group", "sp:n=5"],
 ]
 
 

@@ -13,20 +13,21 @@ from fractions import Fraction as F
 import pytest
 
 from orbitope.schubert import (
-    CohClass,
     SchubertRing,
     divided_difference,
     expand_in_schubert,
     perm_from_code,
     poly_mul,
 )
-from orbitope.weyl import Perm, WeylDescriptor, WeylElt, max_coset_reps, stabilizer_parabolic
+from orbitope.weyl import Perm, WeylElt, max_coset_reps, stabilizer_parabolic
 from reference import (
+    add,
     code,
     duality_check,
     from_word,
     from_words,
     identity,
+    inverse,
     one,
     scale,
     schubert_poly_dict,
@@ -178,7 +179,7 @@ class TestCupProduct:
     def test_identity_unit(self):
         R = SchubertRing((3,))
         for w in all_perms(3):
-            c = R.basis_class(WeylElt([w]))
+            c = {WeylElt([w]): 1}
             assert R.cup(one(R), c) == c
 
     def test_power_rule_and_hat_products(self):
@@ -186,30 +187,30 @@ class TestCupProduct:
         # truncate at the top length
         for n in range(2, 7):
             R = SchubertRing((n,))
-            s1 = R.basis_class(simple(R.group, 0, 1))
+            s1 = {simple(R.group, 0, 1): 1}
             powers = [one(R)]
             for _ in range(n):
                 powers.append(R.cup(powers[-1], s1))
             for k in range(1, n):
                 expect = WeylElt([from_word(n, list(range(k, 0, -1)))])
-                assert powers[k] == R.basis_class(expect)
-            assert powers[n].is_zero()
+                assert powers[k] == {expect: 1}
+            assert powers[n] == {}
             # sigma_{hat_a^-1} . sigma_{hat_b^-1}
             hats, _ = special_elements(n)
             for a in range(1, n + 1):
                 for b in range(1, n + 1):
-                    ca = R.basis_class(WeylElt([hats[a - 1].inverse()]))
-                    cb = R.basis_class(WeylElt([hats[b - 1].inverse()]))
+                    ca = {WeylElt([inverse(hats[a - 1])]): 1}
+                    cb = {WeylElt([inverse(hats[b - 1])]): 1}
                     prod = R.cup(ca, cb)
                     if a + b <= n + 1:
-                        assert prod == R.basis_class(
-                            WeylElt([hats[a + b - 1 - 1].inverse()]))
+                        assert prod == {
+                            WeylElt([inverse(hats[a + b - 1 - 1])]): 1}
                     else:
-                        assert prod.is_zero()
+                        assert prod == {}
 
     def test_gl4_triple(self):
         R = SchubertRing((4,))
-        cls = lambda word: R.basis_class(from_words(R.group, [word]))
+        cls = lambda word: {from_words(R.group, [word]): 1}
         assert R.cup(cls([2]), cls([1, 2])) == cls([1, 3, 2])
         assert R.cup(cls([2]), cls([3, 2])) == cls([1, 3, 2])
         assert R.cup(cls([2]), cls([1, 3, 2])) == cls([2, 1, 3, 2])
@@ -221,17 +222,17 @@ class TestCupProduct:
             R = SchubertRing((r,))
             hats, checks = special_elements(r)
             ck = lambda k: WeylElt([checks[k - 1]])
-            sk = lambda k: R.basis_class(simple(R.group, 0, k))
-            assert R.cup(sk(1), R.basis_class(ck(1))).is_zero()
+            sk = lambda k: {simple(R.group, 0, k): 1}
+            assert R.cup(sk(1), {ck(1): 1}) == {}
             for k in range(2, r):
                 expect_w = WeylElt([
                     checks[k] * Perm.simple(r, k - 1) * Perm.simple(r, k)])
-                assert R.cup(sk(k), R.basis_class(ck(k))) == R.basis_class(expect_w)
-                got = R.cup(sk(k - 1), R.basis_class(ck(k)))
-                assert got == R.basis_class(expect_w) + R.basis_class(ck(k - 1))
+                assert R.cup(sk(k), {ck(k): 1}) == {expect_w: 1}
+                got = R.cup(sk(k - 1), {ck(k): 1})
+                assert got == {expect_w: 1, ck(k - 1): 1}
                 # the difference identity
-                diff = R.basis_class(simple(R.group, 0, k - 1)) - sk(k)
-                assert R.cup(diff, R.basis_class(ck(k))) == R.basis_class(ck(k - 1))
+                diff = add({simple(R.group, 0, k - 1): 1}, sk(k), -1)
+                assert R.cup(diff, {ck(k): 1}) == {ck(k - 1): 1}
 
     def test_commutative_associative(self):
         random.seed(11)
@@ -240,7 +241,7 @@ class TestCupProduct:
             pool = [WeylElt(c) for c in itertools.product(
                 *[all_perms(d) for d in degrees])]
             for _ in range(25):
-                a, b, c = (R.basis_class(random.choice(pool)) for _ in range(3))
+                a, b, c = ({random.choice(pool): 1} for _ in range(3))
                 assert R.cup(a, b) == R.cup(b, a)
                 assert R.cup(R.cup(a, b), c) == R.cup(a, R.cup(b, c))
 
@@ -248,21 +249,19 @@ class TestCupProduct:
         R = SchubertRing((4,))
         for u in all_perms(4):
             for v in all_perms(4):
-                prod = R.cup(R.basis_class(WeylElt([u])), R.basis_class(WeylElt([v])))
-                if prod.is_zero():
-                    continue
-                assert prod.degree == 2 * (u.length() + v.length())
-                assert all(c > 0 for c in prod.terms.values())
+                prod = R.cup({WeylElt([u]): 1}, {WeylElt([v]): 1})
+                assert all(w.length() == u.length() + v.length() for w in prod)
+                assert all(c > 0 for c in prod.values())
 
     def test_against_coinvariant_oracle_gl3(self):
         oracle = CoinvariantGL3()
         R = SchubertRing((3,))
         for u in all_perms(3):
             for v in all_perms(3):
-                prod = R.cup(R.basis_class(WeylElt([u])), R.basis_class(WeylElt([v])))
+                prod = R.cup({WeylElt([u]): 1}, {WeylElt([v]): 1})
                 lhs = poly_mul(schubert_poly_dict(u), schubert_poly_dict(v))
                 rhs = {}
-                for w, c in prod.terms.items():
+                for w, c in prod.items():
                     for m, cc in schubert_poly_dict(w.factors[0]).items():
                         rhs[m] = rhs.get(m, 0) + c * cc
                 assert oracle.classes_agree(lhs, rhs), (u, v)
@@ -272,11 +271,11 @@ class TestTheta:
     def test_doubled_root(self):
         R = SchubertRing((3,))
         assert theta(R, (2, 0, 0)) == \
-            scale(R.basis_class(simple(R.group, 0, 1)), 2)
+            scale({simple(R.group, 0, 1): 1}, 2)
 
     def test_unitary_convention_root(self):
         R = SchubertRing((3,))
-        assert theta(R, (2, 1, 1)) == R.basis_class(simple(R.group, 0, 1))
+        assert theta(R, (2, 1, 1)) == {simple(R.group, 0, 1): 1}
 
     def test_two_block_expansion(self):
         # theta(e_i - e_{p+j}) = (-s_{i-1} + s_i) (x) 1 + 1 (x) (s_{j-1} - s_j)
@@ -284,21 +283,21 @@ class TestTheta:
         th = theta(R, (0, 1, 0, 0, -1))  # i = 2, j = 2 (p = 3, q = 2)
         s1p, s2p = simple(R.group, 0, 1), simple(R.group, 0, 2)
         s1q = simple(R.group, 1, 1)
-        expect = (R.basis_class(s2p) - R.basis_class(s1p)) + R.basis_class(s1q)
+        expect = {s2p: 1, s1p: -1, s1q: 1}
         assert th == expect
         # boundary convention: i = 1 drops s_0, j = q drops s_q
         th2 = theta(R, (1, 0, 0, 0, -1))
-        assert th2 == R.basis_class(s1p) + R.basis_class(s1q)
+        assert th2 == {s1p: 1, s1q: 1}
 
     def test_central_vanishes(self):
         R = SchubertRing((2, 2))
-        assert theta(R, (1, 1, 1, 1)).is_zero()
-        assert theta(R, (0, 0, 0, 0)).is_zero()
+        assert theta(R, (1, 1, 1, 1)) == {}
+        assert theta(R, (0, 0, 0, 0)) == {}
 
     def test_zero_annihilates(self):
         R = SchubertRing((3,))
-        c = R.basis_class(simple(R.group, 0, 2))
-        assert R.chevalley_mult(c, (1, 1, 1)).is_zero()
+        c = {simple(R.group, 0, 2): 1}
+        assert R.chevalley_mult(c, (1, 1, 1)) == {}
 
 
 class TestChevalleyAgreesWithCup:
@@ -307,7 +306,7 @@ class TestChevalleyAgreesWithCup:
             R = SchubertRing((n,))
             weights = list(itertools.product(range(-2, 3), repeat=n))
             for w in all_perms(n):
-                c = R.basis_class(WeylElt([w]))
+                c = {WeylElt([w]): 1}
                 for mu in weights:
                     v = mu
                     assert R.cup(theta(R, v), c) == R.chevalley_mult(c, v)
@@ -316,7 +315,7 @@ class TestChevalleyAgreesWithCup:
         R = SchubertRing((2, 2))
         pool = [WeylElt(c) for c in itertools.product(all_perms(2), all_perms(2))]
         for w in pool:
-            c = R.basis_class(w)
+            c = {w: 1}
             for mu in [(1, 0, 0, -1), (1, -1, 2, 0), (0, 0, 1, -1)]:
                 v = mu
                 assert R.cup(theta(R, v), c) == R.chevalley_mult(c, v)
@@ -334,7 +333,7 @@ def _monk_by_definition(R, w, mu):
                 if wt.length() == wf.length() + 1:
                     nw = WeylElt(wt if k == f else p for k, p in enumerate(w.factors))
                     out[nw] = out.get(nw, 0) + int(mu[start + a - 1] - mu[start + b - 1])
-    return CohClass(out)
+    return {w: c for w, c in out.items() if c}
 
 
 class TestMonkRule:
@@ -345,13 +344,13 @@ class TestMonkRule:
         mu = tuple(rng.randint(-4, 4) for _ in range(R.group.dim))
         for factors in itertools.product(*[all_perms(d) for d in degrees]):
             w = WeylElt(factors)
-            assert R.chevalley_mult(R.basis_class(w), mu) == _monk_by_definition(R, w, mu)
+            assert R.chevalley_mult({w: 1}, mu) == _monk_by_definition(R, w, mu)
 
     def test_integral_differences(self):
         # Only the differences inside a block count: a shift of each block
         # by its own constant leaves the product alone.
         R = SchubertRing((3, 2))
-        c = R.basis_class(simple(R.group, 0, 1))
+        c = {simple(R.group, 0, 1): 1}
         assert R.chevalley_mult(c, (1, -1, 3, 5, 8)) == R.chevalley_mult(c, (0, -2, 2, 0, 3))
 
 
@@ -394,30 +393,23 @@ class TestDuality:
 
 
 class TestCohClass:
-    def test_homogeneity_enforced(self):
-        G = WeylDescriptor((3,))
-        with pytest.raises(ValueError):
-            CohClass({identity(G): 1, simple(G, 0, 1): 1})
-        R = SchubertRing((3,))
-        with pytest.raises(ValueError):
-            one(R) + R.basis_class(simple(R.group, 0, 1))
+    """A class is a dict {WeylElt: int}: no zero coefficient, every key of
+    one length.  The products must keep that form."""
 
     def test_products_pass_the_public_check(self):
-        # chevalley_mult and cup build their classes without the recount;
-        # each must still be graded and hold no zero coefficient
         R = SchubertRing((3, 2))
         pool = [WeylElt(c) for c in itertools.product(all_perms(3), all_perms(2))]
         mu = (2, 0, -1, 1, 0)
         for u in pool:
-            a = R.basis_class(u)
+            a = {u: 1}
             products = [R.chevalley_mult(a, mu), theta(R, mu)]
-            products += [R.cup(a, R.basis_class(v)) for v in pool]
+            products += [R.cup(a, {v: 1}) for v in pool]
             # a difference of two classes, whose common covers can cancel
-            products += [R.chevalley_mult(a - R.basis_class(v), mu) for v in pool
+            products += [R.chevalley_mult(add(a, {v: 1}, -1), mu) for v in pool
                          if v.length() == u.length()]
             for c in products:
-                assert CohClass(c.terms).terms == c.terms
-                assert 0 not in c.terms.values()
+                assert len({w.length() for w in c}) <= 1
+                assert 0 not in c.values()
 
     def test_chevalley_perms_pass_the_public_check(self):
         # chevalley_mult builds each cover's permutation without the check;
@@ -425,14 +417,5 @@ class TestCohClass:
         for degrees, mu in [((3, 2), (2, 0, -1, 1, 0)), ((4,), (3, 1, 0, -2))]:
             R = SchubertRing(degrees)
             for u in itertools.product(*(all_perms(d) for d in degrees)):
-                for w in R.chevalley_mult(R.basis_class(WeylElt(u)), mu).terms:
+                for w in R.chevalley_mult({WeylElt(u): 1}, mu):
                     assert all(Perm(p.images) == p for p in w.factors)
-
-    def test_text_form(self):
-        R = SchubertRing((4,))
-        c = scale(R.basis_class(from_words(R.group, [[1, 3, 2]])), 3)
-        assert c.text() == "3*s1.s3.s2"
-        assert R.zero().text() == "0"
-        R2 = SchubertRing((2, 2))
-        d = R2.basis_class(WeylElt([Perm((2, 1)), Perm((1, 2))]))
-        assert d.text() == "1*s1|id"

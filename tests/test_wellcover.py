@@ -11,6 +11,7 @@ from reference import (
     enumerate_m0_dominant,
     from_word,
     identity,
+    inverse,
     is_dominant_pair,
     level_bounds,
     one,
@@ -119,7 +120,7 @@ class TestCriterion:
             assert list(ctx.lengths) == list(ctx.reps)
             assert all(ctx.lengths[w] == w.length() for w in ctx.reps)
             assert ctx.w0 == ctx.ring.group.longest()
-            assert ctx.target == ctx.ring.basis_class(ctx.w0 * ctx.w_lambda)
+            assert ctx.target == {ctx.w0 * ctx.w_lambda: 1}
             assert context(g, lam).target is ctx.target
 
 
@@ -147,8 +148,8 @@ class TestPairTables:
             hats, _ = special_elements(n)
             wl = ctx.w_lambda.factors[0]
             expect = sorted(
-                ((WeylElt([hats[k - 1].inverse() * wl]),
-                  WeylElt([hats[n + 1 - k].inverse() * wl]))
+                ((WeylElt([inverse(hats[k - 1]) * wl]),
+                  WeylElt([inverse(hats[n + 1 - k]) * wl]))
                  for k in range(2, n + 1)),
                 key=lambda t: (t[0].sort_key(), t[1].sort_key()),
             )
@@ -284,10 +285,10 @@ class TestSignAndDominance:
                     word = []
                     for t in range(2, k + 1):
                         word += list(range(2 * t - 2, t - 1, -1))
-                    assert acc == R.basis_class(
-                        WeylElt([from_word(n, word)])), (n, k)
+                    assert acc == {
+                        WeylElt([from_word(n, word)]): 1}, (n, k)
                 else:
-                    assert acc.is_zero(), (n, k)
+                    assert acc == {}, (n, k)
 
     def test_degree_overflow_not_dominant(self):
         g = g_of("su:p=2,q=1")

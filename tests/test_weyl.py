@@ -17,6 +17,7 @@ from reference import (
     from_word,
     hat_stabilizer_longest,
     identity,
+    inverse,
     perm_identity,
     simple,
     special_elements,
@@ -52,7 +53,7 @@ class TestLength:
 
     def test_inverse_and_longest_laws(self):
         for w in perms(4):
-            assert w.inverse().length() == w.length()
+            assert inverse(w).length() == w.length()
             assert (Perm.longest(4) * w).length() == 6 - w.length()
 
 
@@ -134,7 +135,7 @@ class TestCosetReps:
             hats, _ = special_elements(n)
             wl = stabilizer_parabolic(G, lam).factors[0]
             expect = sorted(
-                (WeylElt([h.inverse() * wl]) for h in hats), key=WeylElt.sort_key
+                (WeylElt([inverse(h) * wl]) for h in hats), key=WeylElt.sort_key
             )
             assert reps == expect
             lengths = sorted(r.length() for r in reps)
