@@ -142,8 +142,8 @@ def cmd_horn(args):
     from .horn import enum_T
 
     triples = enum_T(args.r, args.n)
-    return (lambda: [t.to_json_obj() for t in triples],
-            lambda: "\n".join(f"I={list(t.I)} J={list(t.J)} L={list(t.L)}" for t in triples), 0)
+    return (lambda: [{"I": list(I), "J": list(J), "L": list(L)} for I, J, L in triples],
+            lambda: "\n".join(f"I={list(I)} J={list(J)} L={list(L)}" for I, J, L in triples), 0)
 
 
 def cmd_pairs(args):

@@ -7,8 +7,9 @@ T_1^n = U_1^n, and for r >= 2 a triple of U_r^n belongs to T_r^n when
 sum_{f in F} i_f + sum_{g in G} j_g <= sum_{h in H} l_h + p(p+1)/2 for
 every p < r and every (F, G, H) in T_p^r.
 
-The Horn oracle (`polytope._oracle_rows`) turns each triple of T_r^n into
-one row, blockwise over the unitary factors.  `enum_T` is memoized per
+A triple is the plain tuple (I, J, L) (`Triple`).  The Horn oracle
+(`polytope._oracle_rows`) turns each triple of T_r^n into one row,
+blockwise over the unitary factors.  `enum_T` is memoized per
 (r, n) and enumerates in lexicographic order, so emitted files are
 reproducible byte for byte.
 """
@@ -16,49 +17,21 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache
+from typing import Tuple
 
 from .exactmath import DomainError
 
 DESK_CAP = 8
 
 
-@dataclass(frozen=True)
-class HornTriple:
-    """A triple of strictly increasing equal-cardinality index sets."""
-
-    n: int
-    I: tuple[int, ...]
-    J: tuple[int, ...]
-    L: tuple[int, ...]
-
-    def __post_init__(self):
-        r = len(self.I)
-        if not (len(self.J) == len(self.L) == r):
-            raise ValueError("index sets must have equal cardinality")
-        if not 1 <= r < self.n:
-            raise ValueError("need 1 <= r < n")
-        for part in (self.I, self.J, self.L):
-            if list(part) != sorted(set(part)) or part[0] < 1 or part[-1] > self.n:
-                raise ValueError(f"not a strictly increasing subset of 1..{self.n}: {part}")
-
-    @classmethod
-    def _valid(cls, n: int, I: tuple, J: tuple, L: tuple) -> "HornTriple":
-        """The triple of subsets of 1..n that `combinations` built, so
-        strictly increasing and of one cardinality r, 1 <= r < n, without
-        the check."""
-        t = object.__new__(cls)
-        for name, value in (("n", n), ("I", I), ("J", J), ("L", L)):
-            object.__setattr__(t, name, value)
-        return t
-
-    def to_json_obj(self):
-        return {"I": list(self.I), "J": list(self.J), "L": list(self.L)}
+# A triple (I, J, L): strictly increasing subsets of 1..n, all of one
+# cardinality r with 1 <= r < n (`combinations` builds them so).
+Triple = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
 @cache
-def enum_T(r: int, n: int) -> tuple[HornTriple, ...]:
+def enum_T(r: int, n: int) -> tuple[Triple, ...]:
     """The Horn triples T_r^n, lexicographic in (I, J, L); memoized.
 
     Each (F, G, H) of T_p^r, p < r, becomes one filter: the 0-based
@@ -70,12 +43,12 @@ def enum_T(r: int, n: int) -> tuple[HornTriple, ...]:
     for p in range(1, r):
         for f in enum_T(p, r):
             a, b, c = (positions.setdefault(tuple(i - 1 for i in part), len(positions))
-                       for part in (f.I, f.J, f.L))
+                       for part in f)
             filters.append((a, b, c, p * (p + 1) // 2))
     return _balanced(r, n, filters, list(positions))
 
 
-def _balanced(r: int, n: int, filters, positions) -> tuple[HornTriple, ...]:
+def _balanced(r: int, n: int, filters, positions) -> tuple[Triple, ...]:
     """The balanced triples of cardinality r that pass every filter
     (a, b, c, k): sum(I at positions[a]) + sum(J at positions[b]) <=
     sum(L at positions[c]) + k.  Each subset's sums over every position set
@@ -99,7 +72,7 @@ def _balanced(r: int, n: int, filters, positions) -> tuple[HornTriple, ...]:
                     if sI[a] + sJ[b] > sL[c] + k:
                         break
                 else:
-                    out.append(HornTriple._valid(n, I, J, L))
+                    out.append((I, J, L))
     return tuple(out)
 
 

@@ -359,7 +359,7 @@ def _oracle_rows(g: GroupData) -> _LinearRows:
         rows.append((gamma_sum(block), bound(block, block), EQ))
         for rr in range(1, len(block)):
             for t in horn.enum_T(rr, len(block)):
-                I, J, L = (tuple(block[i - 1] for i in part) for part in (t.I, t.J, t.L))
+                I, J, L = (tuple(block[i - 1] for i in part) for part in t)
                 rows.append((gamma_sum(L), bound(I, J), LE))
     return _LinearRows(nvars, rows)
 

@@ -112,11 +112,11 @@ def all_ids() -> list[str]:
     )
 
 
-def triples(rec: GoldenRecord, r: int, n: int) -> list[horn.HornTriple]:
+def triples(rec: GoldenRecord, r: int, n: int) -> list[horn.Triple]:
     if rec.kind != "horn_triples":
         raise ValueError(f"{rec.id} is not a horn_triples golden")
     return [
-        horn.HornTriple(n, tuple(t["I"]), tuple(t["J"]), tuple(t["L"]))
+        (tuple(t["I"]), tuple(t["J"]), tuple(t["L"]))
         for t in rec.payload["sets"][f"{r},{n}"]
     ]
 
@@ -163,7 +163,7 @@ def cone_hull(generators: Sequence[RatVec], dim: int) -> HPolyhedron:
 # ---------------------------------------------------------------------------
 
 
-def enum_U(r: int, n: int) -> tuple[horn.HornTriple, ...]:
+def enum_U(r: int, n: int) -> tuple[horn.Triple, ...]:
     """All balanced triples of cardinality r, lexicographic in (I, J, L):
     `enum_T`'s loop with no filters."""
     horn._check_bounds(r, n)
@@ -191,9 +191,9 @@ def horn_member(alpha, beta, gamma) -> bool:
     if sum(a) + sum(b) != sum(c):
         return False
     for r in range(1, n):
-        for t in horn.enum_T(r, n):
-            lhs = sum(a[i - 1] for i in t.I) + sum(b[j - 1] for j in t.J)
-            if lhs < sum(c[k - 1] for k in t.L):
+        for I, J, L in horn.enum_T(r, n):
+            lhs = sum(a[i - 1] for i in I) + sum(b[j - 1] for j in J)
+            if lhs < sum(c[k - 1] for k in L):
                 return False
     return True
 
@@ -219,14 +219,12 @@ def partition_of(index_set: Sequence[int]) -> tuple[int, ...]:
     return tuple(idx[r - 1 - k] - (r - k) for k in range(r))
 
 
-def triple_via_eigen(t: horn.HornTriple) -> bool:
+def triple_via_eigen(t: horn.Triple) -> bool:
     """Membership test of Theorem-style duality: (I, J, L) lies in T_r^n
     exactly when (lambda(I), lambda(J), lambda(L)) is an admissible
     Hermitian spectrum triple at size r."""
-    lam_i = partition_of(t.I)
-    lam_j = partition_of(t.J)
-    lam_l = partition_of(t.L)
-    if len(t.I) == 1:
+    lam_i, lam_j, lam_l = (partition_of(part) for part in t)
+    if len(lam_i) == 1:
         # Size-1 spectra: only the trace condition is in play.
         return lam_i[0] + lam_j[0] == lam_l[0]
     return horn_member(lam_i, lam_j, lam_l)
@@ -254,15 +252,11 @@ def family_L_tilde(r: int, n: int) -> tuple[int, ...]:
     return tuple([1] + list(range(n - r + 2, n + 1)))
 
 
-def balanced(t: horn.HornTriple) -> bool:
+def balanced(t: horn.Triple) -> bool:
     """sum(I) + sum(J) = sum(L) + r(r+1)/2, the condition of U_r^n."""
-    r = len(t.I)
-    return sum(t.I) + sum(t.J) == sum(t.L) + r * (r + 1) // 2
-
-
-def triple_key(t: horn.HornTriple) -> tuple:
-    """(I, J, L), the order `enum_T` lists its triples in."""
-    return (t.I, t.J, t.L)
+    I, J, L = t
+    r = len(I)
+    return sum(I) + sum(J) == sum(L) + r * (r + 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from math import gcd
 
 from orbitope import goldens
 from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
@@ -181,7 +182,7 @@ def test_criterion_3_horn():
     # the two explicit triple families, n <= 7, all r
     for n in range(2, 8):
         for r in range(1, n):
-            Tset = {(t.I, t.J, t.L) for t in enum_T(r, n)}
+            Tset = set(enum_T(r, n))
             for I in itertools.combinations(range(1, n + 1), r):
                 if (I, family_bar(I, n), family_L(r, n)) not in Tset:
                     ok = False
@@ -205,6 +206,8 @@ CROSS_CHECK_CASES = [
     ("su:p=2,q=2", [3, 1, -1, -3]),
     ("so_star:n=5", [9, 7, 5, 3, 1]),
     ("sp:n=5", [9, 7, 5, 3, 1]),
+    # the oracle's rows come from T_r^6 for every r, the largest Horn system
+    ("su:p=6,q=1", [11, 9, 7, 5, 3, 1]),
 ]
 
 
@@ -572,3 +575,33 @@ def test_so_star_6_is_su_3_1():
     assert poly_equal(_pull_back(su_cone, S), so_cone)
     # x1 and x3 swapped in S: not the isomorphism, and the cones differ
     assert not poly_equal(_pull_back(su_cone, [S[2], S[1], S[0], S[3]]), so_cone)
+
+
+# sp(4, R) and so(3, 2) are one group.  T(x) = ((x1 - x2)/2, (x1 + x2)/2)
+# carries the torus of sp:n=2 onto that of so:p=3, its compact and
+# noncompact positive roots onto those of so:p=3, and pulls so:p=3's chamber
+# row x1 >= 0 back to x1 - x2 >= 0.  Cocharacters go by the inverse
+# transpose, lambda -> (lambda1 - lambda2, lambda1 + lambda2), made primitive.
+
+
+def test_sp_4_is_so_3_2():
+    sp, so = g_of("sp:n=2"), g_of("so:p=3")
+    h = F(1, 2)
+    T = [(h, -h), (h, h)]
+
+    def weight(x):
+        return tuple(sum(a * b for a, b in zip(row, x)) for row in T)
+
+    def cocharacter(lam):
+        v = (lam[0] - lam[1], lam[0] + lam[1])
+        return tuple(c // gcd(*v) for c in v)
+
+    assert sorted(map(weight, sp.compact_pos)) == sorted(so.compact_pos)
+    assert sorted(map(weight, sp.noncompact_pos)) == sorted(so.noncompact_pos)
+    # a row <n, y> <= b of so:p=3 becomes <n T, x> <= b on sp:n=2
+    pulled = [AffineIneq(RatVec([sum(a * b for a, b in zip(r.normal, col)) for col in zip(*T)]),
+                         r.bound, r.kind)
+              for r in so.chamber.ineqs]
+    assert pulled == list(sp.chamber.ineqs)
+    assert sorted(cocharacter(l.coords) for l in enumerate_admissible(sp)) == \
+        sorted(l.coords for l in enumerate_admissible(so))

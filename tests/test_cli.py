@@ -69,6 +69,8 @@ COMMANDS = [
     ["adm", "--group", "su:p=4,q=1"],
     ["pairs", "--group", "so_star:n=5", "--format", "json"],
     ["pairs", "--group", "sp:n=5"],
+    ["horn", "--n", "5", "--r", "2"],
+    ["horn", "--n", "6", "--r", "3", "--format", "text"],
 ]
 
 
@@ -332,6 +334,9 @@ class TestLeanImports:
         "oracle": (["oracle", "--group", "sp:n=4", "--lambda", "4,3,2,1", "--mu", "5,4,3,2"],
                    "horn", {"admissible", "wellcover", "schubert", "certificates", "cones"}),
         "ineqs": (["ineqs", "--group", "sp:n=2", "--lambda", "3,1"], "certificates", {"cones"}),
+        "horn": (["horn", "--n", "4", "--r", "2"], "horn",
+                 {"polytope", "admissible", "wellcover", "schubert", "certificates", "cones"}),
+        "check": (["check", "--group", "su:p=2,q=1", "--lambda", "2,0"], "cones", set()),
     }
     SCRIPT = ("import contextlib, io, sys\n"
               "from orbitope import cli\n"

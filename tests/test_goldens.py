@@ -4,7 +4,6 @@ import pytest
 
 from orbitope import goldens
 from orbitope.exactmath import RatVec
-from orbitope.horn import HornTriple
 from reference import all_ids, polytope_system, triples
 
 EXPECTED_IDS = {
@@ -27,7 +26,10 @@ def test_unknown_id():
 def test_payloads_parse_into_module_types():
     rec = goldens.load("Ex1.5")
     ts = triples(rec, 1, 2)
-    assert all(isinstance(t, HornTriple) for t in ts)
+    assert ts and all(
+        type(t) is tuple and len(t) == 3 and all(type(part) is tuple for part in t)
+        for t in ts
+    )
     rec = goldens.load("Thm7.2.5")
     vecs = goldens.admissible_vectors(rec, "sp:n=2")
     assert all(isinstance(v, tuple) for v in vecs)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from orbitope import goldens
 from orbitope.exactmath import DomainError
-from orbitope.horn import HornTriple, enum_T
+from orbitope.horn import enum_T
 from reference import (
     balanced,
     enum_U,
@@ -26,7 +26,6 @@ from reference import (
     horn_member,
     lr_nonzero,
     partition_of,
-    triple_key,
     triple_via_eigen,
     triples,
 )
@@ -144,7 +143,7 @@ class TestEnumT:
         assert enum_T(2, 3) == enum_U(2, 3)
 
     def test_member_triple(self):
-        assert HornTriple(3, (1, 3), (1, 3), (2, 3)) in enum_T(2, 3)
+        assert ((1, 3), (1, 3), (2, 3)) in enum_T(2, 3)
 
     def test_subset_of_U(self):
         for n in range(2, 6):
@@ -156,15 +155,14 @@ class TestEnumT:
         # generator-sum filter over a brute-force U_r^n
         for n in range(2, 8):
             for r in range(1, n):
-                assert [triple_key(t) for t in enum_T(r, n)] == _reference_T(r, n), (r, n)
+                assert list(enum_T(r, n)) == _reference_T(r, n), (r, n)
 
     def test_lexicographic_order(self):
         # enum_U does not sort: its loops already yield (I, J, L) in order
         for n in range(2, 7):
             for r in range(1, n):
                 for triples in (enum_U(r, n), enum_T(r, n)):
-                    keys = [triple_key(t) for t in triples]
-                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert all(a < b for a, b in zip(triples, triples[1:]))
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -179,17 +177,17 @@ class TestEnumT:
             enum_T(1, 9)
 
     def test_triples_pass_the_public_check(self):
-        # enum_T builds its triples without the check; each must pass it
+        # a triple is (I, J, L): strictly increasing r-subsets of 1..n,
+        # 1 <= r < n, balanced as in U_r^n
         for n in range(2, 8):
             for r in range(1, n):
                 for t in enum_T(r, n):
-                    assert HornTriple(t.n, t.I, t.J, t.L) == t
-
-    def test_triple_validation(self):
-        with pytest.raises(ValueError):
-            HornTriple(3, (1, 1), (1, 2), (1, 2))
-        with pytest.raises(ValueError):
-            HornTriple(3, (1,), (1, 2), (2,))
+                    assert type(t) is tuple and len(t) == 3, t
+                    for part in t:
+                        assert type(part) is tuple and len(part) == r, t
+                        assert all(a < b for a, b in zip(part, part[1:])), t
+                        assert 1 <= part[0] and part[-1] <= n, t
+                    assert balanced(t), t
 
 
 class TestHornMember:
@@ -294,7 +292,7 @@ class TestEigenDuality:
                     assert (t in T) == triple_via_eigen(t), t
 
     def test_imbalanced_triple_agrees(self):
-        t = HornTriple(3, (2,), (2,), (2,))
+        t = ((2,), (2,), (2,))
         assert not balanced(t)
         assert t not in enum_T(1, 3)
         assert not triple_via_eigen(t)
@@ -302,7 +300,7 @@ class TestEigenDuality:
     def test_c_family_triples(self):
         for n in range(2, 8):
             for r in range(1, n):
-                Tset = {(t.I, t.J, t.L) for t in enum_T(r, n)}
+                Tset = set(enum_T(r, n))
                 for I in itertools.combinations(range(1, n + 1), r):
                     assert (I, family_bar(I, n), family_L(r, n)) in Tset
                     if 1 in I:
