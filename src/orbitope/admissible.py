@@ -37,32 +37,6 @@ from .rootdata import GroupData
 SUBSET_CAP = 10**5
 
 
-class OneParamSubgroup:
-    """An indivisible integer cocharacter vector: `coords` is a nonempty
-    tuple of ints of gcd 1."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("one-parameter subgroup needs dimension >= 1")
-        if not all(isinstance(c, int) for c in coords):
-            raise ValueError("one-parameter subgroup needs integer coordinates")
-        if gcd(*coords) != 1:
-            raise ValueError(f"not indivisible: {coords}")
-        self.coords = coords
-
-    def __eq__(self, other):
-        return isinstance(other, OneParamSubgroup) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"OneParamSubgroup({self.coords})"
-
-
 def _primitive_kernel_vector(rows: list, dim: int) -> Optional[tuple]:
     """A primitive integer generator of the kernel of the row system (rows
     of rationals: RatVecs or int tuples), as a tuple of ints, or None when
@@ -84,7 +58,7 @@ def _primitive_kernel_vector(rows: list, dim: int) -> Optional[tuple]:
     return tuple(a // g for a in vec)
 
 
-def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
+def enumerate_admissible(g: GroupData) -> set[tuple[int, ...]]:
     """All dominant indivisible admissible cocharacters, by scanning the
     full-rank (rank-1-short) subsets of the noncompact positive roots and
     taking primitive kernel generators of both signs.  The chamber's
@@ -121,9 +95,9 @@ def enumerate_admissible(g: GroupData) -> set[OneParamSubgroup]:
             point = RatVec(cand)
             if g.chamber.contains(point):
                 found[point] = cand
-    return {OneParamSubgroup(cand) for cand in found.values()}
+    return set(found.values())
 
 
-def sorted_admissible(lams) -> list[OneParamSubgroup]:
+def sorted_admissible(lams) -> list[tuple[int, ...]]:
     """Deterministic ordering for output files and assembly."""
-    return sorted(lams, key=lambda l: l.coords)
+    return sorted(lams)

@@ -133,7 +133,7 @@ def cmd_check(args):
 def cmd_adm(args):
     from .admissible import enumerate_admissible, sorted_admissible
 
-    lams = [l.coords for l in sorted_admissible(enumerate_admissible(args.group))]
+    lams = sorted_admissible(enumerate_admissible(args.group))
     return (lambda: [list(l) for l in lams],
             lambda: "\n".join(",".join(str(c) for c in l) for l in lams), 0)
 

@@ -271,4 +271,4 @@ def dual_weight(g: GroupData, lam) -> tuple:
     reverse-negate, as a tuple of the entries' own type."""
     if len(lam) != g.dim:
         raise DimensionError("weight dimension mismatch")
-    return tuple(-x for x in g.weyl.longest().act(lam))
+    return tuple(-x for a, b in g.weyl.block_ranges() for x in reversed(lam[a:b]))

@@ -20,11 +20,12 @@ position between a and b holds a value between w(a) and w(b) (Monk 1959,
 Groups, ch. 2).
 
 Products of factors are handled factor-wise: a class of
-H*(prod GL_{n_f}/B) is a Z-combination of tuples of factor permutations,
-and cup products distribute over the tensor decomposition.  A class is a
-plain dict {WeylElt: int}: no zero coefficient, every key of one length
-(half the cohomological degree), {} for zero and {w: 1} for the basis
-class of w.  Both products keep that form, so equality is dict equality.
+H*(prod GL_{n_f}/B) is a Z-combination of tuples of factor permutations
+(`weyl.Weyl`), and cup products distribute over the tensor decomposition.
+A class is a plain dict {Weyl: int}: no zero coefficient, every key of one
+length (half the cohomological degree), {} for zero and {w: 1} for the
+basis class of w.  Both products keep that form, so equality is dict
+equality.
 
 The well-covering criterion uses two products: `chevalley_mult` for its
 Theta factors and `cup` for the last one.  Theta of a lone weight and the
@@ -38,7 +39,7 @@ import itertools
 from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
-from .weyl import Perm, WeylDescriptor, WeylElt
+from .weyl import Weyl, WeylDescriptor
 
 Mono = Tuple[int, ...]
 Poly = Dict[Mono, int]
@@ -58,6 +59,14 @@ def _trim(mono: Mono) -> Mono:
     while k > 0 and mono[k - 1] == 0:
         k -= 1
     return mono[:k]
+
+
+def _trim_perm(images: Tuple[int, ...]) -> Tuple[int, ...]:
+    """One-line notation with trailing fixed points removed."""
+    k = len(images)
+    while k > 1 and images[k - 1] == k:
+        k -= 1
+    return images[:k]
 
 
 def poly_add(f: Poly, g: Poly, scale: int = 1) -> Poly:
@@ -124,14 +133,13 @@ def divided_difference(f: Poly, i: int) -> Poly:
 def schubert_poly(images: Tuple[int, ...]) -> "frozenset":
     """Schubert polynomial of the permutation with the given (trimmed)
     one-line notation, as a frozenset of (monomial, coeff) items."""
-    w = Perm(images)
-    n = w.degree
-    if w == Perm.longest(n):
-        mono = _trim(tuple(range(n - 1, -1, -1)))
-        return frozenset({(mono, 1)})
+    n = len(images)
     # Pick the first ascent; S_w = d_i S_{w s_i} with l(w s_i) = l(w) + 1.
-    i = next(k for k in range(1, n) if w(k) < w(k + 1))
-    higher = dict(schubert_poly((w * Perm.simple(n, i)).trim()))
+    i = next((k for k in range(1, n) if images[k - 1] < images[k]), None)
+    if i is None:  # no ascent: w is the longest element
+        return frozenset({(_trim(tuple(range(n - 1, -1, -1))), 1)})
+    swapped = images[:i - 1] + (images[i], images[i - 1]) + images[i + 1:]
+    higher = dict(schubert_poly(_trim_perm(swapped)))
     # The trimmed higher permutation may live in a smaller symmetric group,
     # but the divided difference only needs exponent positions i, i+1.
     return frozenset(divided_difference(higher, i).items())
@@ -141,7 +149,7 @@ def _rev_key(mono: Mono, width: int) -> Tuple[int, ...]:
     return tuple(reversed(_pad(mono, width)))
 
 
-def perm_from_code(code: Sequence[int]) -> Perm:
+def perm_from_code(code: Sequence[int]) -> Tuple[int, ...]:
     """The unique permutation with the given Lehmer code (trailing zeros
     extend by fixed points as needed)."""
     code = list(code)
@@ -151,7 +159,7 @@ def perm_from_code(code: Sequence[int]) -> Perm:
     for i in range(n):
         c = code[i] if i < len(code) else 0
         images.append(values.pop(c))
-    return Perm(images)
+    return tuple(images)
 
 
 def expand_in_schubert(f: Poly) -> Dict[Tuple[int, ...], int]:
@@ -171,8 +179,7 @@ def expand_in_schubert(f: Poly) -> Dict[Tuple[int, ...], int]:
         width = max(len(m) for m in rest)
         mono = max(rest, key=lambda m: _rev_key(m, width))
         coeff = rest[mono]
-        w = perm_from_code(_pad(mono, width))
-        key = w.trim()
+        key = _trim_perm(perm_from_code(_pad(mono, width)))
         out[key] = out.get(key, 0) + coeff
         rest = poly_add(rest, dict(schubert_poly(key)), scale=-coeff)
     return {k: v for k, v in out.items() if v}
@@ -182,8 +189,8 @@ def expand_in_schubert(f: Poly) -> Dict[Tuple[int, ...], int]:
 def _factor_cup(n: int, u_images: Tuple[int, ...], v_images: Tuple[int, ...]):
     """sigma_u . sigma_v inside H*(GL_n/B): multiply the Schubert
     polynomials, expand stably, drop permutations outside S_n."""
-    prod = poly_mul(dict(schubert_poly(Perm(u_images).trim())),
-                    dict(schubert_poly(Perm(v_images).trim())))
+    prod = poly_mul(dict(schubert_poly(_trim_perm(u_images))),
+                    dict(schubert_poly(_trim_perm(v_images))))
     terms = expand_in_schubert(prod)
     return tuple(
         (w, c) for w, c in sorted(terms.items()) if len(w) <= n
@@ -194,15 +201,15 @@ def _factor_cup(n: int, u_images: Tuple[int, ...], v_images: Tuple[int, ...]):
 # The ring
 # ---------------------------------------------------------------------------
 
-# A class: {WeylElt: int}, graded, no zero coefficient (module docstring).
-Coh = Dict[WeylElt, int]
+# A class: {Weyl: int}, graded, no zero coefficient (module docstring).
+Coh = Dict[Weyl, int]
 
 
 class SchubertRing:
     """H* of a product of type-A complete flag varieties.
 
     degrees are the factor sizes (n_1, ..., n_f); classes are keyed by
-    WeylElt over the matching WeylDescriptor.  Weight arguments are
+    Weyl elements over the matching WeylDescriptor.  Weight arguments are
     sequences of ints in the blockwise coordinates of the owning group
     (dimension sum(degrees)).
     """
@@ -225,7 +232,7 @@ class SchubertRing:
         out: Coh = {}
         for w, coeff in c.items():
             for f, blk in enumerate(blocks):
-                imgs = w.factors[f].images
+                imgs = w[f]
                 for a in range(len(imgs) - 1):
                     low = imgs[a]
                     # The least value above low seen between a and b so far.
@@ -239,8 +246,7 @@ class SchubertRing:
                         if cv:
                             swapped = list(imgs)
                             swapped[a], swapped[b] = high, low
-                            nw = WeylElt(w.factors[:f] + (Perm._valid(tuple(swapped)),)
-                                         + w.factors[f + 1:])
+                            nw = w[:f] + (tuple(swapped),) + w[f + 1:]
                             nc = out.get(nw, 0) + coeff * cv
                             if nc:
                                 out[nw] = nc
@@ -255,7 +261,7 @@ class SchubertRing:
             for v, cv in b.items():
                 factor_terms = []
                 for f, d in enumerate(self.degrees):
-                    prods = _factor_cup(d, w.factors[f].images, v.factors[f].images)
+                    prods = _factor_cup(d, w[f], v[f])
                     if not prods:
                         factor_terms = None
                         break
@@ -267,8 +273,8 @@ class SchubertRing:
                     perms = []
                     for (imgs, c), d in zip(combo, self.degrees):
                         coeff *= c
-                        perms.append(Perm(tuple(imgs) + tuple(range(len(imgs) + 1, d + 1))))
-                    nw = WeylElt(perms)
+                        perms.append(imgs + tuple(range(len(imgs) + 1, d + 1)))
+                    nw = tuple(perms)
                     nc = out.get(nw, 0) + coeff
                     if nc:
                         out[nw] = nc

@@ -36,22 +36,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .admissible import OneParamSubgroup
 from .exactmath import _dot
 from .rootdata import GroupData, UnsupportedFamilyError
 from .schubert import Coh, SchubertRing
-from .weyl import Perm, WeylElt, check_order_cap, max_coset_reps, stabilizer_parabolic
+from .weyl import (Weyl, act, check_order_cap, length, max_coset_reps, mul,
+                   stabilizer_parabolic, text)
 
 
 @dataclass(frozen=True)
 class WCPair:
     """A candidate pair: w, w' longest coset representatives, a level m
-    and the cocharacter lam."""
+    and the cocharacter lam, a tuple of ints."""
 
-    w: WeylElt
-    w_prime: WeylElt
+    w: Weyl
+    w_prime: Weyl
     m: int
-    lam: OneParamSubgroup
+    lam: tuple[int, ...]
 
     @cached_property
     def row_vectors(self) -> tuple:
@@ -59,14 +59,14 @@ class WCPair:
         assembled row and the vector whose pairing with Lambda is its
         bound.  Neither depends on Lambda, so a cached pair builds them once
         and its rows share them."""
-        w0 = WeylElt(Perm.longest(p.degree) for p in self.w.factors)
-        return self.w.act(self.lam.coords), (w0 * self.w_prime).act(self.lam.coords)
+        w0 = tuple(tuple(range(len(p), 0, -1)) for p in self.w)
+        return act(self.w, self.lam), act(mul(w0, self.w_prime), self.lam)
 
     @cached_property
     def labels(self) -> tuple:
         """(lam, w text, w' text), built once per pair; cached pairs share
         them with every provenance record that cites them."""
-        return self.lam.coords, self.w.text(), self.w_prime.text()
+        return self.lam, text(self.w), text(self.w_prime)
 
     def to_json_obj(self):
         lam, w, w_prime = self.labels
@@ -80,11 +80,11 @@ class GradedModule:
 
     __slots__ = ("dim", "levels", "dims")
 
-    def __init__(self, g: GroupData, lam: OneParamSubgroup):
+    def __init__(self, g: GroupData, lam: tuple[int, ...]):
         self.dim = g.dim
         levels: dict[int, list[tuple]] = {}
         for beta in g.weights_p_minus:
-            k = sum(a * b for a, b in zip(lam.coords, beta))
+            k = sum(a * b for a, b in zip(lam, beta))
             levels.setdefault(k, []).append(beta)
         self.levels = {k: tuple(v) for k, v in sorted(levels.items())}
         dims = {k: len(v) for k, v in self.levels.items()}
@@ -117,30 +117,30 @@ class LambdaContext:
     including its m = 0 pair set, computed on first use."""
 
     g: GroupData
-    lam: OneParamSubgroup
-    w_lambda: WeylElt
-    reps: tuple[WeylElt, ...]
+    lam: tuple[int, ...]
+    w_lambda: Weyl
+    reps: tuple[Weyl, ...]
     graded: GradedModule
     ring: SchubertRing
 
     @cached_property
-    def w0(self) -> WeylElt:
+    def w0(self) -> Weyl:
         return self.ring.group.longest()
 
     @cached_property
     def target(self) -> Coh:
         """s_{w0 w_lam}, the class criterion (i) asks for."""
-        return {self.w0 * self.w_lambda: 1}
+        return {mul(self.w0, self.w_lambda): 1}
 
     @cached_property
-    def lengths(self) -> dict[WeylElt, int]:
+    def lengths(self) -> dict[Weyl, int]:
         """l(w) of each representative w, in the order of reps."""
-        return {w: w.length() for w in self.reps}
+        return {w: length(w) for w in self.reps}
 
     @cached_property
     def pairs(self) -> tuple[WCPair, ...]:
         """The m = 0 well-covering pairs, in sorted order (see enumerate_m0)."""
-        target_len = self.w0.length() + self.w_lambda.length() + self.graded.dim_below(0)
+        target_len = length(self.w0) + length(self.w_lambda) + self.graded.dim_below(0)
         lengths = self.lengths.items()
         candidates = (WCPair(w, w_prime, 0, self.lam) for w, lw in lengths for w_prime, lwp in lengths
                       if lw + lwp == target_len)
@@ -148,7 +148,7 @@ class LambdaContext:
 
 
 def _sorted_pairs(pairs) -> tuple[WCPair, ...]:
-    return tuple(sorted(pairs, key=lambda p: (p.w.sort_key(), p.w_prime.sort_key())))
+    return tuple(sorted(pairs, key=lambda p: (p.w, p.w_prime)))
 
 
 def require_pairs(g: GroupData) -> None:
@@ -164,25 +164,25 @@ def require_pairs(g: GroupData) -> None:
 
 
 @cache
-def context(g: GroupData, lam: OneParamSubgroup) -> LambdaContext:
+def context(g: GroupData, lam: tuple[int, ...]) -> LambdaContext:
     """The one LambdaContext of (g, lam), memoised on that pair.  For the
     families with pairs a dominant lam is one that is blockwise weakly
     decreasing, and `stabilizer_parabolic` refuses any other."""
     require_pairs(g)
-    w_lambda = stabilizer_parabolic(g.weyl, lam.coords)
-    reps = tuple(max_coset_reps(g.weyl, lam.coords))
+    w_lambda = stabilizer_parabolic(g.weyl, lam)
+    reps = tuple(max_coset_reps(g.weyl, lam))
     return LambdaContext(g, lam, w_lambda, reps, GradedModule(g, lam), SchubertRing(g.weyl.degrees))
 
 
 def _criterion_product(ctx: LambdaContext, pair: WCPair) -> Coh:
     """s_{w0 w} . s_{w0 w'} . prod Theta(-b) over weights of M_{<m}."""
     ring = ctx.ring
-    acc = {ctx.w0 * pair.w_prime: 1}
+    acc = {mul(ctx.w0, pair.w_prime): 1}
     for beta in ctx.graded.weights_below(pair.m):
         acc = ring.chevalley_mult(acc, [-b for b in beta])
         if not acc:
             return acc
-    return ring.cup({ctx.w0 * pair.w: 1}, acc)
+    return ring.cup({mul(ctx.w0, pair.w): 1}, acc)
 
 
 def _check_pair_shape(ctx: LambdaContext, pair: WCPair):
@@ -197,17 +197,17 @@ def is_well_covering(g: GroupData, pair: WCPair) -> bool:
     if not ctx.graded.level_nonempty(pair.m):
         return False
     if ctx.graded.dim_below(pair.m) == 0:
-        return pair.w_prime == ctx.w0 * pair.w * ctx.w_lambda
+        return pair.w_prime == mul(mul(ctx.w0, pair.w), ctx.w_lambda)
     # Numeric condition (ii) first, it is cheap: <w lam + w' lam, rho> is
     # num / den, and the level sum is an integer.
-    lam = pair.lam.coords
-    num, den = _dot([a + b for a, b in zip(pair.w.act(lam), pair.w_prime.act(lam))], g.rho)
+    lam = pair.lam
+    num, den = _dot([a + b for a, b in zip(act(pair.w, lam), act(pair.w_prime, lam))], g.rho)
     if num + den * sum((pair.m - k) * d for k, d in ctx.graded.dims.items() if k < pair.m):
         return False
     return _criterion_product(ctx, pair) == ctx.target
 
 
-def enumerate_m0(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
+def enumerate_m0(g: GroupData, lam: tuple[int, ...]) -> list[WCPair]:
     """All m = 0 well-covering pairs for lam, in sorted order.
 
     Candidates are prefiltered by the length equation

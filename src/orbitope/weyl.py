@@ -1,15 +1,18 @@
 """Permutations and products of symmetric groups.
 
-Elements are stored in one-line notation (1-indexed images); products are
-function composition, so (a * b)(i) = a(b(i)) and words like s1*s2 are read
-right to left.  Lengths are inversion counts, never reduced-word lengths.
-
-A WeylElt is a tuple of factor permutations, one per unitary factor of the
-maximal compact subgroup; it acts on coordinate vectors blockwise, by
-permuting any sequence into a tuple of the same entries.  The pair layer
-reads only products, lengths, the longest element and this action off it,
-and the vectors it acts on are the integer cocharacters: nothing here
-needs a rational number.
+A permutation of 1..n is its one-line notation, the tuple of its 1-indexed
+images.  A Weyl element (`Weyl`) is the tuple of its factors' image
+tuples, one per unitary factor of the maximal compact subgroup, e.g.
+((2, 1, 3), (1, 2)); tuple order is the order of its pairs and listings.
+Products are function composition factor by factor (`mul`), so
+(a . b)(i) = a(b(i)) and words like s1 s2 are read right to left.
+Lengths are inversion counts (`length`), never reduced-word lengths.  An
+element acts on coordinate vectors blockwise (`act`), by permuting any
+sequence into a tuple of the same entries, and prints as its factors'
+one-line notations joined by '|' (`text`).  The pair layer reads only
+products, lengths, the longest element and this action, and the vectors
+it acts on are the integer cocharacters: nothing here needs a rational
+number.
 
 The parabolic data of a dominant vector lam are just w_lambda, the longest
 element of its stabilizer W_lambda, and both come from the runs of equal
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence, Tuple
 
 from .exactmath import DimensionError, DomainError
 
@@ -31,136 +34,36 @@ from .exactmath import DimensionError, DomainError
 ORDER_CAP = 10**4
 
 
-class Perm:
-    """A permutation of {1..n} in one-line notation."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        imgs = tuple(int(i) for i in images)
-        if sorted(imgs) != list(range(1, len(imgs) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs}")
-        self.images = imgs
-
-    @classmethod
-    def _valid(cls, images: tuple) -> "Perm":
-        """The permutation of a tuple of ints that is one already (two
-        entries of a permutation swapped, as `SchubertRing.chevalley_mult`
-        builds it), without the check."""
-        perm = object.__new__(cls)
-        perm.images = images
-        return perm
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm{self.images}"
-
-    def one_line(self) -> str:
-        return " ".join(str(i) for i in self.images)
-
-    @staticmethod
-    def longest(n: int) -> "Perm":
-        return Perm(range(n, 0, -1))
-
-    @staticmethod
-    def transposition(n: int, a: int, b: int) -> "Perm":
-        imgs = list(range(1, n + 1))
-        imgs[a - 1], imgs[b - 1] = imgs[b - 1], imgs[a - 1]
-        return Perm(imgs)
-
-    @staticmethod
-    def simple(n: int, i: int) -> "Perm":
-        """s_i = t_{i,i+1}, 1 <= i <= n-1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"simple reflection index {i} out of range for S_{n}")
-        return Perm.transposition(n, i, i + 1)
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
-            raise ValueError("composing permutations of different degree")
-        return Perm(self.images[other.images[i] - 1] for i in range(self.degree))
-
-    def length(self) -> int:
-        """Number of inversions."""
-        inv = 0
-        imgs = self.images
-        n = self.degree
-        for i in range(n):
-            for j in range(i + 1, n):
-                if imgs[i] > imgs[j]:
-                    inv += 1
-        return inv
-
-    def act_tuple(self, values: Sequence) -> tuple:
-        """Coordinate action: (w . v)_{w(i)} = v_i."""
-        out = [None] * self.degree
-        for i in range(self.degree):
-            out[self.images[i] - 1] = values[i]
-        return tuple(out)
-
-    def trim(self) -> tuple[int, ...]:
-        """One-line notation with trailing fixed points removed."""
-        imgs = list(self.images)
-        while len(imgs) > 1 and imgs[-1] == len(imgs):
-            imgs.pop()
-        return tuple(imgs)
+# A Weyl element: one one-line image tuple per factor (module docstring).
+Weyl = Tuple[Tuple[int, ...], ...]
 
 
-class WeylElt:
-    """An element of a product of symmetric groups."""
+def length(w: Weyl) -> int:
+    """The number of inversions, summed over the factors."""
+    return sum(a > b for p in w for i, a in enumerate(p) for b in p[i + 1:])
 
-    __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[Perm]):
-        self.factors = tuple(factors)
-        if not self.factors:
-            raise ValueError("WeylElt needs at least one factor")
+def mul(a: Weyl, b: Weyl) -> Weyl:
+    """The product a . b, factorwise: (a . b)(i) = a(b(i))."""
+    return tuple(tuple(p[i - 1] for i in q) for p, q in zip(a, b))
 
-    def __eq__(self, other):
-        return isinstance(other, WeylElt) and self.factors == other.factors
 
-    def __hash__(self):
-        return hash(self.factors)
+def act(w: Weyl, v: Sequence) -> tuple:
+    """Blockwise coordinate action, (w . v)_{w(i)} = v_i: the k-th factor
+    permutes the k-th block of consecutive coordinates of v."""
+    out, start = [], 0
+    for p in w:
+        block = [None] * len(p)
+        for i, image in enumerate(p, start):
+            block[image - 1] = v[i]
+        out.extend(block)
+        start += len(p)
+    return tuple(out)
 
-    def __repr__(self):
-        return f"WeylElt({self.text()!r})"
 
-    def text(self) -> str:
-        """Factor one-line notations joined by '|', e.g. '2 1 3|1 2'."""
-        return "|".join(f.one_line() for f in self.factors)
-
-    def sort_key(self) -> tuple:
-        return tuple(f.images for f in self.factors)
-
-    def length(self) -> int:
-        return sum(f.length() for f in self.factors)
-
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        if len(self.factors) != len(other.factors):
-            raise ValueError("mismatched factor counts")
-        return WeylElt(a * b for a, b in zip(self.factors, other.factors))
-
-    def act(self, v: Sequence) -> tuple:
-        """Blockwise coordinate permutation action: the k-th factor permutes
-        the k-th block of consecutive coordinates of the sequence v."""
-        out, start = [], 0
-        for perm in self.factors:
-            stop = start + perm.degree
-            out.extend(perm.act_tuple(v[start:stop]))
-            start = stop
-        return tuple(out)
+def text(w: Weyl) -> str:
+    """The factors' one-line notations joined by '|', e.g. '2 1 3|1 2'."""
+    return "|".join(" ".join(map(str, p)) for p in w)
 
 
 @dataclass(frozen=True)
@@ -195,8 +98,8 @@ class WeylDescriptor:
             start += d
         return out
 
-    def longest(self) -> WeylElt:
-        return WeylElt(Perm.longest(d) for d in self.degrees)
+    def longest(self) -> Weyl:
+        return tuple(tuple(range(d, 0, -1)) for d in self.degrees)
 
 
 def _runs(values: Sequence) -> list[tuple[int, ...]]:
@@ -210,10 +113,10 @@ def _runs(values: Sequence) -> list[tuple[int, ...]]:
     return runs
 
 
-def _longest(targets: Sequence[tuple[int, ...]]) -> Perm:
-    """The permutation sending the k-th run's positions, in order, to the
-    k-th target tuple (increasing) read backwards."""
-    return Perm(i for t in targets for i in reversed(t))
+def _longest(targets: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The images of the permutation sending the k-th run's positions, in
+    order, to the k-th target tuple (increasing) read backwards."""
+    return tuple(i for t in targets for i in reversed(t))
 
 
 def _placements(free: Sequence[int], sizes: Sequence[int]):
@@ -239,12 +142,12 @@ def _dominant_blocks(group: WeylDescriptor, lam: Sequence) -> list:
     return blocks
 
 
-def stabilizer_parabolic(group: WeylDescriptor, lam: Sequence) -> WeylElt:
+def stabilizer_parabolic(group: WeylDescriptor, lam: Sequence) -> Weyl:
     """w_lambda, the longest element of the stabilizer W_lambda of a
     dominant vector lam: W_lambda is the product of the symmetric groups on
     the runs of equal coordinates inside each block, so w_lambda reverses
     every run."""
-    return WeylElt(_longest(_runs(block)) for block in _dominant_blocks(group, lam))
+    return tuple(_longest(_runs(block)) for block in _dominant_blocks(group, lam))
 
 
 def check_order_cap(group: WeylDescriptor) -> None:
@@ -253,9 +156,9 @@ def check_order_cap(group: WeylDescriptor) -> None:
         raise DomainError(f"group too large to enumerate: order {group.order}")
 
 
-def max_coset_reps(group: WeylDescriptor, lam: Sequence) -> list[WeylElt]:
+def max_coset_reps(group: WeylDescriptor, lam: Sequence) -> list[Weyl]:
     """Longest representatives of the cosets w W_lambda of a dominant
-    vector lam, one per coset, sorted by WeylElt.sort_key.
+    vector lam, one per coset, sorted.
 
     The coset of w is fixed by the orbit point w . lam, a rearrangement of
     lam inside each block (W_lambda is exactly the stabilizer of lam).  Its
@@ -270,4 +173,4 @@ def max_coset_reps(group: WeylDescriptor, lam: Sequence) -> list[WeylElt]:
     for block in _dominant_blocks(group, lam):
         sizes = [len(run) for run in _runs(block)]
         factors.append([_longest(p) for p in _placements(range(1, len(block) + 1), sizes)])
-    return sorted((WeylElt(f) for f in itertools.product(*factors)), key=WeylElt.sort_key)
+    return sorted(itertools.product(*factors))

@@ -7,25 +7,26 @@ it and only tests do: second routes the engine is compared against (the
 spectrum test, the closed-form admissible lists, the dominant-pair
 assembly), the admissibility predicate (every kernel line the admissible
 scan builds satisfies it), the dominance test over every compact positive
-root (the group's chamber agrees with it on each such line), constructors
-for writing test inputs, the golden readers the benchmark does not use,
-the former canonical form of a row (the whole row scaled to coprime
-integers, which `AffineIneq.integer_row` must equal), the hull of a
-cone's generators, and the cones and containment checks of the geometric
-criteria.  This module imports the package, and the package never imports
+root (the group's chamber agrees with it on each such line), the shape
+of a Weyl element and of a cocharacter (`is_weyl`, `is_cocharacter`,
+asserted on every one the engine builds), constructors for writing test
+inputs, the golden readers the benchmark does not use, the former
+canonical form of a row (the whole row scaled to coprime integers, which
+`AffineIneq.integer_row` must equal), the hull of a cone's generators,
+and the cones and containment checks of the geometric criteria.  This module imports the package, and the package never imports
 it.  `tests/test_exact_only.py` scans it like a package module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from importlib import resources
 from math import gcd
 from typing import Iterable, Sequence
 
 from orbitope import exactmath, horn, polytope, wellcover
-from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
+from orbitope.admissible import enumerate_admissible, sorted_admissible
 from orbitope.cones import _idot, cone_rays
 from orbitope.exactmath import (
     EQ,
@@ -43,8 +44,8 @@ from orbitope.exactmath import (
 )
 from orbitope.goldens import GoldenRecord
 from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
-from orbitope.schubert import Coh, Poly, SchubertRing, schubert_poly
-from orbitope.weyl import Perm, WeylDescriptor, WeylElt
+from orbitope.schubert import Coh, Poly, SchubertRing, _trim_perm, schubert_poly
+from orbitope.weyl import Weyl, WeylDescriptor, length, mul
 from orbitope.wellcover import WCPair, context
 
 # ---------------------------------------------------------------------------
@@ -265,51 +266,88 @@ def balanced(t: horn.Triple) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def perm_identity(n: int) -> Perm:
-    return Perm(range(1, n + 1))
+def is_perm(images) -> bool:
+    """A tuple of ints that permutes 1..len(images), in one-line notation."""
+    return (isinstance(images, tuple) and all(isinstance(i, int) for i in images)
+            and sorted(images) == list(range(1, len(images) + 1)))
 
 
-def inverse(perm: Perm) -> Perm:
-    inv = [0] * perm.degree
-    for i, img in enumerate(perm.images, start=1):
+def is_weyl(w, group: WeylDescriptor) -> bool:
+    """An element of group: a nonempty tuple of permutations of 1..d, one
+    per degree d of group, in order."""
+    return (isinstance(w, tuple) and len(w) == len(group.degrees) >= 1
+            and all(is_perm(p) and len(p) == d for p, d in zip(w, group.degrees)))
+
+
+def is_cocharacter(lam) -> bool:
+    """An indivisible integer cocharacter: a nonempty tuple of ints of gcd 1."""
+    return (isinstance(lam, tuple) and len(lam) >= 1
+            and all(isinstance(c, int) for c in lam) and gcd(*lam) == 1)
+
+
+def perm_identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+def transposition(n: int, a: int, b: int) -> tuple[int, ...]:
+    """t_ab of S_n; s_i is t_{i,i+1}."""
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"transposition ({a} {b}) out of range for S_{n}")
+    imgs = list(range(1, n + 1))
+    imgs[a - 1], imgs[b - 1] = imgs[b - 1], imgs[a - 1]
+    return tuple(imgs)
+
+
+def compose(*perms: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of permutations of one degree, composed right to left
+    by `weyl.mul` on one-factor elements."""
+    return reduce(mul, ((p,) for p in perms))[0]
+
+
+def perm_length(perm: tuple[int, ...]) -> int:
+    """The length of one permutation, as a one-factor element."""
+    return length((perm,))
+
+
+def inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(perm)
+    for i, img in enumerate(perm, start=1):
         inv[img - 1] = i
-    return Perm(inv)
+    return tuple(inv)
 
 
-def identity(group: WeylDescriptor) -> WeylElt:
-    return WeylElt(perm_identity(d) for d in group.degrees)
+def identity(group: WeylDescriptor) -> Weyl:
+    return tuple(perm_identity(d) for d in group.degrees)
 
 
-def simple(group: WeylDescriptor, factor: int, i: int) -> WeylElt:
+def simple(group: WeylDescriptor, factor: int, i: int) -> Weyl:
     """s_i in the given factor, the identity in every other."""
     perms = [perm_identity(d) for d in group.degrees]
-    perms[factor] = Perm.simple(group.degrees[factor], i)
-    return WeylElt(perms)
+    perms[factor] = from_word(group.degrees[factor], [i])
+    return tuple(perms)
 
 
-def code(perm: Perm) -> tuple[int, ...]:
+def code(perm: tuple[int, ...]) -> tuple[int, ...]:
     """Lehmer code c_i = #{j > i : w(j) < w(i)}."""
-    imgs = perm.images
-    n = perm.degree
-    return tuple(sum(1 for j in range(i + 1, n) if imgs[j] < imgs[i]) for i in range(n))
+    n = len(perm)
+    return tuple(sum(1 for j in range(i + 1, n) if perm[j] < perm[i]) for i in range(n))
 
 
-def from_word(n: int, word: Sequence[int]) -> Perm:
+def from_word(n: int, word: Sequence[int]) -> tuple[int, ...]:
     """The product s_{a1} s_{a2} ... s_{ak} of S_n, composed right to left."""
-    w = perm_identity(n)
-    for a in word:
-        w = w * Perm.simple(n, a)
-    return w
+    if not all(1 <= a <= n - 1 for a in word):
+        raise ValueError(f"simple reflection index out of range for S_{n}: {word}")
+    return compose(perm_identity(n), *(transposition(n, a, a + 1) for a in word))
 
 
-def from_words(group: WeylDescriptor, words: Sequence[Sequence[int]]) -> WeylElt:
+def from_words(group: WeylDescriptor, words: Sequence[Sequence[int]]) -> Weyl:
     """The element of group with one word per factor."""
-    return WeylElt(from_word(d, w) for d, w in zip(group.degrees, words))
+    return tuple(from_word(d, w) for d, w in zip(group.degrees, words))
 
 
-def from_text(text: str) -> WeylElt:
-    """The inverse of `WeylElt.text`."""
-    return WeylElt(Perm(int(t) for t in part.split()) for part in text.split("|"))
+def from_text(text: str) -> Weyl:
+    """The inverse of `weyl.text`."""
+    return tuple(tuple(int(t) for t in part.split()) for part in text.split("|"))
 
 
 def special_elements(r: int):
@@ -326,9 +364,9 @@ def special_elements(r: int):
     return hats, checks
 
 
-def hat_stabilizer_longest(r: int) -> Perm:
+def hat_stabilizer_longest(r: int) -> tuple[int, ...]:
     """Longest element of the stabilizer of 1 in S_r (S_{r-1} on {2..r})."""
-    return Perm([1] + list(range(r, 1, -1))) if r > 1 else perm_identity(1)
+    return (1,) + tuple(range(r, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +374,8 @@ def hat_stabilizer_longest(r: int) -> Perm:
 # ---------------------------------------------------------------------------
 
 
-def schubert_poly_dict(perm: Perm) -> Poly:
-    return dict(schubert_poly(perm.trim()))
+def schubert_poly_dict(perm: tuple[int, ...]) -> Poly:
+    return dict(schubert_poly(_trim_perm(perm)))
 
 
 def one(ring: SchubertRing) -> Coh:
@@ -364,7 +402,7 @@ def theta(ring: SchubertRing, mu: Sequence[int]) -> Coh:
     return ring.chevalley_mult(one(ring), mu)
 
 
-def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, wl: WeylElt) -> bool:
+def duality_check(ring: SchubertRing, w: Weyl, w_prime: Weyl, wl: Weyl) -> bool:
     """Whether sigma_w . sigma_{w'} = [pt] on the quotient by the
     parabolic whose longest element is wl = w_lambda, for w, w' longest
     coset representatives with l(w) + l(w') >= l(w0) + l(w_lambda).
@@ -374,14 +412,14 @@ def duality_check(ring: SchubertRing, w: WeylElt, w_prime: WeylElt, wl: WeylElt)
     class of w0 w_lambda exactly when w' = w0 w w_lambda.
     """
     w0 = ring.group.longest()
-    if w.length() + w_prime.length() < w0.length() + wl.length():
+    if length(w) + length(w_prime) < length(w0) + length(wl):
         raise ValueError("duality_check needs l(w) + l(w') >= l(w0) + l(w_lambda)")
     for u in (w, w_prime):
-        if (u * wl).length() != u.length() - wl.length():
+        if length(mul(u, wl)) != length(u) - length(wl):
             raise ValueError("w and w' must be longest coset representatives")
-    com = ring.cup({w * wl: 1}, {w_prime * wl: 1})
-    expected = w_prime == w0 * w * wl
-    got = com == {w0 * wl: 1}
+    com = ring.cup({mul(w, wl): 1}, {mul(w_prime, wl): 1})
+    expected = w_prime == mul(mul(w0, w), wl)
+    got = com == {mul(w0, wl): 1}
     if got != expected:
         raise AssertionError("polynomial model disagrees with the coset duality rule")
     return got
@@ -404,18 +442,18 @@ def schmid_cone(g: GroupData) -> HPolyhedron:
     return cone_hull(sums, g.dim)
 
 
-def _lam_kl(n: int, k: int, l: int) -> OneParamSubgroup:
+def _lam_kl(n: int, k: int, l: int) -> tuple[int, ...]:
     """(1,...,1, 0,...,0, -1,...,-1) with k ones and l minus-ones."""
-    return OneParamSubgroup([1] * k + [0] * (n - k - l) + [-1] * l)
+    return (1,) * k + (0,) * (n - k - l) + (-1,) * l
 
 
-def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
+def closed_form_admissible(g: GroupData) -> set[tuple[int, ...]]:
     """The literal admissible lists, family by family; they must equal
     `enumerate_admissible` as sets."""
     tag = g.family.tag
     if tag == SP:
         n = g.family.params[0]
-        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
+        out = {tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [-1])}
         for k in range(1, n):
             for l in range(1, n - k + 1):
                 out.add(_lam_kl(n, k, l))
@@ -426,34 +464,34 @@ def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
         if q == 1 and g.unitary_coords:
             n = p
             return {
-                OneParamSubgroup([n] + [-1] * (n - 1)),
-                OneParamSubgroup([1] * (n - 1) + [-n]),
+                tuple([n] + [-1] * (n - 1)),
+                tuple([1] * (n - 1) + [-n]),
             }
-        out: set[OneParamSubgroup] = set()
+        out: set[tuple[int, ...]] = set()
         if q >= 2:
             for k in range(1, p):
                 for l in range(1, q):
                     d = gcd(p + q - k - l, k + l)
                     a = (p + q - k - l) // d
                     b = -(k + l) // d
-                    out.add(OneParamSubgroup([a] * k + [b] * (p - k) + [a] * l + [b] * (q - l)))
-        out.add(OneParamSubgroup([1] * (p + q - 1) + [1 - p - q]))          # lam_{p,q-1}
-        out.add(OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q))    # lam_{p-1,q}
-        out.add(OneParamSubgroup([-1] * p + [p + q - 1] + [-1] * (q - 1)))  # lam_{0,1}
-        out.add(OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)))         # lam_{1,0}
+                    out.add(tuple([a] * k + [b] * (p - k) + [a] * l + [b] * (q - l)))
+        out.add(tuple([1] * (p + q - 1) + [1 - p - q]))          # lam_{p,q-1}
+        out.add(tuple([1] * (p - 1) + [1 - p - q] + [1] * q))    # lam_{p-1,q}
+        out.add(tuple([-1] * p + [p + q - 1] + [-1] * (q - 1)))  # lam_{0,1}
+        out.add(tuple([p + q - 1] + [-1] * (p + q - 1)))         # lam_{1,0}
         if q == 1:
             # In full coordinates only the two kernel-spanning ones remain.
             out = {
-                OneParamSubgroup([p + q - 1] + [-1] * (p + q - 1)),
-                OneParamSubgroup([1] * (p - 1) + [1 - p - q] + [1] * q),
+                tuple([p + q - 1] + [-1] * (p + q - 1)),
+                tuple([1] * (p - 1) + [1 - p - q] + [1] * q),
             }
         return out
 
     if tag == SO_STAR:
         n = g.family.params[0]
         if n == 3:
-            return {OneParamSubgroup([1, -1, -1]), OneParamSubgroup([1, 1, -1])}
-        out = {OneParamSubgroup([1] + [0] * (n - 1)), OneParamSubgroup([0] * (n - 1) + [-1])}
+            return {(1, -1, -1), (1, 1, -1)}
+        out = {tuple([1] + [0] * (n - 1)), tuple([0] * (n - 1) + [-1])}
         for k in range(1, n):
             out.add(_lam_kl(n, k, n - k))
         for k in range(1, n - 3):
@@ -465,13 +503,13 @@ def closed_form_admissible(g: GroupData) -> set[OneParamSubgroup]:
         p = g.family.params[0]
         m = p // 2
         odd = p % 2 == 1
-        lam0 = OneParamSubgroup([1] + [0] * m)
-        lam1p = OneParamSubgroup([1] * m + [1])
-        lam1m = OneParamSubgroup([1] * m + [-1])
+        lam0 = tuple([1] + [0] * m)
+        lam1p = tuple([1] * m + [1])
+        lam1m = tuple([1] * m + [-1])
         if odd:
             return {lam0, lam1p, lam1m}
-        lamm1p = OneParamSubgroup([1] * (m - 1) + [-1, 1])
-        lamm1m = OneParamSubgroup([1] * (m - 1) + [-1, -1])
+        lamm1p = tuple([1] * (m - 1) + [-1, 1])
+        lamm1m = tuple([1] * (m - 1) + [-1, -1])
         return {lam0, lam1p, lam1m, lamm1p, lamm1m}
 
     raise ValueError(f"unknown family {tag!r}")
@@ -519,7 +557,7 @@ def is_dominant_pair(g: GroupData, pair: WCPair) -> bool:
     return bool(wellcover._criterion_product(ctx, pair))
 
 
-def enumerate_m0_dominant(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
+def enumerate_m0_dominant(g: GroupData, lam: tuple[int, ...]) -> list[WCPair]:
     """All m = 0 dominant pairs for lam, in sorted order (a superset of
     `enumerate_m0`)."""
     ctx = context(g, lam)
@@ -534,7 +572,7 @@ def level_bounds(graded: wellcover.GradedModule) -> tuple[int, int]:
     return min(levels), max(levels)
 
 
-def scan_well_covering(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
+def scan_well_covering(g: GroupData, lam: tuple[int, ...]) -> list[WCPair]:
     """All well-covering triples (w, w', m) for m from the lowest level to
     the highest plus 2."""
     ctx = context(g, lam)
@@ -549,10 +587,10 @@ def scan_well_covering(g: GroupData, lam: OneParamSubgroup) -> list[WCPair]:
     return out
 
 
-def trivial_pair(g: GroupData, lam: OneParamSubgroup, w: WeylElt, m: int) -> WCPair:
+def trivial_pair(g: GroupData, lam: tuple[int, ...], w: Weyl, m: int) -> WCPair:
     """The pair (w, w0 w w_lambda, m)."""
     ctx = context(g, lam)
-    return WCPair(w, ctx.w0 * w * ctx.w_lambda, m, lam)
+    return WCPair(w, mul(mul(ctx.w0, w), ctx.w_lambda), m, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
-from math import gcd
+
+import pytest
 
 from orbitope import goldens
-from orbitope.admissible import OneParamSubgroup, enumerate_admissible, sorted_admissible
+from orbitope.admissible import enumerate_admissible, sorted_admissible
 from orbitope.cones import cone_rays
 from orbitope.exactmath import (
+    LE,
     AffineIneq,
     HPolyhedron,
     RatVec,
@@ -37,11 +39,12 @@ from orbitope.polytope import (
 )
 from orbitope.rootdata import GroupFamily, build, in_hol_chamber
 from orbitope.schubert import SchubertRing
-from orbitope.weyl import Perm, WeylElt, max_coset_reps, stabilizer_parabolic
+from orbitope.weyl import act, length, max_coset_reps, mul, stabilizer_parabolic, text
 from orbitope.wellcover import context, enumerate_m0
 from reference import (
     add,
     closed_form_admissible,
+    compose,
     contained_in_hol_closure,
     contained_in_shifted_cone,
     duality_check,
@@ -55,11 +58,13 @@ from reference import (
     inverse,
     one,
     polytope_system,
+    primitive,
     relaxed_rows,
     scan_well_covering,
     simple,
     special_elements,
     theta,
+    transposition,
     triple_via_eigen,
     triples,
 )
@@ -140,8 +145,8 @@ def test_criterion_2_admissible_sets():
         rec = goldens.load(golden_id)
         for spec in specs:
             g = g_of(spec)
-            enum = {l.coords for l in enumerate_admissible(g)}
-            closed = {l.coords for l in closed_form_admissible(g)}
+            enum = enumerate_admissible(g)
+            closed = closed_form_admissible(g)
             golden = goldens.admissible_vectors(rec, spec)
             if not (enum == closed == golden):
                 ok = False
@@ -252,7 +257,7 @@ def test_criterion_5_schubert():
         acc = one(R)
         for k in range(1, n):
             acc = R.cup(acc, s1)
-            expect = {WeylElt([from_word(n, list(range(k, 0, -1)))]): 1}
+            expect = {(from_word(n, list(range(k, 0, -1))),): 1}
             check(acc == expect, f"power {n},{k}")
         check(R.cup(acc, s1) == {}, f"power {n} top")
 
@@ -261,14 +266,14 @@ def test_criterion_5_schubert():
         R = SchubertRing((r,))
         hats, checks = special_elements(r)
         for k in range(2, r):
-            ck = {WeylElt([checks[k - 1]]): 1}
+            ck = {(checks[k - 1],): 1}
             sk = {simple(R.group, 0, k): 1}
             sk1 = {simple(R.group, 0, k - 1): 1}
-            bump = WeylElt([checks[k] * Perm.simple(r, k - 1) * Perm.simple(r, k)])
+            bump = (compose(checks[k], transposition(r, k - 1, k), transposition(r, k, k + 1)),)
             check(R.cup(sk, ck) == {bump: 1}, f"bump {r},{k}")
-            check(R.cup(sk1, ck) == {bump: 1, WeylElt([checks[k - 2]]): 1},
+            check(R.cup(sk1, ck) == {bump: 1, (checks[k - 2],): 1},
                   f"shift {r},{k}")
-            check(R.cup(add(sk1, sk, -1), ck) == {WeylElt([checks[k - 2]]): 1},
+            check(R.cup(add(sk1, sk, -1), ck) == {(checks[k - 2],): 1},
                   f"difference {r},{k}")
 
     # the worked cup-product chain in rank 4
@@ -291,8 +296,8 @@ def test_criterion_5_schubert():
             reps = max_coset_reps(G, vals)
             for w in reps:
                 for wp in reps:
-                    if w.length() + wp.length() >= w0.length() + wl.length():
-                        expected = wp == w0 * w * wl
+                    if length(w) + length(wp) >= length(w0) + length(wl):
+                        expected = wp == mul(mul(w0, w), wl)
                         check(duality_check(R, w, wp, wl) == expected,
                               f"duality {n} {walls}")
 
@@ -302,7 +307,7 @@ def test_criterion_5_schubert():
         weights = [[1] * k + [0] * (n - k) for k in range(1, n)]
         weights += [[2, 0] + [0] * (n - 2), [1, -1] + [0] * (n - 2)]
         for p in itertools.permutations(range(1, n + 1)):
-            c = {WeylElt([Perm(p)]): 1}
+            c = {(p,): 1}
             for mu in weights:
                 check(R.cup(theta(R, mu), c) == R.chevalley_mult(c, mu),
                       f"chevalley {n}")
@@ -327,15 +332,13 @@ def test_criterion_6_well_covering():
     # the rank-n unitary family: nontrivial pairs indexed by k = 2..n
     for n in (2, 3, 4, 5):
         g = g_of(f"su:p={n},q=1")
-        lam1 = OneParamSubgroup([n] + [-1] * (n - 1))
+        lam1 = (n,) + (-1,) * (n - 1)
         ctx = context(g, lam1)
         hats, _ = special_elements(n)
-        wl = ctx.w_lambda.factors[0]
+        (wl,) = ctx.w_lambda
         expected = sorted(
-            ((WeylElt([inverse(hats[k - 1]) * wl]),
-              WeylElt([inverse(hats[n + 1 - k]) * wl]))
-             for k in range(2, n + 1)),
-            key=lambda t: (t[0].sort_key(), t[1].sort_key()),
+            ((compose(inverse(hats[k - 1]), wl),), (compose(inverse(hats[n + 1 - k]), wl),))
+            for k in range(2, n + 1)
         )
         got = [(p.w, p.w_prime) for p in enumerate_m0(g, lam1)]
         check(got == expected, f"unitary family n={n}")
@@ -344,34 +347,32 @@ def test_criterion_6_well_covering():
     g22 = g_of("su:p=2,q=2")
     rec = goldens.load("Pairs7.3.4.2")
     expected = sorted(
-        (WeylElt([from_word(2, r["w"][0]), from_word(2, r["w"][1])]).text(),
-         WeylElt([from_word(2, r["w_prime"][0]),
-                  from_word(2, r["w_prime"][1])]).text())
+        (text((from_word(2, r["w"][0]), from_word(2, r["w"][1]))),
+         text((from_word(2, r["w_prime"][0]), from_word(2, r["w_prime"][1]))))
         for r in rec.payload["pairs"])
-    got = sorted((p.w.text(), p.w_prime.text())
-                 for p in enumerate_m0(g22, OneParamSubgroup([1, -1, 1, -1])))
+    got = sorted((text(p.w), text(p.w_prime))
+                 for p in enumerate_m0(g22, (1, -1, 1, -1)))
     check(got == expected, "four pairs (2,2)")
 
     # the six table rows for the rank-4 orthogonal-star case
     g8 = g_of("so_star:n=4")
     recs = goldens.load("Tab7.3.3-pairs")
     reps_table = goldens.load("Tab7.3.3-reps")
-    lam22 = OneParamSubgroup([1, 1, -1, -1])
+    lam22 = (1, 1, -1, -1)
     expected = sorted(
-        (WeylElt([from_word(4, r["w"][0])]).text(),
-         WeylElt([from_word(4, r["w_prime"][0])]).text())
+        (text((from_word(4, r["w"][0]),)), text((from_word(4, r["w_prime"][0]),)))
         for r in recs.payload["pairs"])
-    got = sorted((p.w.text(), p.w_prime.text()) for p in enumerate_m0(g8, lam22))
+    got = sorted((text(p.w), text(p.w_prime)) for p in enumerate_m0(g8, lam22))
     check(got == expected, "six rows")
     # and the coset-representative table backing it
     ctx8 = context(g8, lam22)
-    table_perms = {WeylElt([from_word(4, r["w"])]) for r in reps_table.payload["rows"]}
+    table_perms = {(from_word(4, r["w"]),) for r in reps_table.payload["rows"]}
     check(set(ctx8.reps) == table_perms, "rep table")
     rho = RatVec([F(3, 2), F(1, 2), F(-1, 2), F(-3, 2)])
     for r in reps_table.payload["rows"]:
-        w = WeylElt([from_word(4, r["w"])])
-        check(w.act(lam22.coords) == tuple(r["w_lam"]), "table action")
-        num, den = _dot(w.act(lam22.coords), rho)
+        w = (from_word(4, r["w"]),)
+        check(act(w, lam22) == tuple(r["w_lam"]), "table action")
+        num, den = _dot(act(w, lam22), rho)
         check(num == r["rho_pairing"] * den, "table rho")
 
     # the sign bound on a full scan
@@ -577,31 +578,42 @@ def test_so_star_6_is_su_3_1():
     assert not poly_equal(_pull_back(su_cone, [S[2], S[1], S[0], S[3]]), so_cone)
 
 
-# sp(4, R) and so(3, 2) are one group.  T(x) = ((x1 - x2)/2, (x1 + x2)/2)
-# carries the torus of sp:n=2 onto that of so:p=3, its compact and
-# noncompact positive roots onto those of so:p=3, and pulls so:p=3's chamber
-# row x1 >= 0 back to x1 - x2 >= 0.  Cocharacters go by the inverse
-# transpose, lambda -> (lambda1 - lambda2, lambda1 + lambda2), made primitive.
+# Four pairs are one group each: so*(6) and su(3, 1), sp(4, R) and
+# so(3, 2), su(2, 2) and so(4, 2), so*(8) and so(6, 2).  A linear map T,
+# given by its rows, carries the torus of the first onto that of the second
+# (su(3, 1) in full coordinates, so S above), and its compact and noncompact
+# positive roots onto the partner's.  A row <n, y> <= b of the partner's
+# chamber becomes <n T, x> <= b, which must be one of the first group's
+# chamber rows.  A trace equality is T's kernel (su(2, 2)) or pulls back to
+# 0 = 0 (su(3, 1)), so only inequalities are compared.  T is conformal on
+# the torus, so cocharacters go by T too, made primitive.
+h = F(1, 2)
+ISOMORPHISMS = [
+    ("so_star:n=3", "su:p=3,q=1", [(h, h, -h), (h, -h, h), (-h, h, h), (-h, -h, -h)]),
+    ("sp:n=2", "so:p=3", [(h, -h), (h, h)]),
+    ("su:p=2,q=2", "so:p=4", [(h, -h, h, -h), (h, -h, -h, h), (h, h, -h, -h)]),
+    ("so_star:n=4", "so:p=6", [(h, h, -h, -h), (h, -h, h, -h), (-h, h, h, -h), (h, h, h, h)]),
+]
 
 
-def test_sp_4_is_so_3_2():
-    sp, so = g_of("sp:n=2"), g_of("so:p=3")
-    h = F(1, 2)
-    T = [(h, -h), (h, h)]
+@pytest.mark.parametrize("spec, partner_spec, T", ISOMORPHISMS,
+                         ids=[f"{a}-{b}" for a, b, _ in ISOMORPHISMS])
+def test_exceptional_isomorphism(spec, partner_spec, T):
+    g = g_of(spec)
+    partner = build(GroupFamily.parse(partner_spec), su_n1_unitary_coords=False)
 
-    def weight(x):
+    def image(x):
         return tuple(sum(a * b for a, b in zip(row, x)) for row in T)
 
     def cocharacter(lam):
-        v = (lam[0] - lam[1], lam[0] + lam[1])
-        return tuple(c // gcd(*v) for c in v)
+        return tuple(int(c) for c in primitive(image(lam)))
 
-    assert sorted(map(weight, sp.compact_pos)) == sorted(so.compact_pos)
-    assert sorted(map(weight, sp.noncompact_pos)) == sorted(so.noncompact_pos)
-    # a row <n, y> <= b of so:p=3 becomes <n T, x> <= b on sp:n=2
+    assert sorted(map(image, g.compact_pos)) == sorted(partner.compact_pos)
+    assert sorted(map(image, g.noncompact_pos)) == sorted(partner.noncompact_pos)
     pulled = [AffineIneq(RatVec([sum(a * b for a, b in zip(r.normal, col)) for col in zip(*T)]),
                          r.bound, r.kind)
-              for r in so.chamber.ineqs]
-    assert pulled == list(sp.chamber.ineqs)
-    assert sorted(cocharacter(l.coords) for l in enumerate_admissible(sp)) == \
-        sorted(l.coords for l in enumerate_admissible(so))
+              for r in partner.chamber.ineqs]
+    assert sorted(str(r) for r in pulled if not r.is_trivial()) == \
+        sorted(str(r) for r in g.chamber.ineqs if r.kind == LE)
+    assert sorted(map(cocharacter, enumerate_admissible(g))) == \
+        sorted(enumerate_admissible(partner))

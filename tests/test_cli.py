@@ -71,6 +71,7 @@ COMMANDS = [
     ["pairs", "--group", "sp:n=5"],
     ["horn", "--n", "5", "--r", "2"],
     ["horn", "--n", "6", "--r", "3", "--format", "text"],
+    ["pairs", "--group", "su:p=4,q=2"],
 ]
 
 

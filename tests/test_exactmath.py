@@ -366,6 +366,15 @@ class TestRedundancy:
             assert remove_redundant(s).ineqs == want
             assert remove_redundant(s, RatVec(point), store).ineqs == want
 
+    def test_known_point_off_an_equality(self):
+        # (0, 2) meets both inequalities but not the equality, so it is no
+        # point of the system, which is empty: x = -1 - y leaves x <= -1
+        # and x >= -3/4.
+        s = HPolyhedron(2, [ineq_eq([1, 1], -1), ineq_le([1, -1], -1), ineq_le([-3, 1], 2)])
+        for known in (None, RatVec([0, 2])):
+            (row,) = remove_redundant(s, known).ineqs
+            assert is_infeasible_marker(row) and row.bound == -1, known
+
     # The groups of the assemble-mix benchmark workload.
     STREAM_GROUPS = ("sp:n=4", "su:p=4,q=1", "su:p=2,q=2", "so_star:n=4", "su:p=3,q=2", "sp:n=5")
 

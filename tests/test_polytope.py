@@ -468,3 +468,5 @@ class TestRedundancyBehavior:
         assert display_ineq(ineq_le([2, -4], 1)) == "2*xi1 - 4*xi2 <= 1"
         # the integer row: normal (1, -1), bound 7/2, times 2
         assert display_ineq(ineq_ge([F(1, 3), F(-1, 3)], F(7, 6))) == "2*xi1 - 2*xi2 >= 7"
+        # the empty marker has no leading coefficient to flip on
+        assert display_ineq(ineq_le([0, 0], -1)) == "0 <= -1"

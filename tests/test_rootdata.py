@@ -97,7 +97,7 @@ class TestIntegerTypes:
         if comb(len(g.noncompact_pos), g.dim - g.trace_zero - 1) > 10**4:
             return
         for lam in enumerate_admissible(g):
-            assert type(lam.coords) is tuple and all(type(c) is int for c in lam.coords)
+            assert type(lam) is tuple and all(type(c) is int for c in lam)
 
 
 class TestReplace:
