@@ -41,9 +41,20 @@ DOMAIN_EXIT = 1
 DISAGREE_EXIT = 3
 
 
+def _parse_rational(part: str) -> Fraction:
+    """Fraction(part), refusing an exponent whose power of ten would pass
+    the digits Python prints of an integer: Fraction would build it first,
+    in time that grows without bound with the exponent."""
+    mantissa, e, exponent = part.strip().lower().partition("e")
+    limit = sys.int_info.default_max_str_digits
+    if e and sum(c.isdigit() for c in mantissa) + abs(int(exponent)) > limit:
+        raise ValueError(f"exponent {exponent} makes a number of more than {limit} digits")
+    return Fraction(part)
+
+
 def _parse_vec(text: str) -> RatVec:
     try:
-        return RatVec([Fraction(part.strip()) for part in text.split(",")])
+        return RatVec([_parse_rational(part) for part in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
 

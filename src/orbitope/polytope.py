@@ -87,12 +87,33 @@ class Provenance:
         return obj
 
 
+# The source of every chamber row and of every closed-form row: one record
+# each, shared by every answer.  A pair row's source is its pair's
+# `WCPair.source`, ("pair", lam, w, w').
+_CHAMBER = ("chamber",)
+_CLOSED_FORM = ("closed-form",)
+
+
 @dataclass(frozen=True, slots=True)
 class OrbitPolytope:
+    """An answer: the system at Lambda, the rows offered to it in
+    provenance order and each offered row's source record, shared with
+    every other answer that cites the same source.  `provenance` is built
+    from these on each read."""
+
     group: GroupData
     Lambda: RatVec
     system: HPolyhedron
-    provenance: tuple[Provenance, ...]
+    offered: tuple[AffineIneq, ...]
+    sources: tuple[tuple, ...]
+
+    @property
+    def provenance(self) -> tuple[Provenance, ...]:
+        """One record per offered row, in order; a row is kept when that
+        very object is a row of the system."""
+        kept = {id(row) for row in self.system.ineqs}
+        return tuple(Provenance(row, *source, kept=id(row) in kept)
+                     for row, source in zip(self.offered, self.sources))
 
     def to_json_obj(self):
         return {
@@ -198,14 +219,20 @@ class _LinearRows:
 
     def system(self, p) -> HPolyhedron:
         """HPolyhedron(nvars, the rows at p), built from `at`."""
-        rows = {id(row): row for row in self.at(p) if not row.is_trivial()}
-        return _canonical_system(self.nvars, list(rows.values()))
+        return _system(self.nvars, self.at(p))
+
+
+def _system(nvars: int, rows) -> HPolyhedron:
+    """HPolyhedron(nvars, rows) for rows from `_LinearRows.at`, whose equal
+    rows are one object; the system holds those very objects."""
+    distinct = {id(row): row for row in rows if not row.is_trivial()}
+    return _canonical_system(nvars, list(distinct.values()))
 
 
 def _assembly_rows(g: GroupData) -> tuple:
-    """The rows `assemble` offers, over Lambda, and each row's source and
-    labels: the chamber's, then one row per m = 0 well-covering pair.  Not
-    memoised: it holds the scan.
+    """The pair rows `assemble` offers beside the chamber's, over Lambda:
+    one row per m = 0 well-covering pair, and each row's source record.
+    Not memoised: it holds the scan.
     The assembly layers are imported here, their one user, so that the
     Horn oracle loads without them."""
     from .admissible import enumerate_admissible, sorted_admissible
@@ -214,35 +241,31 @@ def _assembly_rows(g: GroupData) -> tuple:
     require_pairs(g)
     pairs = [pair for lam in sorted_admissible(enumerate_admissible(g))
              for pair in enumerate_m0(g, lam)]
-    rows = [(row.normal, [0] * g.dim, row.kind) for row in g.chamber.ineqs]
-    sources = [("chamber", (None, None, None))] * len(rows)
-    rows += [(*pair.row_vectors, LE) for pair in pairs]
-    return _LinearRows(g.dim, rows), sources + [("pair", pair.labels) for pair in pairs]
+    rows = _LinearRows(g.dim, [(*pair.row_vectors, LE) for pair in pairs])
+    return rows, [pair.source for pair in pairs]
 
 
 def assemble(g: GroupData, Lambda) -> OrbitPolytope:
     """The moment polyhedron from admissible cocharacters and their m = 0
     well-covering pairs.
 
-    Equal rows are one object, shared by the provenance records and the
-    system.  A pair row keeps its pair's normal tuple, so answers to
-    different Lambdas share it.
+    The answer offers the chamber's rows, the very objects of `g.chamber`,
+    then the pair rows at Lambda sorted by their integer rows.  Equal rows
+    are one object, shared by `offered` and the system; a pair row equal to
+    a chamber row is the chamber's.  A pair row keeps its pair's normal
+    tuple, and a source record is its pair's or a module constant, so
+    answers to different Lambdas share all three.
     """
     Lambda = _checked_lambda(g, Lambda)
-    offered, sources = _assembly_rows(g)
-    rows = list(zip(offered.at(Lambda), sources))
-    pairs = slice(len(g.chamber.ineqs), None)
-    rows[pairs] = sorted(rows[pairs], key=lambda t: t[0].integer_row())
-    distinct = {id(row): row for row, _ in rows}
+    rows, sources = _assembly_rows(g)
+    pairs = sorted(zip(rows.at(Lambda), sources), key=lambda t: t[0].integer_row())
+    chamber = g.chamber.ineqs
+    distinct = {row: row for row in chamber}
+    offered = chamber + tuple(distinct.setdefault(row, row) for row, _ in pairs)
     # Lambda lies in the polyhedron, so it is the known point.
-    system = remove_redundant(
-        _canonical_system(g.dim, list(distinct.values())), Lambda, _certificates(g)
-    )
-    kept = {id(row) for row in system.ineqs}
-    records = tuple(
-        Provenance(row, source, *labels, kept=id(row) in kept) for row, (source, labels) in rows
-    )
-    return OrbitPolytope(g, Lambda, system, records)
+    system = remove_redundant(_canonical_system(g.dim, list(distinct)), Lambda, _certificates(g))
+    sources = (_CHAMBER,) * len(chamber) + tuple(source for _, source in pairs)
+    return OrbitPolytope(g, Lambda, system, offered, sources)
 
 
 @cache
@@ -306,9 +329,9 @@ def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
     """The literal inequality lists known in closed form, kept as stated
     (canonicalized and deduplicated but not redundancy-reduced)."""
     Lambda = _checked_lambda(g, Lambda)
-    rows = _closed_form_rows(g)
-    records = tuple(Provenance(row, "closed-form") for row in rows.at(Lambda))
-    return OrbitPolytope(g, Lambda, rows.system(Lambda), records)
+    offered = tuple(_closed_form_rows(g).at(Lambda))
+    return OrbitPolytope(g, Lambda, _system(g.dim, offered), offered,
+                         (_CLOSED_FORM,) * len(offered))
 
 
 # ---------------------------------------------------------------------------

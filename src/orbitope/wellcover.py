@@ -63,13 +63,14 @@ class WCPair:
         return act(self.w, self.lam), act(mul(w0, self.w_prime), self.lam)
 
     @cached_property
-    def labels(self) -> tuple:
-        """(lam, w text, w' text), built once per pair; cached pairs share
-        them with every provenance record that cites them."""
-        return self.lam, text(self.w), text(self.w_prime)
+    def source(self) -> tuple:
+        """("pair", lam, w text, w' text): the source record of the pair's
+        row, built once per pair and shared by every answer that offers
+        that row."""
+        return "pair", self.lam, text(self.w), text(self.w_prime)
 
     def to_json_obj(self):
-        lam, w, w_prime = self.labels
+        _, lam, w, w_prime = self.source
         return {"w": w, "w_prime": w_prime, "m": self.m, "lambda": list(lam)}
 
 

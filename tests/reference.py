@@ -43,7 +43,7 @@ from orbitope.exactmath import (
     row_reduce,
 )
 from orbitope.goldens import GoldenRecord
-from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData
+from orbitope.rootdata import SO, SO_STAR, SP, SU, GroupData, in_hol_chamber
 from orbitope.schubert import Coh, Poly, SchubertRing, _trim_perm, schubert_poly
 from orbitope.weyl import Weyl, WeylDescriptor, length, mul
 from orbitope.wellcover import WCPair, context
@@ -76,6 +76,20 @@ def lp_max(sys: HPolyhedron, objective: Sequence):
 def is_infeasible_marker(row: AffineIneq) -> bool:
     """0 <= b with b < 0, or 0 = b with b != 0."""
     return not any(row.normal) and (row.bound < 0 if row.kind == LE else row.bound != 0)
+
+
+def benchmark_lambda(g, rng):
+    """A strictly holomorphic orbit parameter drawn as the benchmark draws
+    it: sorted half-integers in [0, 12], shifted to trace zero where the
+    group needs it."""
+    while True:
+        vals = sorted((Fraction(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(g.dim)),
+                      reverse=True)
+        if g.trace_zero:
+            shift = sum(vals) / g.dim
+            vals = [v - shift for v in vals]
+        if in_hol_chamber(g, RatVec(vals)):
+            return RatVec(vals)
 
 
 def primitive(values: Sequence) -> list:

@@ -539,8 +539,8 @@ def _pair_cone_rows(g, rows) -> list:
 def test_pair_rows_are_facets():
     for spec in FACET_GROUPS:
         g = g_of(spec)
-        rows = _assembly_rows(g)[0]
-        pairs = _pair_cone_rows(g, rows)
+        rows = _assembly_rows(g)[0]  # the pair rows alone
+        pairs = [_cone_row(*row) for row in rows.rows]
         assert len(set(pairs)) == len(pairs), spec
         assert set(pairs) <= set(remove_redundant(joint_cone(g, rows)).ineqs), spec
         relaxed = relaxed_rows(g)

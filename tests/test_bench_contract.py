@@ -86,12 +86,17 @@ def test_assemble_records_redundancy_spans(tracer, mods):
     g = rd.build(rd.GroupFamily.parse("sp:n=2"))
     t.start()
     try:
-        t.run("bench.request", 0, mods["polytope"].assemble, g, [3, 1])
+        p = t.run("bench.request", 0, mods["polytope"].assemble, g, [3, 1])
     finally:
         t.stop()
     names = [span[0] for span in t.spans]
     assert "polytope.assemble" in names
     assert "exactmath.remove_redundant" in names
+    # The row counters read the answer's provenance, built on each read.
+    metrics = t.layer_metrics()
+    records = p.provenance
+    assert metrics["polytope.assemble.rows_in"][0] == len(records) > 0
+    assert metrics["polytope.assemble.rows_kept"][0] == sum(r.kept for r in records) > 0
 
 
 def test_workload_names_resolve():

@@ -308,6 +308,28 @@ class TestExitCodes:
                              "--out", "/nonexistent/x")
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("verb, flag", [
+        ("ineqs", "--lambda"), ("member", "--xi"), ("oracle", "--mu"),
+    ])
+    @pytest.mark.parametrize("number", ["1e999999999", "1e-999999999", "2.5E4300"])
+    def test_huge_exponent_fails_fast(self, capsys, verb, flag, number):
+        # Fraction builds 10**exponent before anything reads the vector:
+        # --lambda 1e8000000,1 ran 5 s, then exited 1 with the integer print
+        # limit's error.
+        lam = f"{number},1" if flag == "--lambda" else "3,1"
+        argv = ["--group", "sp:n=2", "--lambda", lam]
+        if flag != "--lambda":
+            argv += [flag, f"{number},1"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "bad vector" in err
+
+    @pytest.mark.parametrize("lam", ["7/2,1", "3.5,1", "35e-1,1", "0.035E2,1"])
+    def test_rational_forms_parse(self, capsys, lam):
+        code, out, _ = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", lam)
+        assert code == 0 and "2*xi1 >= 7" in out
+
     def test_usage_error(self, capsys):
         assert run(capsys, "ineqs", "--group", "bogus", "--lambda", "1")[0] == 2
         assert run(capsys, "adm", "--group", "sp:n=2,foo=3")[:2] == (2, "")

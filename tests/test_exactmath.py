@@ -37,8 +37,9 @@ from orbitope.exactmath import (
     remove_redundant,
     row_reduce,
 )
-from orbitope.rootdata import GroupFamily, build, in_hol_chamber
-from reference import canonical, cone_hull, is_infeasible_marker, lp_max, primitive
+from orbitope.rootdata import GroupFamily, build
+from reference import (benchmark_lambda, canonical, cone_hull, is_infeasible_marker, lp_max,
+                       primitive)
 
 
 def sysd(dim, *rows):
@@ -394,7 +395,7 @@ class TestRedundancy:
         rng = random.Random(f"stream:{spec}")
         hits = polytope._certificates(g).hits
         for _ in range(200):
-            Lambda = _benchmark_lambda(g, rng)
+            Lambda = benchmark_lambda(g, rng)
             p = polytope.assemble(g, Lambda)
             offered = list(dict.fromkeys(record.ineq for record in p.provenance))
             fresh = remove_redundant(_canonical_system(g.dim, offered), Lambda, CertificateStore())
@@ -404,19 +405,20 @@ class TestRedundancy:
         assert polytope._certificates(g).hits - hits > 1000
         _check_certificates(applied)
 
-
-def _benchmark_lambda(g, rng):
-    """A strictly holomorphic orbit parameter drawn as the benchmark draws
-    it: sorted half-integers in [0, 12], shifted to trace zero where the
-    group needs it."""
-    while True:
-        vals = sorted((F(rng.randint(0, 12), rng.choice((1, 2))) for _ in range(g.dim)),
-                      reverse=True)
-        if g.trace_zero:
-            shift = sum(vals) / g.dim
-            vals = [v - shift for v in vals]
-        if in_hol_chamber(g, RatVec(vals)):
-            return RatVec(vals)
+    @pytest.mark.parametrize("spec, hits, misses", [
+        ("su:p=3,q=2", 284, 76), ("so_star:n=4", 261, 59),
+        ("sp:n=4", 130, 10), ("su:p=2,q=2", 176, 24),
+    ])
+    def test_store_counts_repeat(self, spec, hits, misses, monkeypatch):
+        # A fresh store's decisions over 20 seeded Lambdas: the counts repeat
+        # exactly, so a change that keeps the redundancy layer keeps them.
+        monkeypatch.setattr(polytope, "_certificates", cache(lambda g: CertificateStore()))
+        g = build(GroupFamily.parse(spec))
+        rng = random.Random(f"store:{spec}")
+        for _ in range(20):
+            polytope.assemble(g, benchmark_lambda(g, rng))
+        store = polytope._certificates(g)
+        assert (store.hits, store.misses) == (hits, misses)
 
 
 def _recording(decide, applied: list):

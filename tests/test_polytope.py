@@ -1,8 +1,10 @@
 """Polytope assembly, closed forms, the Horn oracle and cross-checks."""
 
 import dataclasses
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -39,6 +41,7 @@ from orbitope.rootdata import (
 )
 from orbitope.wellcover import enumerate_m0
 from reference import (
+    benchmark_lambda,
     contained_in_hol_closure,
     contained_in_shifted_cone,
     lp_max,
@@ -133,6 +136,58 @@ class TestAssembleExamples:
         assert {"a", "b", "eq"} <= set(obj["ineqs"][0])
         blob = json.dumps(obj)
         assert json.loads(blob) == obj
+
+
+class TestAnswerLayout:
+    """An answer holds the rows offered at Lambda and one reference per row
+    to a source record shared by every answer; the provenance records are
+    built on each read."""
+
+    def test_answers_share_chamber_rows_and_sources(self):
+        g = g_of("su:p=2,q=2")
+        a, b = assemble(g, [3, 1, -1, -3]), assemble(g, [5, 1, -2, -4])
+        n = len(g.chamber.ineqs)
+        assert all(x is row is y for row, x, y in zip(g.chamber.ineqs, a.offered, b.offered))
+        assert all(s is t for s, t in zip(a.sources[:n], b.sources[:n]))
+        # One record per pair, the same objects at both Lambdas.
+        assert len({id(s) for s in a.sources[n:]}) == len(a.sources) - n
+        assert {id(s) for s in a.sources} == {id(s) for s in b.sources}
+        c, d = closed_form(g, [3, 1, -1, -3]), closed_form(g, [5, 1, -2, -4])
+        assert c.sources[0] is d.sources[0]
+
+    def test_pair_row_equal_to_a_chamber_row_is_the_chambers(self, monkeypatch):
+        g = g_of("sp:n=2")
+        rows, sources = _assembly_rows(g)
+        wall = g.chamber.ineqs[0]
+        extra = polytope._LinearRows(g.dim, [*rows.rows, (wall.normal, [0] * g.dim, wall.kind)])
+        monkeypatch.setattr(polytope, "_assembly_rows",
+                            lambda g: (extra, [*sources, ("pair", (1, 0), "w", "w'")]))
+        p = assemble(g, [3, 1])
+        assert sum(row is wall for row in p.offered) == 2
+        assert [r.kept for r in p.provenance if r.ineq is wall] == [wall in p.system.ineqs] * 2
+
+    def test_bytes_per_answer(self):
+        # What the answers alone keep alive, over a seeded mix after one
+        # warm-up per group: about 1.0 KB per answer with the chamber rows
+        # and source records shared, 1.8 KB with fresh chamber rows and
+        # provenance records in every answer.
+        groups = [g_of(spec) for spec in ("sp:n=4", "su:p=4,q=1", "su:p=2,q=2")]
+        rng = random.Random("answer-bytes")
+        for g in groups:
+            assemble(g, benchmark_lambda(g, rng))
+        requests = [(g, benchmark_lambda(g, rng)) for _ in range(10) for g in groups]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            answers = [assemble(g, Lambda) for g, Lambda in requests]
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del answers
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / len(requests) <= 1400
 
 
 class TestClosedFormAgainstGoldens:
