@@ -31,12 +31,11 @@ kept rows never depend on the store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactmath import EQ, LE, RatVec, _Frame, _int_row, row_reduce
 
@@ -128,8 +127,7 @@ class _Rows:
         return False, Witness(tuple(keys), coords)
 
 
-@dataclass(frozen=True, slots=True)
-class Farkas:
+class Farkas(NamedTuple):
     """Proves a row implied: multipliers y >= 0 on <= rows named by key,
     with sum y * normal equal to the tested direction up to a combination of
     the named equalities.  That identity does not depend on the bounds; at
@@ -151,7 +149,6 @@ class Farkas:
         return True if total <= sign * rows.slacks[i] else None
 
 
-@dataclass(frozen=True)
 class Witness:
     """Proves a row kept: a basis of row normals (by key) and coordinate
     functionals, whose point x_B = A_B^-1 b_B takes the bounds of the named
@@ -159,8 +156,9 @@ class Witness:
     x_B satisfies every row still in the system and violates the tested
     one."""
 
-    keys: tuple  # (key, ...)
-    coords: tuple  # (coordinate index, ...)
+    def __init__(self, keys: tuple, coords: tuple):
+        self.keys = keys  # (key, ...)
+        self.coords = coords  # (coordinate index, ...)
 
     @cached_property
     def inverse(self) -> tuple:
@@ -197,8 +195,7 @@ class Witness:
         return False
 
 
-@dataclass(frozen=True, slots=True)
-class Ray:
+class Ray(NamedTuple):
     """Proves a row kept: a direction d with <normal, d> <= 0 on every <= row
     and = 0 on every equality of the system, along which the tested
     direction grows.  x0 + t d stays in the system for all t >= 0."""

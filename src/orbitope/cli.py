@@ -52,9 +52,23 @@ def _parse_rational(part: str) -> Fraction:
     return Fraction(part)
 
 
+# Digits a row's small integer coefficients, and the sums over them, may
+# add to the digits of the vector it is built from.
+_ROW_DIGITS = 64
+
+
 def _parse_vec(text: str) -> RatVec:
+    """The comma-separated rationals of text, refusing a vector whose rows
+    could print an integer past the digits Python prints: over one
+    denominator a row's bound has about as many digits as every numerator
+    and denominator of the vector together, plus `_ROW_DIGITS`."""
     try:
-        return RatVec([_parse_rational(part) for part in text.split(",")])
+        vec = RatVec([_parse_rational(part) for part in text.split(",")])
+        digits = sum(len(str(abs(x.numerator))) + len(str(x.denominator)) for x in vec)
+        limit = sys.int_info.default_max_str_digits - _ROW_DIGITS
+        if digits > limit:
+            raise ValueError(f"its entries have {digits} digits together, more than {limit}")
+        return vec
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
 
@@ -108,15 +122,15 @@ def cmd_ineqs(args):
 
 
 def cmd_member(args):
-    from .polytope import assemble, display_ineq, member
+    from .polytope import assemble, display_ineq
 
     check_dim(args.xi, args.group.dim)  # before the assembly, which can take seconds
-    pol = assemble(args.group, args.lam)
-    obj = {"member": member(pol, args.xi)}
+    system = assemble(args.group, args.lam).system  # built on read: read it once
+    obj = {"member": system.contains(args.xi)}
     lines = [f"member: {str(obj['member']).lower()}"]
     if not obj["member"]:
         obj["violated"] = next(
-            display_ineq(row) for row in pol.system.ineqs if not row.satisfied_by(args.xi)
+            display_ineq(row) for row in system.ineqs if not row.satisfied_by(args.xi)
         )
         lines.append(f"violated: {obj['violated']}")
     return lambda: obj, lambda: "\n".join(lines), 0

@@ -65,7 +65,6 @@ The empty polyhedron has the distinguished canonical form { 0 <= -1 }.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -102,17 +101,6 @@ def _int_row(values) -> tuple:
     if den == 1:
         return [a.numerator for a in values], 1
     return [a.numerator * (den // a.denominator) for a in values], den
-
-
-# The Fractions -64..64, shared so that the rows kept in answers do not
-# each hold their own copies of small integers.
-_SMALL_MAX = 64
-_SMALL = tuple(Fraction(k) for k in range(-_SMALL_MAX, _SMALL_MAX + 1))
-
-
-def _fraction(n: int) -> Fraction:
-    """Fraction(n), as a shared object when n is small."""
-    return _SMALL[n + _SMALL_MAX] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
 
 
 class RatVec:
@@ -163,7 +151,7 @@ class RatVec:
             else:
                 num = num * d + a.numerator * b.numerator * den
                 den *= d
-        return _fraction(num) if den == 1 else Fraction(num, den)
+        return Fraction(num, den)
 
 
 class DimensionError(ValueError):
@@ -197,7 +185,6 @@ def _dot(normal: tuple, x: RatVec) -> tuple:
     return num, den
 
 
-@dataclass(frozen=True, slots=True)
 class AffineIneq:
     """One affine constraint <normal, x> (<=|=) bound, held in its one
     canonical form from the moment it is built.
@@ -210,28 +197,37 @@ class AffineIneq:
     positive multiples of each other (any nonzero multiples, for
     equalities), and rows with one normal and kind differ only in the
     bound.  `_canonical_row` makes a row the engine built canonical already.
+    A row is a value, hashed by its fields: nothing assigns to them after
+    it is built.
     """
 
-    normal: tuple
-    bound: Fraction
-    kind: str = LE
+    __slots__ = ("normal", "bound", "kind")
 
-    def __post_init__(self):
-        if self.kind not in (LE, EQ):
+    def __init__(self, normal, bound, kind: str = LE):
+        if kind not in (LE, EQ):
             raise ValueError(f"kind must be {LE!r} or {EQ!r}")
-        ints, den = _int_row([rat(a) for a in self.normal])
-        bound, kind = rat(self.bound), self.kind
+        ints, den = _int_row([rat(a) for a in normal])
+        bound = rat(bound)
         g = gcd(*ints)
         if g == 0:  # 0 <= b or 0 = b holds, or the row is the marker
             holds = bound == 0 or (bound > 0 and kind == LE)
-            bound, kind = (_fraction(0), kind) if holds else (_fraction(-1), LE)
+            bound, kind = (Fraction(0), kind) if holds else (Fraction(-1), LE)
         else:
             if kind == EQ and next(a for a in ints if a) < 0:
                 g = -g
             ints, bound = [a // g for a in ints], bound * den / g
-        object.__setattr__(self, "normal", tuple(ints))
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "kind", kind)
+        self.normal, self.bound, self.kind = tuple(ints), bound, kind
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineIneq:
+            return NotImplemented
+        return (self.normal, self.bound, self.kind) == (other.normal, other.bound, other.kind)
+
+    def __hash__(self):
+        return hash((self.normal, self.bound, self.kind))
+
+    def __repr__(self):
+        return f"AffineIneq(normal={self.normal!r}, bound={self.bound!r}, kind={self.kind!r})"
 
     @property
     def dim(self) -> int:
@@ -268,9 +264,7 @@ def _canonical_row(normal: tuple, bound: Fraction, kind: str) -> AffineIneq:
     """The row of a normal, bound and kind that are canonical already (as
     `polytope._LinearRows` builds them), without the constructor's scaling."""
     row = object.__new__(AffineIneq)
-    object.__setattr__(row, "normal", normal)
-    object.__setattr__(row, "bound", bound)
-    object.__setattr__(row, "kind", kind)
+    row.normal, row.bound, row.kind = normal, bound, kind
     return row
 
 

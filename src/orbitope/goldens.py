@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 _KINDS = {"horn_triples", "admissible_sets", "polytope_rows", "coset_table", "pair_table"}
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
+class GoldenRecord(NamedTuple):
     id: str
     kind: str
     payload: dict

@@ -24,18 +24,19 @@ it, assembly from the m = 0 dominant pairs, which must give the same
 polyhedron, and holds the geometric containment checks.
 
 The entry points `assemble`, `closed_form` and `horn_oracle_member` check
-the family and Lambda in one place, `_checked_lambda`.  Their answers
-serialise themselves (`to_json_obj`), each row through
-`AffineIneq.to_json_obj`.
+the family and Lambda in one place, `_checked_lambda`.  An answer of
+`assemble` or `closed_form` (`OrbitPolytope`) holds no row: it keeps its
+pairs and a mask of the kept rows, and evaluates its rows at Lambda again
+on each read.  Answers serialise themselves (`to_json_obj`), each row
+through `AffineIneq.to_json_obj`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import horn
 from .exactmath import (
@@ -47,7 +48,6 @@ from .exactmath import (
     RatVec,
     _canonical_row,
     _canonical_system,
-    _fraction,
     _int_row,
     implies_all,
     lp_feasible,
@@ -66,8 +66,7 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where one assembled inequality came from, and whether redundancy
     elimination kept it."""
 
@@ -94,37 +93,72 @@ _CHAMBER = ("chamber",)
 _CLOSED_FORM = ("closed-form",)
 
 
-@dataclass(frozen=True, slots=True)
 class OrbitPolytope:
-    """An answer: the system at Lambda, the rows offered to it in
-    provenance order and each offered row's source record, shared with
-    every other answer that cites the same source.  `provenance` is built
-    from these on each read."""
+    """An answer, held as what differs between answers: the group, Lambda,
+    `pairs`, the m = 0 well-covering pairs whose rows `assemble` offered
+    beside the chamber's (None for a `closed_form` answer), and `kept`, an
+    int whose bit j is set when offered row j is a row of the system.  The
+    pairs are the cached ones of the wellcover contexts, so an answer holds
+    no row: `offered`, `sources`, `system` and `provenance` evaluate the
+    rows at Lambda again on each read, in the order `assemble` (or
+    `closed_form`) offered them.  A caller that reads the system many
+    times holds it once."""
 
-    group: GroupData
-    Lambda: RatVec
-    system: HPolyhedron
-    offered: tuple[AffineIneq, ...]
-    sources: tuple[tuple, ...]
+    __slots__ = ("group", "Lambda", "pairs", "kept")
+
+    def __init__(self, group: GroupData, Lambda: RatVec, pairs: Optional[tuple], kept: int):
+        self.group, self.Lambda, self.pairs, self.kept = group, Lambda, pairs, kept
+
+    def _offered(self) -> tuple:
+        """(the offered rows, each row's source record)."""
+        g, Lambda = self.group, self.Lambda
+        if self.pairs is None:
+            offered = tuple(_closed_form_rows(g).at(Lambda))
+            return offered, (_CLOSED_FORM,) * len(offered)
+        return _offer(g, _pair_rows(g, self.pairs).at(Lambda), self.pairs)
+
+    def _system_of(self, offered: tuple) -> HPolyhedron:
+        return _system(self.group.dim, [row for j, row in enumerate(offered) if self.kept >> j & 1])
+
+    def _provenance_of(self, offered: tuple, sources: tuple) -> tuple[Provenance, ...]:
+        return tuple(Provenance(row, *source, kept=bool(self.kept >> j & 1))
+                     for j, (row, source) in enumerate(zip(offered, sources)))
+
+    @property
+    def offered(self) -> tuple[AffineIneq, ...]:
+        return self._offered()[0]
+
+    @property
+    def sources(self) -> tuple[tuple, ...]:
+        return self._offered()[1]
+
+    @property
+    def system(self) -> HPolyhedron:
+        """The kept rows, in order of first offer."""
+        return self._system_of(self.offered)
 
     @property
     def provenance(self) -> tuple[Provenance, ...]:
-        """One record per offered row, in order; a row is kept when that
-        very object is a row of the system."""
-        kept = {id(row) for row in self.system.ineqs}
-        return tuple(Provenance(row, *source, kept=id(row) in kept)
-                     for row, source in zip(self.offered, self.sources))
+        """One record per offered row, in order."""
+        return self._provenance_of(*self._offered())
 
     def to_json_obj(self):
+        offered, sources = self._offered()
         return {
             "group": self.group.label(),
             "Lambda": [rat_str(c) for c in self.Lambda],
-            "ineqs": [row.to_json_obj() for row in self.system.ineqs],
-            "provenance": [p.to_json_obj() for p in self.provenance],
+            "ineqs": [row.to_json_obj() for row in self._system_of(offered).ineqs],
+            "provenance": [p.to_json_obj() for p in self._provenance_of(offered, sources)],
         }
 
     def pretty(self) -> str:
         return "; ".join(display_ineq(r) for r in self.system.ineqs)
+
+
+def _kept(offered: tuple, system: HPolyhedron) -> int:
+    """The mask of the offered rows that are, as objects, rows of system."""
+    rows = {id(row) for row in system.ineqs}
+    return sum(1 << j for j, row in enumerate(offered) if id(row) in rows)
 
 
 def display_ineq(row: AffineIneq) -> str:
@@ -212,8 +246,7 @@ class _LinearRows:
                 cls, n, d = (cls, 0, 1) if s == 0 or (s > 0 and cls == 0) else (0, -1, 1)
             if (cls, n, d) not in made:
                 unit, kind = self._classes[cls]
-                bound = _fraction(n) if d == 1 else Fraction(n, d)
-                made[cls, n, d] = _canonical_row(unit, bound, kind)
+                made[cls, n, d] = _canonical_row(unit, Fraction(n, d), kind)
             out.append(made[cls, n, d])
         return out
 
@@ -230,8 +263,8 @@ def _system(nvars: int, rows) -> HPolyhedron:
 
 
 def _assembly_rows(g: GroupData) -> tuple:
-    """The pair rows `assemble` offers beside the chamber's, over Lambda:
-    one row per m = 0 well-covering pair, and each row's source record.
+    """The pair rows `assemble` offers beside the chamber's, over Lambda,
+    and their m = 0 well-covering pairs, one row per pair and in its order.
     Not memoised: it holds the scan.
     The assembly layers are imported here, their one user, so that the
     Horn oracle loads without them."""
@@ -239,33 +272,45 @@ def _assembly_rows(g: GroupData) -> tuple:
     from .wellcover import enumerate_m0, require_pairs
 
     require_pairs(g)
-    pairs = [pair for lam in sorted_admissible(enumerate_admissible(g))
-             for pair in enumerate_m0(g, lam)]
-    rows = _LinearRows(g.dim, [(*pair.row_vectors, LE) for pair in pairs])
-    return rows, [pair.source for pair in pairs]
+    pairs = tuple(pair for lam in sorted_admissible(enumerate_admissible(g))
+                  for pair in enumerate_m0(g, lam))
+    return _pair_rows(g, pairs), pairs
+
+
+def _pair_rows(g: GroupData, pairs: tuple) -> _LinearRows:
+    """The row of each pair over Lambda: <w lam, xi> <= <w0 w' lam, Lambda>."""
+    return _LinearRows(g.dim, [(*pair.row_vectors, LE) for pair in pairs])
+
+
+def _offer(g: GroupData, rows: list, pairs: tuple) -> tuple:
+    """(offered rows, their sources) of an assembly whose pair rows at Lambda
+    are rows: the chamber's rows, the very objects of `g.chamber`, then the
+    pair rows sorted by their integer rows.  Equal rows are one object; a
+    pair row equal to a chamber row is the chamber's."""
+    ordered = sorted(zip(rows, pairs), key=lambda t: t[0].integer_row())
+    chamber = g.chamber.ineqs
+    distinct = {row: row for row in chamber}
+    offered = chamber + tuple(distinct.setdefault(row, row) for row, _ in ordered)
+    return offered, (_CHAMBER,) * len(chamber) + tuple(pair.source for _, pair in ordered)
 
 
 def assemble(g: GroupData, Lambda) -> OrbitPolytope:
     """The moment polyhedron from admissible cocharacters and their m = 0
     well-covering pairs.
 
-    The answer offers the chamber's rows, the very objects of `g.chamber`,
-    then the pair rows at Lambda sorted by their integer rows.  Equal rows
-    are one object, shared by `offered` and the system; a pair row equal to
-    a chamber row is the chamber's.  A pair row keeps its pair's normal
-    tuple, and a source record is its pair's or a module constant, so
-    answers to different Lambdas share all three.
+    The rows offered are the chamber's and the pair rows at Lambda (see
+    `_offer`); a pair row keeps its pair's normal tuple, and a source
+    record is its pair's or a module constant, so the rows of answers to
+    different Lambdas share all three.  The answer keeps the pairs and
+    which offered rows the system kept, and builds its rows again on read.
     """
     Lambda = _checked_lambda(g, Lambda)
-    rows, sources = _assembly_rows(g)
-    pairs = sorted(zip(rows.at(Lambda), sources), key=lambda t: t[0].integer_row())
-    chamber = g.chamber.ineqs
-    distinct = {row: row for row in chamber}
-    offered = chamber + tuple(distinct.setdefault(row, row) for row, _ in pairs)
-    # Lambda lies in the polyhedron, so it is the known point.
-    system = remove_redundant(_canonical_system(g.dim, list(distinct)), Lambda, _certificates(g))
-    sources = (_CHAMBER,) * len(chamber) + tuple(source for _, source in pairs)
-    return OrbitPolytope(g, Lambda, system, offered, sources)
+    rows, pairs = _assembly_rows(g)
+    offered, _ = _offer(g, rows.at(Lambda), pairs)
+    # Lambda lies in the polyhedron, so it is the known point, and the
+    # system is never the empty marker: its rows are offered rows.
+    system = remove_redundant(_system(g.dim, offered), Lambda, _certificates(g))
+    return OrbitPolytope(g, Lambda, pairs, _kept(offered, system))
 
 
 @cache
@@ -329,9 +374,8 @@ def closed_form(g: GroupData, Lambda) -> OrbitPolytope:
     """The literal inequality lists known in closed form, kept as stated
     (canonicalized and deduplicated but not redundancy-reduced)."""
     Lambda = _checked_lambda(g, Lambda)
-    offered = tuple(_closed_form_rows(g).at(Lambda))
-    return OrbitPolytope(g, Lambda, _system(g.dim, offered), offered,
-                         (_CLOSED_FORM,) * len(offered))
+    offered = _closed_form_rows(g).at(Lambda)
+    return OrbitPolytope(g, Lambda, None, _kept(offered, _system(g.dim, offered)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +470,7 @@ _REASONS = {
 }
 
 
-@dataclass
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """The exact comparison at one Lambda: the size of P(Lambda), its kept
     rows and generators, and each disagreement as {"kind", "at"}, the kind
     a key of `_REASONS` and "at" the point or the displayed row."""
@@ -445,7 +488,7 @@ class CrossCheckReport:
         return not self.disagreements
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def summary(self) -> str:
         """One line per disagreement, then the counts; the last line ends
@@ -463,11 +506,12 @@ def cross_check(g: GroupData, Lambda) -> CrossCheckReport:
     """Decide exactly whether the assembled polyhedron P(Lambda) equals the
     Horn route's polyhedron at Lambda (route 2: the points mu that
     `horn_oracle_member` accepts)."""
-    return _compare(assemble(g, Lambda))
+    pol = assemble(g, Lambda)
+    return _compare(g, pol.Lambda, pol.system)
 
 
-def _compare(pol: OrbitPolytope) -> CrossCheckReport:
-    """The two inclusions between pol's system and route 2 at pol.Lambda.
+def _compare(g: GroupData, Lambda: RatVec, system: HPolyhedron) -> CrossCheckReport:
+    """The two inclusions between the system P and route 2 at Lambda.
 
     P inside route 2: the homogenisation {(x, t) : <a, x> - b t (<=|=) 0,
     t >= 0} of P's integer rows is generated by (v, 1) for P's vertices v,
@@ -484,8 +528,7 @@ def _compare(pol: OrbitPolytope) -> CrossCheckReport:
     """
     from .cones import cone_rays  # only check runs a double description
 
-    g, Lambda, n = pol.group, pol.Lambda, pol.group.dim
-    rows = pol.system.ineqs
+    n, rows = g.dim, system.ineqs
     homogenised = [AffineIneq((*a, -b), 0, row.kind)
                    for row in rows for a, b in [row.integer_row()]]
     homogenised.append(AffineIneq((0,) * n + (-1,), 0))

@@ -34,7 +34,6 @@ facts; its dimension, rho, module weights and flags are derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactmath import DimensionError, DomainError, HPolyhedron, RatVec, _dot, ineq_eq, ineq_ge
@@ -57,15 +56,13 @@ class UnsupportedFamilyError(ValueError):
     """Raised when an operation has no meaning for the given family."""
 
 
-@dataclass(frozen=True)
 class GroupFamily:
-    """One classical Hermitian family instance."""
+    """One classical Hermitian family instance, equal and hashed by its tag
+    and parameters."""
 
-    tag: str
-    params: tuple[int, ...]
+    __slots__ = ("tag", "params")
 
-    def __post_init__(self):
-        tag, params = self.tag, self.params
+    def __init__(self, tag: str, params: tuple[int, ...]):
         least = _PARAMS.get(tag)
         if least is None:
             raise ValueError(f"unknown family tag {tag!r}")
@@ -78,6 +75,17 @@ class GroupFamily:
             # which for su is p >= q >= 1.
             low = list(least.values())[-1]
             raise ValueError(f"{tag} needs {' >= '.join(least)} >= {low}")
+        self.tag, self.params = tag, params
+
+    def __eq__(self, other):
+        return (isinstance(other, GroupFamily)
+                and (self.tag, self.params) == (other.tag, other.params))
+
+    def __hash__(self):
+        return hash((self.tag, self.params))
+
+    def __repr__(self):
+        return f"GroupFamily({self.tag!r}, {self.params!r})"
 
     @staticmethod
     def parse(text: str) -> "GroupFamily":
@@ -115,52 +123,51 @@ class GroupFamily:
         return f"{self.tag}:" + ",".join(f"{key}={val}" for key, val in pairs)
 
 
-@dataclass(frozen=True)
 class GroupData:
     """Exact root data of one family instance.
 
     Stored: the family, the compact and noncompact positive roots, the
     strongly orthogonal (Schmid) family, the dominant chamber, the Weyl
     blocks and the su(n, 1) convention flag; equality compares these.
-    Derived when the object is made, so a `dataclasses.replace` copy never
-    keeps stale values: dim (the Weyl blocks' total degree), rho (the
-    half-sum of the compact positive roots), weights_p_minus (the negated
-    noncompact positive roots), trace_zero (the chamber carries the trace
-    equality, as for su(p, q) in p + q coordinates) and schubert_carrier
-    (False exactly for so(p, 2)).
+    Derived when the object is made, so a group built from altered stored
+    fields never keeps stale values: dim (the Weyl blocks' total degree),
+    rho (the half-sum of the compact positive roots), weights_p_minus (the
+    negated noncompact positive roots), trace_zero (the chamber carries the
+    trace equality, as for su(p, q) in p + q coordinates) and
+    schubert_carrier (False exactly for so(p, 2)).
     """
 
-    family: GroupFamily
-    compact_pos: tuple[tuple[int, ...], ...]
-    noncompact_pos: tuple[tuple[int, ...], ...]
-    schmid: tuple[tuple[int, ...], ...]
-    chamber: HPolyhedron
-    weyl: WeylDescriptor
-    unitary_coords: bool  # SU(n,1) exposed in the n-coordinate convention
-    dim: int = field(init=False, compare=False)
-    rho: RatVec = field(init=False, compare=False)
-    weights_p_minus: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    trace_zero: bool = field(init=False, compare=False)
-    schubert_carrier: bool = field(init=False, compare=False)
+    __slots__ = ("family", "compact_pos", "noncompact_pos", "schmid", "chamber", "weyl",
+                 "unitary_coords", "dim", "rho", "weights_p_minus", "trace_zero",
+                 "schubert_carrier")
 
-    def __post_init__(self):
-        dim = self.weyl.dim
-        derived = {
-            "dim": dim,
-            "rho": RatVec(Fraction(sum(alpha[i] for alpha in self.compact_pos), 2)
-                          for i in range(dim)),
-            "weights_p_minus": tuple(tuple(-x for x in b) for b in self.noncompact_pos),
-            "trace_zero": ineq_eq([1] * dim, 0) in self.chamber.ineqs,
-            "schubert_carrier": self.family.tag != SO,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, family: GroupFamily, compact_pos: tuple[tuple[int, ...], ...],
+                 noncompact_pos: tuple[tuple[int, ...], ...], schmid: tuple[tuple[int, ...], ...],
+                 chamber: HPolyhedron, weyl: WeylDescriptor, unitary_coords: bool):
+        self.family, self.compact_pos, self.noncompact_pos = family, compact_pos, noncompact_pos
+        self.schmid, self.chamber, self.weyl = schmid, chamber, weyl
+        self.unitary_coords = unitary_coords  # SU(n,1) exposed in the n-coordinate convention
+        self.dim = dim = weyl.dim
+        self.rho = RatVec(Fraction(sum(alpha[i] for alpha in compact_pos), 2) for i in range(dim))
+        self.weights_p_minus = tuple(tuple(-x for x in b) for b in noncompact_pos)
+        self.trace_zero = ineq_eq([1] * dim, 0) in chamber.ineqs
+        self.schubert_carrier = family.tag != SO
+
+    def _stored(self) -> tuple:
+        return (self.family, self.compact_pos, self.noncompact_pos, self.schmid, self.chamber,
+                self.weyl, self.unitary_coords)
+
+    def __eq__(self, other):
+        return isinstance(other, GroupData) and self._stored() == other._stored()
 
     def __hash__(self):
         # build's inputs, not every root and chamber row; __eq__ still compares
-        # every stored field, so a group made with dataclasses.replace gets its
-        # own memos.
+        # every stored field, so a group built with other roots gets its own
+        # memos.
         return hash((self.family, self.unitary_coords))
+
+    def __repr__(self):
+        return f"GroupData({self.label()!r})"
 
     def label(self) -> str:
         return self.family.spec_string()

@@ -33,7 +33,6 @@ orbit parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactmath import _dot
@@ -43,15 +42,24 @@ from .weyl import (Weyl, act, check_order_cap, length, max_coset_reps, mul,
                    stabilizer_parabolic, text)
 
 
-@dataclass(frozen=True)
 class WCPair:
     """A candidate pair: w, w' longest coset representatives, a level m
-    and the cocharacter lam, a tuple of ints."""
+    and the cocharacter lam, a tuple of ints; equal and hashed by these."""
 
-    w: Weyl
-    w_prime: Weyl
-    m: int
-    lam: tuple[int, ...]
+    def __init__(self, w: Weyl, w_prime: Weyl, m: int, lam: tuple[int, ...]):
+        self.w, self.w_prime, self.m, self.lam = w, w_prime, m, lam
+
+    def _key(self) -> tuple:
+        return self.w, self.w_prime, self.m, self.lam
+
+    def __eq__(self, other):
+        return isinstance(other, WCPair) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "WCPair(%r, %r, %r, %r)" % self._key()
 
     @cached_property
     def row_vectors(self) -> tuple:
@@ -112,17 +120,14 @@ class GradedModule:
         return m == 0 or m in self.levels
 
 
-@dataclass(frozen=True)
 class LambdaContext:
     """Everything enumerate/is_well_covering needs for one (g, lam),
     including its m = 0 pair set, computed on first use."""
 
-    g: GroupData
-    lam: tuple[int, ...]
-    w_lambda: Weyl
-    reps: tuple[Weyl, ...]
-    graded: GradedModule
-    ring: SchubertRing
+    def __init__(self, g: GroupData, lam: tuple[int, ...], w_lambda: Weyl,
+                 reps: tuple[Weyl, ...], graded: GradedModule, ring: SchubertRing):
+        self.g, self.lam, self.w_lambda, self.reps = g, lam, w_lambda, reps
+        self.graded, self.ring = graded, ring
 
     @cached_property
     def w0(self) -> Weyl:

@@ -25,7 +25,6 @@ w . lam (`max_coset_reps`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .exactmath import DimensionError, DomainError
@@ -66,16 +65,26 @@ def text(w: Weyl) -> str:
     return "|".join(" ".join(map(str, p)) for p in w)
 
 
-@dataclass(frozen=True)
 class WeylDescriptor:
     """A product of symmetric groups S_{d1} x ... x S_{df} acting blockwise
-    on vectors of dimension d1 + ... + df."""
+    on vectors of dimension d1 + ... + df; equal and hashed by its
+    degrees."""
 
-    degrees: tuple[int, ...]
+    __slots__ = ("degrees",)
 
-    def __post_init__(self):
-        if not self.degrees or any(d < 1 for d in self.degrees):
+    def __init__(self, degrees: tuple[int, ...]):
+        if not degrees or any(d < 1 for d in degrees):
             raise ValueError("factor degrees must be positive")
+        self.degrees = degrees
+
+    def __eq__(self, other):
+        return isinstance(other, WeylDescriptor) and self.degrees == other.degrees
+
+    def __hash__(self):
+        return hash(self.degrees)
+
+    def __repr__(self):
+        return f"WeylDescriptor({self.degrees!r})"
 
     @property
     def dim(self) -> int:

@@ -444,6 +444,15 @@ def duality_check(ring: SchubertRing, w: Weyl, w_prime: Weyl, wl: Weyl) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def regroup(g: GroupData, **changes) -> GroupData:
+    """g built again from its stored fields, with the named ones changed;
+    the derived fields are computed afresh."""
+    stored = dict(family=g.family, compact_pos=g.compact_pos, noncompact_pos=g.noncompact_pos,
+                  schmid=g.schmid, chamber=g.chamber, weyl=g.weyl,
+                  unitary_coords=g.unitary_coords)
+    return GroupData(**{**stored, **changes})
+
+
 def schmid_cone(g: GroupData) -> HPolyhedron:
     """H-representation of { sum m_i g_i : m_1 >= ... >= m_r >= 0 }.
 

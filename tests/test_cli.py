@@ -325,6 +325,27 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "" and "bad vector" in err
 
+    @pytest.mark.parametrize("verb, extra", [
+        ("ineqs", []), ("member", ["--xi", "1,0,0,-1"]), ("oracle", ["--mu", "1,0,0,-1"]),
+    ])
+    def test_wide_vector_fails_fast(self, capsys, verb, extra):
+        # Each entry fits the digits Python prints, but a bound over their
+        # common denominator does not: this vector ran the assembly, then
+        # exited 1 with the integer print limit's error.
+        argv = ["--group", "su:p=2,q=2", "--lambda", "1e4299,1/997,-1/997,-1e4299", *extra]
+        start = time.perf_counter()
+        code, out, err = run(capsys, verb, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and "bad vector" in err
+
+    def test_vector_inside_the_bound_prints_its_rows(self, capsys):
+        # 10**k and 1 have k + 4 digits as numerators and denominators.
+        k = sys.int_info.default_max_str_digits - cli._ROW_DIGITS - 4
+        code, out, _ = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", f"1e{k},1")
+        assert code == 0 and out == f"xi1 - xi2 >= 0; xi1 >= {10**k}; xi2 >= 1\n"
+        code, out, err = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", f"1e{k + 1},1")
+        assert code == 2 and out == "" and "bad vector" in err
+
     @pytest.mark.parametrize("lam", ["7/2,1", "3.5,1", "35e-1,1", "0.035E2,1"])
     def test_rational_forms_parse(self, capsys, lam):
         code, out, _ = run(capsys, "ineqs", "--group", "sp:n=2", "--lambda", lam)
@@ -346,7 +367,10 @@ class TestExitCodes:
 class TestLeanImports:
     """Each verb imports only the layers it runs, so a cold process compiles
     no other module; a layer imported at the top of cli or polytope would
-    load for every verb."""
+    load for every verb.  No verb loads `dataclasses` or the `inspect` it
+    pulls in."""
+
+    STDLIB = ("dataclasses", "inspect")
 
     # verb: (argv, a layer it runs, the layers it must not load)
     CASES = {
@@ -360,12 +384,15 @@ class TestLeanImports:
         "horn": (["horn", "--n", "4", "--r", "2"], "horn",
                  {"polytope", "admissible", "wellcover", "schubert", "certificates", "cones"}),
         "check": (["check", "--group", "su:p=2,q=1", "--lambda", "2,0"], "cones", set()),
+        "member": (["member", "--group", "sp:n=2", "--lambda", "3,1", "--xi", "2,1"],
+                   "certificates", {"cones"}),
+        "plot": (["plot", "--group", "sp:n=2", "--lambda", "3,1"], "certificates", {"cones"}),
     }
     SCRIPT = ("import contextlib, io, sys\n"
               "from orbitope import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = cli.main(sys.argv[1:])\n"
-              "print(code, *sorted(m for m in sys.modules if m.startswith('orbitope.')))\n")
+              f"print(code, *sorted(m for m in sys.modules if m.startswith('orbitope.') or m in {STDLIB}))\n")
 
     @pytest.mark.parametrize("verb", sorted(CASES))
     def test_verb_skips_other_layers(self, verb):
@@ -377,6 +404,7 @@ class TestLeanImports:
         code, *loaded = proc.stdout.split()
         assert code == "0" and f"orbitope.{ran}" in loaded
         assert not {f"orbitope.{m}" for m in skipped} & set(loaded), loaded
+        assert not set(self.STDLIB) & set(loaded), loaded
 
 
 if __name__ == "__main__":

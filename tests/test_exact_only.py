@@ -22,6 +22,11 @@ No unused imports: every module-level import binds a name that some other
 node of the module reads (`from __future__` imports aside), so a move
 between the package and the tests leaves no stale import behind.
 
+No dataclasses: no package module imports `dataclasses`, which loads
+`inspect`, `ast` and `dis` into every process.  Plain records are
+`typing.NamedTuple`s; rows, groups and records with a check or a
+`cached_property` are classes with an explicit `__init__`.
+
 Integer Lie data: the Weyl group and Schubert layers act on roots,
 cocharacters and their orbit points, which are tuples of ints, so
 `weyl.py` and `schubert.py` import neither `fractions` nor `RatVec`.
@@ -189,6 +194,34 @@ def test_scan_catches_core_conversions(tmp_path):
         "row_reduce calls Fraction",
         "_simplex_le calls _int_row",
         "_Substitution.program calls Fraction",
+    ]
+
+
+def _dataclass_imports(path: Path) -> list[str]:
+    """Imports of the dataclasses module or of a name from it, at any depth."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                      if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found += [f"{path.name}:{node.lineno} imports dataclasses.{a.name}" for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert _dataclass_imports(path) == []
+
+
+def test_scan_catches_dataclass_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import dataclasses\nfrom dataclasses import dataclass, field\n\n"
+                   "def f():\n    import dataclasses as d\n")
+    assert [v.split(" ", 1)[1] for v in _dataclass_imports(bad)] == [
+        "imports dataclasses", "imports dataclasses.dataclass", "imports dataclasses.field",
+        "imports dataclasses",
     ]
 
 

@@ -1,15 +1,16 @@
 """Polytope assembly, closed forms, the Horn oracle and cross-checks."""
 
-import dataclasses
 import gc
 import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
-from orbitope import admissible, exactmath, goldens, polytope
+from orbitope import admissible, exactmath, goldens, polytope, wellcover
 from orbitope.exactmath import (
     AffineIneq,
     HPolyhedron,
@@ -47,6 +48,7 @@ from reference import (
     lp_max,
     noncompact_cone,
     polytope_system,
+    regroup,
     relaxed_rows,
     schmid_cone,
 )
@@ -108,15 +110,15 @@ class TestAssembleExamples:
         ("so_star:n=4", [9, 7, 4, 1], [10, 7, 4, 1]),
     ])
     def test_answer_shares_rows_and_labels(self, spec, lam, other):
-        # Equal rows are one object and kept records hold the very row
-        # objects of the system; a request for another Lambda reuses the
+        # Equal rows of one read are one object and the kept records hold
+        # the rows of the system; a request for another Lambda reuses the
         # pair labels and every pair row's normal, a cached pair's (or an
         # equal chamber row's) tuple.
         g = g_of(spec)
         p = assemble(g, lam)
         assert len({id(r.ineq) for r in p.provenance}) == len({r.ineq for r in p.provenance})
         kept = [rec for rec in p.provenance if rec.kept]
-        assert {id(r) for r in p.system.ineqs} == {id(rec.ineq) for rec in kept}
+        assert set(p.system.ineqs) == {rec.ineq for rec in kept}
         first = {(r.lam, r.w, r.w_prime): r for r in p.provenance if r.source == "pair"}
         shared_normals = {id(r.normal) for r in g.chamber.ineqs} | {
             id(pair.row_vectors[0])
@@ -139,9 +141,9 @@ class TestAssembleExamples:
 
 
 class TestAnswerLayout:
-    """An answer holds the rows offered at Lambda and one reference per row
-    to a source record shared by every answer; the provenance records are
-    built on each read."""
+    """An answer holds its group, Lambda, its pairs (the cached ones of the
+    wellcover contexts) and a mask of the kept rows; the offered rows, their
+    sources, the system and the provenance records are built on each read."""
 
     def test_answers_share_chamber_rows_and_sources(self):
         g = g_of("su:p=2,q=2")
@@ -157,20 +159,45 @@ class TestAnswerLayout:
 
     def test_pair_row_equal_to_a_chamber_row_is_the_chambers(self, monkeypatch):
         g = g_of("sp:n=2")
-        rows, sources = _assembly_rows(g)
+        _, pairs = _assembly_rows(g)
         wall = g.chamber.ineqs[0]
-        extra = polytope._LinearRows(g.dim, [*rows.rows, (wall.normal, [0] * g.dim, wall.kind)])
+        # A stand-in pair whose row is the wall: <wall normal, xi> <= 0.
+        pairs += (SimpleNamespace(row_vectors=(wall.normal, (0,) * g.dim),
+                                  source=("pair", (1, 0), "w", "w'")),)
         monkeypatch.setattr(polytope, "_assembly_rows",
-                            lambda g: (extra, [*sources, ("pair", (1, 0), "w", "w'")]))
+                            lambda g: (polytope._pair_rows(g, pairs), pairs))
         p = assemble(g, [3, 1])
         assert sum(row is wall for row in p.offered) == 2
         assert [r.kept for r in p.provenance if r.ineq is wall] == [wall in p.system.ineqs] * 2
 
+    @pytest.mark.parametrize("spec", ["su:p=3,q=2", "so_star:n=4", "sp:n=4", "su:p=2,q=2"])
+    def test_rows_rebuilt_on_read(self, spec, monkeypatch):
+        # Each read evaluates the rows again: reads agree, a record is kept
+        # exactly when its row is in the system, chamber rows are the
+        # group's own objects and a pair row's source is its cached pair's.
+        monkeypatch.setattr(admissible, "enumerate_admissible", cache(enumerate_admissible))
+        g = g_of(spec)
+        n = len(g.chamber.ineqs)
+        cached = sorted(id(pair.source) for lam in enumerate_admissible(g)
+                        for pair in wellcover.context(g, lam).pairs)
+        rng = random.Random(f"reads:{spec}")
+        for _ in range(20):
+            p = assemble(g, benchmark_lambda(g, rng))
+            assert p.system.ineqs == p.system.ineqs
+            assert p.offered == p.offered and p.provenance == p.provenance
+            assert p.to_json_obj() == p.to_json_obj()
+            system = set(p.system.ineqs)
+            assert [r.kept for r in p.provenance] == [r.ineq in system for r in p.provenance]
+            offered, sources = p.offered, p.sources
+            assert all(a is b for a, b in zip(offered, g.chamber.ineqs))
+            assert all(s is polytope._CHAMBER for s in sources[:n])
+            assert sorted(map(id, sources[n:])) == cached
+
     def test_bytes_per_answer(self):
         # What the answers alone keep alive, over a seeded mix after one
-        # warm-up per group: about 1.0 KB per answer with the chamber rows
-        # and source records shared, 1.8 KB with fresh chamber rows and
-        # provenance records in every answer.
+        # warm-up per group: about 0.19 KB per answer, the answer and its
+        # pairs tuple; 1.0 KB when it held its offered rows and their
+        # sources, 1.8 KB with fresh chamber rows and provenance records.
         groups = [g_of(spec) for spec in ("sp:n=4", "su:p=4,q=1", "su:p=2,q=2")]
         rng = random.Random("answer-bytes")
         for g in groups:
@@ -187,7 +214,7 @@ class TestAnswerLayout:
             retained = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained / len(requests) <= 1400
+        assert retained / len(requests) <= 400
 
 
 class TestClosedFormAgainstGoldens:
@@ -329,11 +356,12 @@ MUTANT_CASES = [("su:p=3,q=2", [5, 3, 1, -4, -5]), ("so_star:n=4", [7, 5, 3, 1])
 
 def _mutant(spec, lam, change):
     """The assembly of (spec, lam) with its first kept pair row replaced by
-    change(row), which returns a list of rows, as `cross_check`'s input."""
+    change(row), which returns a list of rows, as `_compare`'s arguments
+    (g, Lambda, system)."""
     pol = assemble(g_of(spec), lam)
     row = next(p.ineq for p in pol.provenance if p.source == "pair" and p.kept)
-    rows = [new for r in pol.system.ineqs for new in (change(r) if r is row else [r])]
-    return dataclasses.replace(pol, system=HPolyhedron(pol.group.dim, rows)), row
+    rows = [new for r in pol.system.ineqs for new in (change(r) if r == row else [r])]
+    return (pol.group, pol.Lambda, HPolyhedron(pol.group.dim, rows)), row
 
 
 class TestCrossCheck:
@@ -364,13 +392,13 @@ class TestCrossCheck:
     def test_dropped_rows_give_direction_disagreements(self, kept, found):
         pol = assemble(g_of("sp:n=2"), [3, 1])
         rows = [r for r in pol.system.ineqs if display_ineq(r) in kept]
-        rep = polytope._compare(dataclasses.replace(pol, system=HPolyhedron(2, rows)))
+        rep = polytope._compare(pol.group, pol.Lambda, HPolyhedron(2, rows))
         assert [(d["kind"], d["at"]) for d in rep.disagreements] == found
 
     @pytest.mark.parametrize("spec,lam", MUTANT_CASES, ids=[c[0] for c in MUTANT_CASES])
     def test_dropped_pair_row_is_a_vertex_disagreement(self, spec, lam):
-        pol, _ = _mutant(spec, lam, lambda row: [])
-        rep = polytope._compare(pol)
+        args, _ = _mutant(spec, lam, lambda row: [])
+        rep = polytope._compare(*args)
         assert not rep.ok
         assert "vertex" in {d["kind"] for d in rep.disagreements}
         assert rep.summary().endswith(f" {len(rep.disagreements)} disagreements")
@@ -380,8 +408,8 @@ class TestCrossCheck:
         def tighten(row):
             return AffineIneq(row.normal, row.bound - F(1, 2), row.kind)
 
-        pol, row = _mutant(spec, lam, lambda row: [tighten(row)])
-        assert polytope._compare(pol).disagreements == [
+        args, row = _mutant(spec, lam, lambda row: [tighten(row)])
+        assert polytope._compare(*args).disagreements == [
             {"kind": "row", "at": display_ineq(tighten(row))}]
 
     def test_domain_error_lives_in_exactmath(self):
@@ -478,9 +506,8 @@ class TestGeometricProperties:
 
     def test_replaced_group_gets_its_own_cone(self):
         # equal hash, unequal group: each gets the cone of its own roots
-        from dataclasses import replace
         g = g_of("sp:n=2")
-        ray = replace(g, noncompact_pos=g.noncompact_pos[:1])
+        ray = regroup(g, noncompact_pos=g.noncompact_pos[:1])
         assert hash(ray) == hash(g) and ray != g
         quadrant = noncompact_cone(g)
         assert quadrant.contains(RatVec([0, 1]))

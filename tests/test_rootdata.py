@@ -8,7 +8,6 @@ the root data is meant to change) with
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 from math import comb
 from pathlib import Path
@@ -24,7 +23,7 @@ from orbitope.rootdata import (
     dual_weight,
     in_hol_chamber,
 )
-from reference import schmid_cone
+from reference import regroup, schmid_cone
 
 
 ROOTDATA = Path(__file__).parent / "data" / "rootdata.json"
@@ -103,14 +102,14 @@ class TestIntegerTypes:
 class TestReplace:
     def test_noncompact_replacement_updates_weights(self):
         g = g_of("su:p=3,q=2")
-        ray = replace(g, noncompact_pos=g.noncompact_pos[:2])
+        ray = regroup(g, noncompact_pos=g.noncompact_pos[:2])
         assert ray.weights_p_minus == tuple(_neg(b) for b in g.noncompact_pos[:2])
 
     def test_compact_replacement_updates_rho(self):
         for spec in ("sp:n=3", "su:p=3,q=2", "so:p=5"):
             g = g_of(spec)
-            assert replace(g, compact_pos=()).rho == RatVec([0] * g.dim)
-            one = replace(g, compact_pos=g.compact_pos[:1])
+            assert regroup(g, compact_pos=()).rho == RatVec([0] * g.dim)
+            one = regroup(g, compact_pos=g.compact_pos[:1])
             assert one.rho == RatVec(F(a, 2) for a in g.compact_pos[0])
 
 
@@ -285,7 +284,7 @@ class TestSchmidCone:
 
     def test_degenerate_origin(self):
         # no strongly orthogonal family -> the zero cone
-        stripped = replace(g_of("sp:n=2"), schmid=())
+        stripped = regroup(g_of("sp:n=2"), schmid=())
         cone = schmid_cone(stripped)
         assert cone.contains(RatVec([0, 0])) and not cone.contains(RatVec([1, 0]))
 
